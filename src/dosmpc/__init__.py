@@ -1,7 +1,7 @@
 """Data-driven resilient MPC of unknown LTI systems under DoS attacks.
 
 Subpackages: lti (true-plant machinery and gain synthesis), data (Hankel
-matrices and offline collection), qp (dense operator-splitting QP solver),
+matrices and offline collection), qp (dense dual active-set QP solver),
 mpc (the data-driven predictive program), dos (attack model), controllers
 (closed-loop policies), experiment (scenario harness), cli.
 """

@@ -144,9 +144,9 @@ class MpcSolution:
 class MpcAssembler:
     """Builds the QP once and re-instantiates it per step with fresh windows.
 
-    The static arrays (P, Aeq, q, bounds) are shared across instances built by
-    the same assembler, which lets the QP solver reuse its equilibration and
-    factorization between consecutive solves.
+    The static arrays (P, Aeq, q, bounds) and the weight matrices are built
+    once and shared across instances built by the same assembler; only beq
+    changes from one step to the next.
     """
 
     def __init__(self, hankel: HankelPair, config: MpcConfig):
@@ -171,8 +171,8 @@ class MpcAssembler:
         )
 
         vc = config.cost_noise_scale()
-        r1 = _weight_matrix(config.r1, n_u, "R1")
-        r2 = _weight_matrix(config.r2, n_y, "R2")
+        r1 = self.r1 = _weight_matrix(config.r1, n_u, "R1")
+        r2 = self.r2 = _weight_matrix(config.r2, n_y, "R2")
         p = np.zeros((n, n))
         p[self.vmap.g, self.vmap.g] = 2.0 * config.lambda_g * vc * np.eye(n_g)
         p[self.vmap.h, self.vmap.h] = 2.0 * (config.lambda_h / vc) * np.eye(w * n_y)
@@ -222,14 +222,6 @@ class MpcAssembler:
         beq[r + init_u.size:r + init_u.size + init_zeta.size] = init_zeta
         return QpProblem(p=self.p, q=self.q, aeq=self.aeq, beq=beq, lb=self.lb, ub=self.ub)
 
-    def warm_vector(self, previous: MpcSolution, init_u, init_zeta) -> np.ndarray:
-        """Previous optimizer with the pinned windows replaced by current data."""
-        z = previous.z.copy() if previous.z.size == self.vmap.n else np.zeros(self.vmap.n)
-        eta, n_u, n_y = self.config.eta, self.vmap.n_u, self.vmap.n_y
-        z[self.vmap.u][:eta * n_u] = np.asarray(init_u, float).reshape(-1)
-        z[self.vmap.y][:eta * n_y] = np.asarray(init_zeta, float).reshape(-1)
-        return z
-
     def extract(self, qp_solution, validate: bool = True) -> MpcSolution:
         cfg = self.config
         vm = self.vmap
@@ -253,11 +245,9 @@ class MpcAssembler:
         h = z[vm.h].reshape(vm.window, vm.n_y).copy()
 
         vc = cfg.cost_noise_scale()
-        r1 = _weight_matrix(cfg.r1, vm.n_u, "R1")
-        r2 = _weight_matrix(cfg.r2, vm.n_y, "R2")
         cost = float(
-            np.sum(np.einsum("ij,jk,ik->i", u_pred, r1, u_pred))
-            + np.sum(np.einsum("ij,jk,ik->i", y_pred, r2, y_pred))
+            np.sum(np.einsum("ij,jk,ik->i", u_pred, self.r1, u_pred))
+            + np.sum(np.einsum("ij,jk,ik->i", y_pred, self.r2, y_pred))
             + cfg.lambda_g * vc * float(g @ g)
             + (cfg.lambda_h / vc) * float(np.sum(h * h))
         )
@@ -281,15 +271,16 @@ def assemble(problem: MpcProblem) -> tuple[QpProblem, VariableMap]:
 def solve_mpc(problem: MpcProblem, warm: Optional[MpcSolution] = None,
               solver: Optional[Solver] = None, assembler: Optional[MpcAssembler] = None,
               ) -> MpcSolution:
-    """Solve one instance; deterministic given identical inputs and solver state.
+    """Solve one instance; deterministic given identical inputs.
 
-    A non-optimal solver status is surfaced as SolverError with diagnostics.
+    The previous solution ``warm`` seeds the solver's working set with the
+    input bounds it was pinned at. A non-optimal solver status is surfaced as
+    SolverError with diagnostics.
     """
     asm = assembler or MpcAssembler(problem.hankel, problem.config)
     qp_problem = asm.qp(problem.init_u, problem.init_zeta)
     slv = solver or Solver(Settings())
-    warm_z = asm.warm_vector(warm, problem.init_u, problem.init_zeta) if warm else None
-    sol = slv.solve(qp_problem, warm_z=warm_z)
+    sol = slv.solve(qp_problem, warm_z=warm.z if warm is not None else None)
     if sol.status != "optimal":
         raise SolverError(
             f"QP terminated with status '{sol.status}' "

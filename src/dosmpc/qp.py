@@ -3,11 +3,13 @@
     minimize    0.5 z'Pz + q'z
     subject to  Aeq z = beq,   lb <= z <= ub
 
-The method is operator splitting (ADMM) on the stacked constraint
-[Aeq; selected box rows], with modified Ruiz equilibration, a dense Cholesky
-factorization of the step matrix, periodic penalty adaptation, and a direct
-KKT polish of the converged active set. Problem sizes here stay in the low
-hundreds of variables, so dense factorizations are ample.
+The method is the dual active-set method of Goldfarb and Idnani (Math.
+Programming 27, 1983), warm-started from the bound rows at which a previous
+optimizer sits, as in qpOASES (Ferreau et al., Math. Prog. Comp. 2014). The
+equality rows are always in the working set; each iteration is one direct
+KKT solve on the equalities plus the working set's box rows, refined in
+extended precision. Problem sizes here stay in the low hundreds of
+variables, so dense factorizations are ample.
 """
 from __future__ import annotations
 
@@ -21,6 +23,12 @@ from .errors import DimensionError
 
 __all__ = ["QpProblem", "QpSolution", "Settings", "Solver", "solve", "kkt_residuals",
            "dump_problem", "load_problem"]
+
+# Bound violations and wrong-sign box multipliers up to this size are ignored.
+_TOL = 1e-9
+# A unit box row closer than this to the span of the working set's rows
+# counts as linearly dependent on them (the rows themselves have norm one).
+_DEPENDENT = 1e-9
 
 
 @dataclass(frozen=True)
@@ -68,6 +76,9 @@ class QpProblem:
 
 @dataclass
 class QpSolution:
+    """``iterations`` counts working-set changes; ``polished`` is true when
+    ``z`` passed the termination check, which is what ``"optimal"`` means."""
+
     z: np.ndarray
     objective: float
     primal_residual: float
@@ -81,7 +92,9 @@ class QpSolution:
 
 @dataclass
 class Settings:
-    """Termination uses eps_abs + eps_rel * scale plus an evaluation-floor
+    """``max_iter`` caps the number of working-set changes.
+
+    Termination uses eps_abs + eps_rel * scale plus an evaluation-floor
     term eps_machine * max_i (|A||z| + |v|)_i (and its dual analogue): the
     rounding noise of evaluating the residual itself. Without it, problems
     whose constraint rows span many decades can never terminate, since even
@@ -90,13 +103,6 @@ class Settings:
     eps_abs: float = 1e-8
     eps_rel: float = 1e-8
     max_iter: int = 50_000
-    rho: float = 0.1
-    sigma: float = 1e-6
-    alpha: float = 1.6
-    check_interval: int = 25
-    adapt_interval: int = 100
-    scaling_iters: int = 10
-    polish: bool = True
 
 
 def _objective(problem: QpProblem, z: np.ndarray) -> float:
@@ -145,241 +151,159 @@ def kkt_residuals(problem: QpProblem, z, y_eq=None, mu=None):
     return float(primal), dual, comp
 
 
-class _Workspace:
-    """Scaled data and cached factorization reused across parametric re-solves."""
+def _active_rows(problem: QpProblem, lo, hi):
+    """Equality rows, then unit rows pinning ``lo`` at lb and ``hi`` at ub."""
+    n = problem.n
+    sel = np.zeros((lo.size + hi.size, n))
+    sel[np.arange(sel.shape[0]), np.concatenate([lo, hi])] = 1.0
+    return (np.vstack([problem.aeq, sel]),
+            np.concatenate([problem.beq, problem.lb[lo], problem.ub[hi]]))
 
-    def __init__(self, problem: QpProblem, settings: Settings):
-        n = problem.n
-        self.box_idx = np.where(np.isfinite(problem.lb) | np.isfinite(problem.ub))[0]
-        self.m_eq = problem.aeq.shape[0]
-        self.m = self.m_eq + self.box_idx.size
-        a = np.zeros((self.m, n))
-        if self.m_eq:
-            a[: self.m_eq] = problem.aeq
-        a[np.arange(self.m_eq, self.m), self.box_idx] = 1.0
-        self.a = a
-        # Holding the source problem keeps its arrays alive, so the id-based
-        # cache key below cannot collide with a recycled address.
-        self.source = problem
-        self.key = (id(problem.p), id(problem.aeq), id(problem.q),
-                    id(problem.lb), id(problem.ub))
 
-        # Modified Ruiz equilibration of [P A'; A 0] plus a scalar cost scaling.
-        d = np.ones(n)
-        e = np.ones(self.m)
-        p_s, a_s, q_s = problem.p.copy(), a.copy(), problem.q.copy()
-        for _ in range(settings.scaling_iters):
-            cn = np.maximum(
-                np.max(np.abs(p_s), axis=0, initial=0.0),
-                np.max(np.abs(a_s), axis=0, initial=0.0) if self.m else 0.0,
-            )
-            cn[cn == 0] = 1.0
-            delta_d = 1.0 / np.sqrt(cn)
-            rn = np.max(np.abs(a_s), axis=1, initial=0.0) if self.m else np.zeros(0)
-            rn[rn == 0] = 1.0
-            delta_e = 1.0 / np.sqrt(rn)
-            p_s = p_s * delta_d[:, None] * delta_d[None, :]
-            q_s = q_s * delta_d
-            if self.m:
-                a_s = a_s * delta_e[:, None] * delta_d[None, :]
-            d *= delta_d
-            e *= delta_e
-        col_means = np.mean(np.max(np.abs(p_s), axis=0, initial=0.0)) if n else 1.0
-        c = 1.0 / max(col_means, np.max(np.abs(q_s), initial=0.0), 1e-12)
-        self.d, self.e, self.c = d, e, c
-        self.p_s = c * p_s
-        self.a_s = a_s
-        # Cached copies for residual evaluation: 80-bit accumulation for the
-        # products themselves, absolute values for the evaluation-floor term.
-        self.a_ld = a.astype(np.longdouble)
-        self.at_ld = a.T.astype(np.longdouble).copy()
-        self.abs_a = np.abs(a)
-        self.abs_p = np.abs(problem.p)
-        self.abs_q = np.abs(problem.q)
-        self.rho_bar = settings.rho
-        self.sigma = settings.sigma
-        self._factor(settings.rho)
-        self.x = np.zeros(n)
-        self.v = np.zeros(self.m)
-        self.y = np.zeros(self.m)
-
-    def rho_vec(self, rho_bar: float) -> np.ndarray:
-        # Stiffer penalty on equality rows, as is standard for splitting methods.
-        rho = np.full(self.m, rho_bar)
-        rho[: self.m_eq] *= 1e3
-        return rho
-
-    def _factor(self, rho_bar: float):
-        self.rho_bar = rho_bar
-        self.rho = self.rho_vec(rho_bar)
-        m_mat = self.p_s + self.sigma * np.eye(self.p_s.shape[0])
-        if self.m:
-            m_mat = m_mat + (self.a_s.T * self.rho) @ self.a_s
-        np.linalg.cholesky(m_mat)  # positive definiteness guard
-        # The step system is solved thousands of times per problem; a cached
-        # inverse turns each solve into one matmul. Inexactness at the level
-        # eps * cond is harmless inside the fixed-point iteration, and the
-        # polish step supplies the final accuracy.
-        self.step_inv = np.linalg.inv(m_mat)
-
-    def solve_step(self, rhs: np.ndarray) -> np.ndarray:
-        return self.step_inv @ rhs
+def _span_distances(problem: QpProblem, lo, hi, idx) -> np.ndarray:
+    """Distance of each unit row e_i, i in ``idx``, from the span of the
+    active rows of (lo, hi) and of the rows of ``idx`` before it: the
+    diagonal of R in a QR factorization of the stacked rows."""
+    if not len(idx):
+        return np.zeros(0)
+    a, _ = _active_rows(problem, lo, np.concatenate([hi, idx]))
+    diag = np.abs(np.diagonal(np.linalg.qr(a.T, mode="r")))[a.shape[0] - len(idx):]
+    dist = np.zeros(len(idx))
+    dist[:diag.size] = diag
+    return dist
 
 
 class Solver:
-    """One-problem-at-a-time QP solver with workspace reuse.
+    """Warm-started dual active-set QP solver.
 
-    Re-solving with the same matrix objects (only beq or q values changed in
-    place is not supported; pass fresh vectors) skips re-equilibration and
-    re-factorization, which is what the receding-horizon loop relies on.
+    The working set starts from the box rows at which ``warm_z`` sits at a
+    bound, keeping only rows linearly independent of the equalities and of
+    each other. Rows whose multipliers have the wrong sign leave it; then
+    violated bounds enter it one at a time, Goldfarb-Idnani style: the
+    entering row's multiplier grows from zero while a ratio test drops any
+    working-set row whose multiplier reaches zero first. When the entering
+    row depends linearly on the working set, the step changes multipliers
+    only, and no blocking row means the constraints are infeasible. The
+    returned ``z`` is the refined KKT solution on the final working set and
+    counts as optimal only after it passes the termination check of
+    ``Settings``.
     """
 
     def __init__(self, settings: Optional[Settings] = None):
         self.settings = settings or Settings()
-        self._ws: Optional[_Workspace] = None
 
-    def _workspace(self, problem: QpProblem) -> _Workspace:
-        key = (id(problem.p), id(problem.aeq), id(problem.q),
-               id(problem.lb), id(problem.ub))
-        if self._ws is None or self._ws.key != key:
-            self._ws = _Workspace(problem, self.settings)
-        return self._ws
-
-    def solve(self, problem: QpProblem, warm_z=None, warm_y=None) -> QpSolution:
+    def solve(self, problem: QpProblem, warm_z=None) -> QpSolution:
         s = self.settings
-        ws = self._workspace(problem)
-        n = problem.n
-
-        l_full = np.concatenate([problem.beq, problem.lb[ws.box_idx]])
-        u_full = np.concatenate([problem.beq, problem.ub[ws.box_idx]])
-        l_s = ws.e * l_full
-        u_s = ws.e * u_full
-        q_s = ws.c * (ws.d * problem.q)
-
+        n, lb, ub = problem.n, problem.lb, problem.ub
+        lo = hi = empty = np.zeros(0, dtype=int)
         if warm_z is not None:
-            ws.x = np.asarray(warm_z, float).reshape(n) / ws.d
-            ws.v = ws.a_s @ ws.x
-        if warm_y is not None:
-            ws.y = ws.c * np.asarray(warm_y, float).reshape(ws.m) / ws.e
+            warm = np.asarray(warm_z, float).reshape(n)
+            lo, hi = np.flatnonzero(warm <= lb + _TOL), np.flatnonzero(warm >= ub - _TOL)
+            keep = _span_distances(problem, empty, empty, np.concatenate([lo, hi])) > _DEPENDENT
+            lo, hi = lo[keep[:lo.size]], hi[keep[lo.size:]]
 
-        # The projected iterate must live in the (current) constraint set for
-        # the primal residual to be meaningful, including at iteration zero.
-        x, y = ws.x, ws.y
-        v = np.clip(ws.v, l_s, u_s) if ws.m else ws.v
-        best = None
-        stall = 0
-        status = "max_iter"
-        iterations = s.max_iter
-        for k in range(s.max_iter + 1):
-            if k % s.check_interval == 0:
-                z_un = ws.d * x
-                y_un = ws.e * y / ws.c
-                v_un = v / ws.e if ws.m else v
-                r_p, r_d, e_p, e_d = self._residuals(problem, ws, z_un, y_un, v_un)
-                if best is None or max(r_p / e_p, r_d / e_d) < best[0]:
-                    best = (max(r_p / e_p, r_d / e_d), z_un.copy(), y_un.copy(), v_un.copy(), r_p, r_d)
-                    stall = 0
+        changes, status = 0, "optimal"
+        enter, t = None, 0.0  # the bound row being added (index, sign) and its multiplier
+        while True:
+            direction = None
+            if enter is not None:
+                direction = np.zeros(n)
+                direction[enter[0]] = enter[1]
+            z, y_eq, mu, step = self._solve_active(problem, lo, hi, direction)
+            if enter is None:
+                wrong_lo, wrong_hi = lo[mu[lo] > _TOL], hi[mu[hi] < -_TOL]
+                viol = np.maximum(lb - z, z - ub)
+                viol[lo] = viol[hi] = 0.0
+                p = int(np.argmax(viol))
+                if not (wrong_lo.size or wrong_hi.size or viol[p] > _TOL):
+                    break
+                if changes >= s.max_iter:
+                    status = "max_iter"
+                    break
+                if wrong_lo.size or wrong_hi.size:
+                    lo, hi = np.setdiff1d(lo, wrong_lo), np.setdiff1d(hi, wrong_hi)
+                    changes += wrong_lo.size + wrong_hi.size
                 else:
-                    stall += 1
-                converged = r_p <= e_p and r_d <= e_d
-                if s.polish and (converged or k % s.adapt_interval == 0):
-                    at_lo = v[ws.m_eq:] == l_s[ws.m_eq:]
-                    at_hi = (v[ws.m_eq:] == u_s[ws.m_eq:]) & ~at_lo
-                    pol = self._polish(problem, ws, z_un, y_un, at_lo, at_hi)
-                    if pol is not None:
-                        z_p, y_p, mu_p, rp_p, rd_p, ep_p, ed_p = pol
-                        if rp_p <= ep_p and rd_p <= ed_p:
-                            ws.x, ws.v, ws.y = x, v, y
-                            return self._finish(problem, ws, z_p, y_p, mu_p,
-                                                rp_p, rd_p, k, "optimal", True)
-                if converged:
-                    status = "optimal"
-                    iterations = k
-                    break
-                if np.max(np.abs(y_un), initial=0.0) > 1e10 and stall >= 10 and r_p > 1e3 * e_p:
-                    status = "infeasible"
-                    iterations = k
-                    break
-                if k > 0 and k % s.adapt_interval == 0:
-                    scale_p = max(np.max(np.abs(ws.a_s @ x), initial=0.0),
-                                  np.max(np.abs(v), initial=0.0), 1e-12)
-                    scale_d = max(np.max(np.abs(ws.p_s @ x + q_s), initial=0.0), 1e-12)
-                    rp_s = np.max(np.abs(ws.a_s @ x - v), initial=0.0) / scale_p
-                    rd_s = np.max(np.abs(ws.p_s @ x + q_s + (ws.a_s.T @ y if ws.m else 0)),
-                                  initial=0.0) / scale_d
-                    ratio = np.sqrt(max(rp_s, 1e-16) / max(rd_s, 1e-16))
-                    new_rho = float(np.clip(ws.rho_bar * ratio, 1e-6, 1e6))
-                    if ratio > 5 or ratio < 0.2:
-                        ws._factor(new_rho)
-            if k == s.max_iter:
+                    enter, t = (p, 1.0 if z[p] > ub[p] else -1.0), 0.0
+                continue
+
+            # Raise the entering row's multiplier from t: z and the working
+            # set's multipliers move along the step solved for its direction.
+            p, sign = enter
+            dz, dmu = step
+            rows = np.concatenate([lo, hi])
+            signs = np.concatenate([-np.ones(lo.size), np.ones(hi.size)])
+            lam = signs * (mu[rows] + t * dmu[rows])
+            dlam = signs * dmu[rows]
+            blocking = dlam < -_TOL
+            tau = np.full(rows.size, np.inf)
+            tau[blocking] = np.maximum(lam[blocking], 0.0) / -dlam[blocking]
+            tau_drop = np.min(tau, initial=np.inf)
+            tau_add = np.inf
+            if _span_distances(problem, lo, hi, [p])[0] > _DEPENDENT:
+                zp = z[p] + t * dz[p]
+                tau_add = (zp - ub[p] if sign > 0 else lb[p] - zp) / -(sign * dz[p])
+            if tau_add == np.inf and tau_drop == np.inf:
+                status = "infeasible"
                 break
-            rhs = ws.sigma * x - q_s
-            if ws.m:
-                rhs = rhs + ws.a_s.T @ (ws.rho * v - y)
-            xt = ws.solve_step(rhs)
-            zt = ws.a_s @ xt if ws.m else v
-            x = s.alpha * xt + (1 - s.alpha) * x
-            if ws.m:
-                v_relaxed = s.alpha * zt + (1 - s.alpha) * v
-                v_new = np.clip(v_relaxed + y / ws.rho, l_s, u_s)
-                y = y + ws.rho * (v_relaxed - v_new)
-                v = v_new
+            if changes >= s.max_iter:
+                status = "max_iter"
+                break
+            changes += 1
+            if tau_add <= tau_drop:
+                if sign > 0:
+                    hi = np.union1d(hi, [p])
+                else:
+                    lo = np.union1d(lo, [p])
+                enter = None
+            else:
+                t += tau_drop
+                drop = rows[np.argmin(tau)]
+                lo, hi = lo[lo != drop], hi[hi != drop]
 
-        ws.x, ws.v, ws.y = x, v, y
-        if status == "optimal" or best is None:
-            z_fin = ws.d * x
-            y_fin = ws.e * y / ws.c
-        else:
-            _, z_fin, y_fin, _, _, _ = best
-        r_p, r_d, _, _ = self._residuals(problem, ws, z_fin, y_fin, None)
-        mu = np.zeros(n)
-        mu[ws.box_idx] = y_fin[ws.m_eq:]
-        return self._finish(problem, ws, z_fin, y_fin[: ws.m_eq], mu, r_p, r_d,
-                            iterations, status, False)
+        r_p, r_d, _ = kkt_residuals(problem, z, y_eq, mu)
+        e_p, e_d = self._tolerances(problem, z, y_eq, mu)
+        polished = status == "optimal" and r_p <= e_p and r_d <= e_d
+        if status == "optimal" and not polished:
+            status = "inaccurate"
+        return QpSolution(z=z, objective=_objective(problem, z), primal_residual=r_p,
+                          dual_residual=r_d, iterations=changes, status=status,
+                          y_eq=y_eq, mu=mu, polished=polished)
 
-    def _residuals(self, problem, ws, z, y, v_un):
+    def _tolerances(self, problem, z, y_eq, mu):
+        """Primal and dual termination bounds at a candidate: eps_abs, plus
+        eps_rel times the largest term of each residual, plus the float64
+        floor of evaluating it."""
+        s = self.settings
         eps_m = float(np.finfo(float).eps)
-        ax = (ws.a_ld @ z.astype(np.longdouble)).astype(float) if ws.m else np.zeros(0)
-        if v_un is None:
-            l_full = np.concatenate([problem.beq, problem.lb[ws.box_idx]])
-            u_full = np.concatenate([problem.beq, problem.ub[ws.box_idx]])
-            v_un = np.clip(ax, l_full, u_full)
-        r_p = np.max(np.abs(ax - v_un), initial=0.0)
-        pz = problem.p @ z
-        stat = pz + problem.q
-        aty = (ws.at_ld @ y.astype(np.longdouble)).astype(float) if ws.m else np.zeros(problem.n)
-        if ws.m:
-            stat = stat + aty
-        r_d = np.max(np.abs(stat), initial=0.0)
+        box = np.isfinite(problem.lb) | np.isfinite(problem.ub)
+        z_box = np.abs(z[box])
+        v_box = np.abs(np.clip(z, problem.lb, problem.ub)[box])
         abs_z = np.abs(z)
-        floor_p = eps_m * np.max(ws.abs_a @ abs_z + np.abs(v_un), initial=0.0) if ws.m else 0.0
-        floor_d = eps_m * np.max(
-            ws.abs_p @ abs_z + (ws.abs_a.T @ np.abs(y) if ws.m else 0.0) + ws.abs_q,
-            initial=0.0)
-        e_p = self.settings.eps_abs + self.settings.eps_rel * max(
-            np.max(np.abs(ax), initial=0.0), np.max(np.abs(v_un), initial=0.0)) + floor_p
-        e_d = self.settings.eps_abs + self.settings.eps_rel * max(
-            np.max(np.abs(pz), initial=0.0),
-            np.max(np.abs(aty), initial=0.0),
-            np.max(ws.abs_q, initial=0.0)) + floor_d
-        return float(r_p), float(r_d), float(e_p), float(e_d)
+        abs_aeq = np.abs(problem.aeq)
+        floor_p = eps_m * max(np.max(abs_aeq @ abs_z + np.abs(problem.beq), initial=0.0),
+                              np.max(z_box + v_box, initial=0.0))
+        floor_d = eps_m * np.max(np.abs(problem.p) @ abs_z + abs_aeq.T @ np.abs(y_eq)
+                                 + np.abs(mu) + np.abs(problem.q), initial=0.0)
+        e_p = s.eps_abs + s.eps_rel * max(
+            np.max(np.abs(_ext_matvec(problem.aeq, z)), initial=0.0),
+            np.max(np.abs(problem.beq), initial=0.0),
+            np.max(z_box, initial=0.0), np.max(v_box, initial=0.0)) + floor_p
+        e_d = s.eps_abs + s.eps_rel * max(
+            np.max(np.abs(problem.p @ z), initial=0.0),
+            np.max(np.abs(_ext_matvec(problem.aeq.T, y_eq) + mu), initial=0.0),
+            np.max(np.abs(problem.q), initial=0.0)) + floor_d
+        return float(e_p), float(e_d)
 
-    def _solve_active(self, problem, lo_act, hi_act):
-        """Refined KKT solve with the given box rows pinned at their bounds."""
+    def _solve_active(self, problem, lo_act, hi_act, direction=None):
+        """Refined KKT solve with the given box rows pinned at their bounds.
+
+        Returns z, the equality multipliers and the box multipliers mu. With
+        a ``direction`` c, also returns (dz, dmu): their change per unit of an
+        added cost term c'z, from the same KKT matrix; otherwise None.
+        """
         n = problem.n
-        rows = []
-        rhs = []
-        if problem.aeq.shape[0]:
-            rows.append(problem.aeq)
-            rhs.append(problem.beq)
-        for idx, bound in ((lo_act, problem.lb), (hi_act, problem.ub)):
-            if idx.size:
-                sel = np.zeros((idx.size, n))
-                sel[np.arange(idx.size), idx] = 1.0
-                rows.append(sel)
-                rhs.append(bound[idx])
-        a_act = np.vstack(rows) if rows else np.zeros((0, n))
-        b_act = np.concatenate(rhs) if rhs else np.zeros(0)
+        a_act, b_act = _active_rows(problem, lo_act, hi_act)
         m_act = a_act.shape[0]
         delta = 1e-9
         kkt = np.zeros((n + m_act, n + m_act))
@@ -389,6 +313,8 @@ class Solver:
             kkt[n:, :n] = a_act
             kkt[n:, n:] = -delta * np.eye(m_act)
         target = np.concatenate([-problem.q, b_act])
+        if direction is not None:
+            target = np.column_stack([target, np.concatenate([-direction, np.zeros(m_act)])])
         lu_sol = np.linalg.solve(kkt, target)
         # Refine against the unregularized system with residuals accumulated
         # in extended precision: removes the delta regularization and drives
@@ -402,64 +328,24 @@ class Solver:
         for _ in range(3):
             resid = (target_ext - kkt_ext @ lu_sol.astype(np.longdouble)).astype(float)
             lu_sol = lu_sol + np.linalg.solve(kkt, resid)
-        z_p = lu_sol[:n]
-        y_act = lu_sol[n:]
-        y_eq = y_act[: problem.aeq.shape[0]]
-        mu = np.zeros(n)
-        k = y_eq.size
-        mu[lo_act] = y_act[k:k + lo_act.size]
-        k += lo_act.size
-        mu[hi_act] = y_act[k:k + hi_act.size]
-        return z_p, y_eq, mu
 
-    def _polish(self, problem, ws, z, y, at_lo=None, at_hi=None):
-        """Direct KKT solve on the active set suggested by the splitting
-        iterate, with a few add/remove cleanup passes: wrong-sign multipliers
-        leave the set, violated bounds enter it."""
-        box = ws.box_idx
-        if at_lo is None:
-            at_lo = np.zeros(box.size, dtype=bool)
-        if at_hi is None:
-            at_hi = np.zeros(box.size, dtype=bool)
-        lo_act = box[at_lo & np.isfinite(problem.lb[box])]
-        hi_act = box[at_hi & np.isfinite(problem.ub[box])]
-        for _ in range(8):
-            try:
-                z_p, y_eq, mu = self._solve_active(problem, lo_act, hi_act)
-            except np.linalg.LinAlgError:
-                return None
-            drop_lo = lo_act[mu[lo_act] > 1e-9]
-            drop_hi = hi_act[mu[hi_act] < -1e-9]
-            viol_lo = box[(problem.lb[box] - z_p[box]) > 1e-9]
-            viol_hi = box[(z_p[box] - problem.ub[box]) > 1e-9]
-            add_lo = np.setdiff1d(viol_lo, lo_act, assume_unique=False)
-            add_hi = np.setdiff1d(viol_hi, hi_act, assume_unique=False)
-            if not (drop_lo.size or drop_hi.size or add_lo.size or add_hi.size):
-                y_full = np.concatenate([y_eq, mu[box]])
-                r_p, r_d, e_p, e_d = self._residuals(problem, ws, z_p, y_full, None)
-                return z_p, y_eq, mu, r_p, r_d, e_p, e_d
-            lo_act = np.union1d(np.setdiff1d(lo_act, drop_lo), add_lo).astype(int)
-            hi_act = np.union1d(np.setdiff1d(hi_act, drop_hi), add_hi).astype(int)
-        return None
+        m_eq = problem.aeq.shape[0]
 
-    def _finish(self, problem, ws, z, y_eq, mu, r_p, r_d, iterations, status, polished):
-        return QpSolution(
-            z=z,
-            objective=_objective(problem, z),
-            primal_residual=float(r_p),
-            dual_residual=float(r_d),
-            iterations=int(iterations),
-            status=status,
-            y_eq=np.asarray(y_eq, float).reshape(-1),
-            mu=mu,
-            polished=polished,
-        )
+        def split(sol):
+            mu = np.zeros(n)
+            mu[np.concatenate([lo_act, hi_act])] = sol[n + m_eq:]
+            return sol[:n], sol[n:n + m_eq], mu
+
+        if direction is None:
+            return (*split(lu_sol), None)
+        z, y_eq, mu = split(lu_sol[:, 0])
+        dz, _, dmu = split(lu_sol[:, 1])
+        return z, y_eq, mu, (dz, dmu)
 
 
-def solve(problem: QpProblem, settings: Optional[Settings] = None,
-          warm_z=None, warm_y=None) -> QpSolution:
+def solve(problem: QpProblem, settings: Optional[Settings] = None, warm_z=None) -> QpSolution:
     """Single-shot convenience wrapper around Solver."""
-    return Solver(settings).solve(problem, warm_z=warm_z, warm_y=warm_y)
+    return Solver(settings).solve(problem, warm_z=warm_z)
 
 
 def dump_problem(problem: QpProblem) -> str:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dosmpc import qp
 from dosmpc.errors import DimensionError
@@ -22,6 +23,12 @@ def random_equality_qp(rng, n=12, m=5):
     return problem, z_star[:n], z_star[n:]
 
 
+def upper_bound_problem():
+    """min 0.5 z^2 - 3z on [0, 1]: the upper bound is active at z = 1."""
+    return qp.QpProblem(p=np.eye(1), q=np.array([-3.0]), aeq=np.zeros((0, 1)),
+                        beq=np.zeros(0), lb=np.array([0.0]), ub=np.array([1.0]))
+
+
 class TestSolve:
     def test_unconstrained_minimum(self):
         lb, ub = free_bounds(3)
@@ -33,9 +40,7 @@ class TestSolve:
         assert sol.objective == pytest.approx(0.0, abs=1e-12)
 
     def test_active_upper_bound(self):
-        problem = qp.QpProblem(p=np.eye(1), q=np.array([-3.0]), aeq=np.zeros((0, 1)),
-                               beq=np.zeros(0), lb=np.array([0.0]), ub=np.array([1.0]))
-        sol = qp.solve(problem)
+        sol = qp.solve(upper_bound_problem())
         assert sol.status == "optimal"
         np.testing.assert_allclose(sol.z, [1.0], atol=1e-9)
 
@@ -91,14 +96,17 @@ class TestSolve:
         assert sol.objective <= warm_objective + 1e-9
 
     def test_max_iter_status(self):
-        rng = np.random.default_rng(5)
-        problem, _, _ = random_equality_qp(rng)
-        sol = qp.solve(problem, qp.Settings(max_iter=0, polish=False))
+        # The optimum needs one working-set change (the upper bound enters).
+        sol = qp.solve(upper_bound_problem(), qp.Settings(max_iter=0))
         assert sol.status == "max_iter"
 
 
 def enumeration_oracle(problem):
-    """Exhaustive active-set search: every (inactive, lower, upper) labeling."""
+    """Exhaustive active-set search: every (inactive, lower, upper) labeling.
+
+    A labeling counts only when its KKT system is solved to 1e-9, so a
+    singular system whose computed point misses the equalities is rejected.
+    Raises ValueError when no labeling is feasible."""
     n = problem.n
     best = None
     for code in range(3 ** n):
@@ -122,9 +130,12 @@ def enumeration_oracle(problem):
         b_act = np.concatenate([np.atleast_1d(r) for r in rhs]) if rhs else np.zeros(0)
         m = a_act.shape[0]
         kkt = np.block([[problem.p, a_act.T], [a_act, np.zeros((m, m))]])
+        target = np.concatenate([-problem.q, b_act])
         try:
-            sol = np.linalg.solve(kkt, np.concatenate([-problem.q, b_act]))
+            sol = np.linalg.solve(kkt, target)
         except np.linalg.LinAlgError:
+            continue
+        if np.max(np.abs(kkt @ sol - target)) > 1e-9 * max(1.0, np.max(np.abs(target))):
             continue
         z = sol[:n]
         if np.any(z < problem.lb - 1e-9) or np.any(z > problem.ub + 1e-9):
@@ -145,7 +156,30 @@ def enumeration_oracle(problem):
         value = 0.5 * z @ problem.p @ z + problem.q @ z
         if best is None or value < best[0]:
             best = (value, z)
+    if best is None:
+        raise ValueError("no labeling satisfies the KKT conditions: the QP is infeasible")
     return best[1]
+
+
+@st.composite
+def small_box_qps(draw):
+    """Strictly convex QP with n <= 6, m <= 2, box +-0.5, plus a warm start.
+
+    The equalities pass through an anchor point. Anchor entries at +-0.5 put
+    it on a face or vertex of the box, where the active bounds and the
+    equalities are linearly dependent; entries at +-1 lie outside the box
+    and can make the instance infeasible."""
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(0, min(2, n)))
+    anchor = np.array(draw(st.lists(st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]),
+                                    min_size=n, max_size=n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = rng.standard_normal((n, n))
+    aeq = rng.standard_normal((m, n))
+    problem = qp.QpProblem(p=g.T @ g + 0.1 * np.eye(n), q=3 * rng.standard_normal(n),
+                           aeq=aeq, beq=aeq @ anchor,
+                           lb=-0.5 * np.ones(n), ub=0.5 * np.ones(n))
+    return problem, rng.uniform(-1.0, 1.0, n)
 
 
 class TestAgainstEnumerationOracle:
@@ -164,6 +198,21 @@ class TestAgainstEnumerationOracle:
             sol = qp.solve(problem)
             assert sol.status == "optimal"
             assert np.max(np.abs(sol.z - z_star)) <= 1e-7
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(small_box_qps())
+    def test_matches_oracle_from_any_warm_start(self, case):
+        problem, warm = case
+        try:
+            z_star = enumeration_oracle(problem)
+        except ValueError:
+            z_star = None
+        for sol in (qp.solve(problem), qp.solve(problem, warm_z=warm)):
+            if z_star is None:
+                assert sol.status != "optimal"
+            else:
+                assert sol.status == "optimal"
+                assert np.max(np.abs(sol.z - z_star)) <= 1e-7
 
 
 class TestKktResiduals:
