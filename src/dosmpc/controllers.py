@@ -40,7 +40,6 @@ class ControllerState:
     cached: Optional[MpcSolution] = None
     input_window: np.ndarray = field(default_factory=lambda: np.zeros(0))
     output_window: Optional[np.ndarray] = None
-    applied: list = field(default_factory=list)
     last_solve: Optional[int] = None
 
 
@@ -90,7 +89,6 @@ class DataDrivenController:
     def _apply(self, u: np.ndarray) -> np.ndarray:
         st = self.state
         st.input_window = np.vstack([st.input_window[1:], u[None, :]])
-        st.applied.append(np.array(u))
         return u
 
     def step(self, t: int, attack: bool, fresh_zeta=None) -> StepResult:

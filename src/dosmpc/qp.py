@@ -6,10 +6,13 @@
 The method is the dual active-set method of Goldfarb and Idnani (Math.
 Programming 27, 1983), warm-started from the bound rows at which a previous
 optimizer sits, as in qpOASES (Ferreau et al., Math. Prog. Comp. 2014). The
-equality rows are always in the working set; each iteration is one direct
-KKT solve on the equalities plus the working set's box rows, refined in
-extended precision. Problem sizes here stay in the low hundreds of
-variables, so dense factorizations are ample.
+equality rows are always in the working set; each iteration solves the KKT
+system of the equalities plus the working set's box rows, refined in
+extended precision. A ``Solver`` keeps the last working set's factorization:
+in closed loop only q, beq and the bounds change between solves, so the
+optimizer is one affine map per working set (Bemporad et al., Automatica
+2002). Problem sizes here stay in the low hundreds of variables, so dense
+factorizations are ample.
 """
 from __future__ import annotations
 
@@ -116,7 +119,7 @@ def _ext_matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     cancellation in float64 limits evaluable residuals to roughly 1e-7 there.
     80-bit accumulation pushes the evaluation floor below the 1e-8 tolerance.
     """
-    return (a.astype(np.longdouble) @ x.astype(np.longdouble)).astype(float)
+    return (np.asarray(a, np.longdouble) @ x.astype(np.longdouble)).astype(float)
 
 
 def kkt_residuals(problem: QpProblem, z, y_eq=None, mu=None):
@@ -130,7 +133,13 @@ def kkt_residuals(problem: QpProblem, z, y_eq=None, mu=None):
     z = np.asarray(z, dtype=float).reshape(-1)
     y_eq = np.zeros(problem.aeq.shape[0]) if y_eq is None else np.asarray(y_eq, float).reshape(-1)
     mu = np.zeros(problem.n) if mu is None else np.asarray(mu, float).reshape(-1)
-    eq_res = _ext_matvec(problem.aeq, z) - problem.beq if problem.aeq.shape[0] else np.zeros(0)
+    return _residuals(problem, z, mu, _ext_matvec(problem.aeq, z),
+                      _ext_matvec(problem.aeq.T, y_eq))
+
+
+def _residuals(problem: QpProblem, z, mu, aeq_z, aeqt_y):
+    """``kkt_residuals`` given the extended-precision products Aeq z and Aeq' y."""
+    eq_res = aeq_z - problem.beq
     box_low = np.maximum(problem.lb - z, 0.0)
     box_high = np.maximum(z - problem.ub, 0.0)
     primal = max(
@@ -138,9 +147,7 @@ def kkt_residuals(problem: QpProblem, z, y_eq=None, mu=None):
         np.max(box_low, initial=0.0),
         np.max(box_high, initial=0.0),
     )
-    stat = problem.p @ z + problem.q + mu
-    if problem.aeq.shape[0]:
-        stat = stat + _ext_matvec(problem.aeq.T, y_eq)
+    stat = problem.p @ z + problem.q + mu + aeqt_y
     dual = float(np.max(np.abs(stat), initial=0.0))
     mu_hi = np.maximum(mu, 0.0)
     mu_lo = np.maximum(-mu, 0.0)
@@ -153,11 +160,9 @@ def kkt_residuals(problem: QpProblem, z, y_eq=None, mu=None):
 
 def _active_rows(problem: QpProblem, lo, hi):
     """Equality rows, then unit rows pinning ``lo`` at lb and ``hi`` at ub."""
-    n = problem.n
-    sel = np.zeros((lo.size + hi.size, n))
+    sel = np.zeros((lo.size + hi.size, problem.n))
     sel[np.arange(sel.shape[0]), np.concatenate([lo, hi])] = 1.0
-    return (np.vstack([problem.aeq, sel]),
-            np.concatenate([problem.beq, problem.lb[lo], problem.ub[hi]]))
+    return np.vstack([problem.aeq, sel])
 
 
 def _span_distances(problem: QpProblem, lo, hi, idx) -> np.ndarray:
@@ -166,7 +171,7 @@ def _span_distances(problem: QpProblem, lo, hi, idx) -> np.ndarray:
     diagonal of R in a QR factorization of the stacked rows."""
     if not len(idx):
         return np.zeros(0)
-    a, _ = _active_rows(problem, lo, np.concatenate([hi, idx]))
+    a = _active_rows(problem, lo, np.concatenate([hi, idx]))
     diag = np.abs(np.diagonal(np.linalg.qr(a.T, mode="r")))[a.shape[0] - len(idx):]
     dist = np.zeros(len(idx))
     dist[:diag.size] = diag
@@ -187,14 +192,31 @@ class Solver:
     returned ``z`` is the refined KKT solution on the final working set and
     counts as optimal only after it passes the termination check of
     ``Settings``.
+
+    The solver remembers one factorization, the inverse of the last working
+    set's regularized KKT matrix, across calls too. Another working set
+    rebuilds it; a P or Aeq not exactly equal to the copies it was built
+    from (a new problem, or the same arrays changed in place) drops it. A
+    reused solver returns bit for bit what a fresh one returns; one solver
+    must not be shared between threads.
     """
 
     def __init__(self, settings: Optional[Settings] = None):
         self.settings = settings or Settings()
+        self._p = self._aeq = self._p_ext = self._aeq_ext = None
+        self._key = self._kkt_inv = None
+
+    def _adopt(self, problem: QpProblem) -> None:
+        """Drop the remembered factorization unless it belongs to this P and Aeq."""
+        if not (np.array_equal(problem.p, self._p) and np.array_equal(problem.aeq, self._aeq)):
+            self._p, self._aeq = problem.p.copy(), problem.aeq.copy()
+            self._p_ext, self._aeq_ext = (a.astype(np.longdouble) for a in (self._p, self._aeq))
+            self._key = None
 
     def solve(self, problem: QpProblem, warm_z=None) -> QpSolution:
         s = self.settings
         n, lb, ub = problem.n, problem.lb, problem.ub
+        self._adopt(problem)
         lo = hi = empty = np.zeros(0, dtype=int)
         if warm_z is not None:
             warm = np.asarray(warm_z, float).reshape(n)
@@ -261,8 +283,9 @@ class Solver:
                 drop = rows[np.argmin(tau)]
                 lo, hi = lo[lo != drop], hi[hi != drop]
 
-        r_p, r_d, _ = kkt_residuals(problem, z, y_eq, mu)
-        e_p, e_d = self._tolerances(problem, z, y_eq, mu)
+        aeq_z, aeqt_y = _ext_matvec(self._aeq_ext, z), _ext_matvec(self._aeq_ext.T, y_eq)
+        r_p, r_d, _ = _residuals(problem, z, mu, aeq_z, aeqt_y)
+        e_p, e_d = self._tolerances(problem, z, y_eq, mu, aeq_z, aeqt_y)
         polished = status == "optimal" and r_p <= e_p and r_d <= e_d
         if status == "optimal" and not polished:
             status = "inaccurate"
@@ -270,10 +293,11 @@ class Solver:
                           dual_residual=r_d, iterations=changes, status=status,
                           y_eq=y_eq, mu=mu, polished=polished)
 
-    def _tolerances(self, problem, z, y_eq, mu):
+    def _tolerances(self, problem, z, y_eq, mu, aeq_z, aeqt_y):
         """Primal and dual termination bounds at a candidate: eps_abs, plus
         eps_rel times the largest term of each residual, plus the float64
-        floor of evaluating it."""
+        floor of evaluating it. ``aeq_z`` and ``aeqt_y`` are Aeq z and
+        Aeq' y_eq accumulated in extended precision."""
         s = self.settings
         eps_m = float(np.finfo(float).eps)
         box = np.isfinite(problem.lb) | np.isfinite(problem.ub)
@@ -286,12 +310,12 @@ class Solver:
         floor_d = eps_m * np.max(np.abs(problem.p) @ abs_z + abs_aeq.T @ np.abs(y_eq)
                                  + np.abs(mu) + np.abs(problem.q), initial=0.0)
         e_p = s.eps_abs + s.eps_rel * max(
-            np.max(np.abs(_ext_matvec(problem.aeq, z)), initial=0.0),
+            np.max(np.abs(aeq_z), initial=0.0),
             np.max(np.abs(problem.beq), initial=0.0),
             np.max(z_box, initial=0.0), np.max(v_box, initial=0.0)) + floor_p
         e_d = s.eps_abs + s.eps_rel * max(
             np.max(np.abs(problem.p @ z), initial=0.0),
-            np.max(np.abs(_ext_matvec(problem.aeq.T, y_eq) + mu), initial=0.0),
+            np.max(np.abs(aeqt_y + mu), initial=0.0),
             np.max(np.abs(problem.q), initial=0.0)) + floor_d
         return float(e_p), float(e_d)
 
@@ -302,44 +326,41 @@ class Solver:
         a ``direction`` c, also returns (dz, dmu): their change per unit of an
         added cost term c'z, from the same KKT matrix; otherwise None.
         """
-        n = problem.n
-        a_act, b_act = _active_rows(problem, lo_act, hi_act)
-        m_act = a_act.shape[0]
-        delta = 1e-9
-        kkt = np.zeros((n + m_act, n + m_act))
-        kkt[:n, :n] = problem.p + delta * np.eye(n)
-        if m_act:
-            kkt[:n, n:] = a_act.T
-            kkt[n:, :n] = a_act
-            kkt[n:, n:] = -delta * np.eye(m_act)
-        target = np.concatenate([-problem.q, b_act])
+        n, m_eq = problem.n, problem.aeq.shape[0]
+        pinned = np.concatenate([lo_act, hi_act])
+        key = (lo_act.tolist(), hi_act.tolist())
+        if key != self._key:
+            a_act, delta = _active_rows(problem, lo_act, hi_act), 1e-9
+            self._kkt_inv = np.linalg.inv(np.block([
+                [problem.p + delta * np.eye(n), a_act.T],
+                [a_act, -delta * np.eye(a_act.shape[0])]]))
+            self._key = key
+        target = np.concatenate([-problem.q, problem.beq, problem.lb[lo_act], problem.ub[hi_act]])
         if direction is not None:
-            target = np.column_stack([target, np.concatenate([-direction, np.zeros(m_act)])])
-        lu_sol = np.linalg.solve(kkt, target)
+            target = np.column_stack([target, np.concatenate([-direction, np.zeros_like(target[n:])])])
+        sol = self._kkt_inv @ target
         # Refine against the unregularized system with residuals accumulated
-        # in extended precision: removes the delta regularization and drives
-        # the true residual toward the 80-bit evaluation floor.
-        kkt_true = kkt.copy()
-        kkt_true[:n, :n] -= delta * np.eye(n)
-        if m_act:
-            kkt_true[n:, n:] += delta * np.eye(m_act)
-        kkt_ext = kkt_true.astype(np.longdouble)
+        # in extended precision, block by block from the long-double P and
+        # Aeq: removes the delta regularization and drives the true residual
+        # toward the 80-bit evaluation floor.
         target_ext = target.astype(np.longdouble)
         for _ in range(3):
-            resid = (target_ext - kkt_ext @ lu_sol.astype(np.longdouble)).astype(float)
-            lu_sol = lu_sol + np.linalg.solve(kkt, resid)
-
-        m_eq = problem.aeq.shape[0]
+            ext = sol.astype(np.longdouble)
+            z = ext[:n]
+            top = self._p_ext @ z + self._aeq_ext.T @ ext[n:n + m_eq]
+            top[pinned] += ext[n + m_eq:]
+            resid = target_ext - np.concatenate([top, self._aeq_ext @ z, z[pinned]])
+            sol = sol + self._kkt_inv @ resid.astype(float)
 
         def split(sol):
             mu = np.zeros(n)
-            mu[np.concatenate([lo_act, hi_act])] = sol[n + m_eq:]
+            mu[pinned] = sol[n + m_eq:]
             return sol[:n], sol[n:n + m_eq], mu
 
         if direction is None:
-            return (*split(lu_sol), None)
-        z, y_eq, mu = split(lu_sol[:, 0])
-        dz, _, dmu = split(lu_sol[:, 1])
+            return (*split(sol), None)
+        z, y_eq, mu = split(sol[:, 0])
+        dz, _, dmu = split(sol[:, 1])
         return z, y_eq, mu, (dz, dmu)
 
 

@@ -46,11 +46,21 @@ class TestDataDrivenController:
 
     def test_success_applies_first_predicted_input(self, reactor, noisy_hankel, study_config):
         ctrl = controllers.DataDrivenController(noisy_hankel, study_config)
+        u_pred0 = {}
+        solve = ctrl._solve
+
+        def capture(t, fresh_zeta):
+            solution = solve(t, fresh_zeta)
+            u_pred0[t] = solution.u_pred[0].copy()
+            return solution
+
+        ctrl._solve = capture
         ind = np.zeros(6, dtype=int)
         _, inputs, results = drive(reactor, ctrl, ind, np.ones(4) / 2, 1e-4)
-        assert results[2].solved
+        assert results[2].solved and sorted(u_pred0) == [2, 3, 4, 5]
         # the applied input at each solve equals offset zero of that solution
-        assert np.array_equal(inputs[2], ctrl.state.applied[2])
+        for t, u0 in u_pred0.items():
+            assert np.array_equal(inputs[t], u0)
 
     def test_hold_then_zero_is_bit_exact(self, reactor, noisy_hankel, study_config):
         # one success, then an attack run longer than the horizon

@@ -215,6 +215,46 @@ class TestAgainstEnumerationOracle:
                 assert np.max(np.abs(sol.z - z_star)) <= 1e-7
 
 
+class TestRememberedFactorization:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(1, 5), m=st.integers(0, 2), seed=st.integers(0, 2**32 - 1),
+           steps=st.lists(st.tuples(st.sampled_from(["rhs", "new_p", "new_aeq", "mutate_p"]),
+                                    st.sampled_from([0.5, 2.0, np.inf]), st.booleans()),
+                          min_size=1, max_size=8))
+    def test_reused_solver_matches_fresh_solver(self, n, m, seed, steps):
+        # One Solver reused over a sequence of QPs gives bit for bit what a
+        # fresh one gives. ``rhs`` keeps the P and Aeq arrays and draws new
+        # beq and bounds, the closed-loop case; ``new_p`` and ``new_aeq``
+        # pass new arrays; ``mutate_p`` changes the P array in place.
+        m = min(m, n)
+        rng = np.random.default_rng(seed)
+
+        def new_p():
+            g = rng.standard_normal((n, n))
+            return g.T @ g + 0.1 * np.eye(n)
+
+        p, aeq, q = new_p(), rng.standard_normal((m, n)), 3 * rng.standard_normal(n)
+        reused, warm = qp.Solver(), None
+        for kind, half, use_warm in steps:
+            if kind == "new_p":
+                p = new_p()
+            elif kind == "new_aeq":
+                aeq = rng.standard_normal((m, n))
+            elif kind == "mutate_p":
+                p += rng.uniform(0.1, 1.0) * np.eye(n)
+            problem = qp.QpProblem(p=p, q=q, aeq=aeq, beq=aeq @ rng.uniform(-1.0, 1.0, n),
+                                   lb=-half * np.ones(n), ub=half * np.ones(n))
+            assert problem.p is p  # so ``mutate_p`` changes a P the solver has seen
+            warm_z = warm if use_warm else None
+            fresh = qp.Solver().solve(problem, warm_z=warm_z)
+            sol = reused.solve(problem, warm_z=warm_z)
+            assert np.array_equal(sol.z, fresh.z)
+            assert (sol.status, sol.iterations) == (fresh.status, fresh.iterations)
+            primal, dual, _ = qp.kkt_residuals(problem, sol.z, sol.y_eq, sol.mu)
+            assert (sol.primal_residual, sol.dual_residual) == (primal, dual)
+            warm = sol.z
+
+
 class TestKktResiduals:
     def test_exact_point_and_multipliers(self):
         rng = np.random.default_rng(6)
