@@ -8,10 +8,26 @@ frequency budgets hold on every subinterval [t1, t2):
 
 Onset counting uses the convention that the step before time zero is
 attack-free, so an attack at t = 0 counts as an onset.
+
+Every check runs on prefix extrema. With pd[t] the number of attacked steps
+before t and D(t) = pd[t] - t/nu_d, the duration excess of [t1, t2) is
+D(t2) - D(t1) - kappa_d, so the budget holds on every interval iff
+D(t2) - min_{t1 < t2} D(t1) <= kappa_d for every t2; the frequency budget is
+the same with onset counts pf and F(t) = pf[t] - t/nu_f. A running minimum
+makes validation O(T) and each step of the generators O(1).
+
+A margin from the extrema decides only outside a tie band of about 1e-9
+around its threshold. Exact ties are common (with nu_f = 4 every t/4 is
+exact), and there the extrema and the direct comparison count > kappa + m/nu
+may round apart; inside the band the direct comparison over the intervals
+concerned decides, so every verdict and report is the one an all-intervals
+scan gives. Inside the band a generator step costs O(T), and validation
+costs the number of intervals evaluated.
 """
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
@@ -49,6 +65,8 @@ class AttackParams:
     nu_d: float
 
     def __post_init__(self):
+        if any(math.isnan(v) for v in (self.kappa_f, self.nu_f, self.kappa_d, self.nu_d)):
+            raise ValueError("attack parameters must not be NaN")
         if self.kappa_f < 0 or self.kappa_d < 0:
             raise ValueError("chatter bounds must be nonnegative")
         if self.nu_f < 2:
@@ -103,7 +121,10 @@ class ScheduleValidation:
 def _indicators(schedule) -> np.ndarray:
     if isinstance(schedule, DosSchedule):
         return schedule.indicators.astype(int)
-    return np.asarray(schedule, dtype=int)
+    ind = np.asarray(schedule)
+    if not np.all((ind == 0) | (ind == 1)):
+        raise ValueError("schedule entries must be 0/1 or bool")
+    return ind.astype(int)
 
 
 def _onsets(ind: np.ndarray) -> np.ndarray:
@@ -130,30 +151,78 @@ def frequency_count(schedule, t1: int, t2: int) -> int:
     return int(np.sum(_onsets(ind)[t1:t2]))
 
 
+def _tie_band(scale: float) -> float:
+    """Half-width of the band inside which an excess taken from prefix extrema
+    and the direct count - (kappa + m/nu) may order differently. Over T steps
+    both lie within 1e-15 * scale of the exact excess e, with scale = T + |e|;
+    the band is ten times that, and at least 1e-9."""
+    return 1e-9 + 1e-14 * scale
+
+
+def _budgets(ind: np.ndarray, params: AttackParams):
+    """(kind, prefix counts, kappa, nu) of the duration and frequency budgets."""
+    pd = np.concatenate([[0], np.cumsum(ind)])
+    pf = np.concatenate([[0], np.cumsum(_onsets(ind))])
+    return (("duration", pd, params.kappa_d, params.nu_d),
+            ("frequency", pf, params.kappa_f, params.nu_f))
+
+
+def _lengths_near(level: np.ndarray, rise: np.ndarray, counts: np.ndarray,
+                  kappa: float, floor: float):
+    """Lengths m of the intervals [t1, t2) with level[t2] - level[t1] - kappa
+    >= floor, each with the largest count of such an interval of length m."""
+    ends = np.flatnonzero(rise >= floor) + 1
+    reach = np.full(len(level), -np.inf)
+    reach[ends] = level[ends]
+    reach = np.maximum.accumulate(reach[::-1])[::-1]
+    starts = np.flatnonzero(reach[1:] - level[:-1] - kappa >= floor)
+    best = np.full(len(level), -1)
+    block = max(1, 2**18 // max(1, len(starts)))  # bounds memory when ties recur
+    for i in range(0, len(ends), block):
+        b = ends[i:i + block, None]
+        rows, cols = np.nonzero((starts < b) & (level[b] - level[starts] - kappa >= floor))
+        t1, t2 = starts[cols], ends[i + rows]
+        np.maximum.at(best, t2 - t1, counts[t2] - counts[t1])
+    lengths = np.flatnonzero(best >= 0)
+    return lengths, best[lengths]
+
+
 def validate_schedule(indicators, params: AttackParams) -> ScheduleValidation:
-    """Brute-force check of both budgets over all O(T^2) intervals.
+    """Check both budgets on every interval [t1, t2) from prefix minima.
+
+    The largest excess ending at t2 is D(t2) - min_{t1 < t2} D(t1) - kappa_d
+    (F and kappa_f for frequency), O(T) for all t2. Every interval length whose
+    excess comes within the tie band of the largest one is then evaluated
+    directly as count - (kappa + m/nu), and the report picks the largest such
+    value; among equal values the shortest length, duration before frequency,
+    then the earliest start. That is the interval an all-intervals scan in
+    order of length reports. Finding those lengths costs the number of
+    intervals in the band, which is small unless the schedule is periodic.
 
     On failure the reported interval is the one with the largest excess over
     its budget; on success worst_excess is the (nonpositive) tightest margin.
     """
     ind = _indicators(indicators)
     n = len(ind)
-    pd = np.concatenate([[0], np.cumsum(ind)])
-    pf = np.concatenate([[0], np.cumsum(_onsets(ind).astype(int))])
-    worst = (-np.inf, 0, 0, "duration")
-    for m in range(1, n + 1):
-        dur = pd[m:] - pd[:-m]
-        frq = pf[m:] - pf[:-m]
-        exc_d = dur - (params.kappa_d + m / params.nu_d)
-        exc_f = frq - (params.kappa_f + m / params.nu_f)
-        for exc, kind in ((exc_d, "duration"), (exc_f, "frequency")):
-            i = int(np.argmax(exc))
-            if exc[i] > worst[0]:
-                worst = (float(exc[i]), i, i + m, kind)
-    if n == 0:
+    budgets = _budgets(ind, params)
+    steps = np.arange(n + 1)
+    levels = [counts - steps / nu for _, counts, _, nu in budgets]
+    rises = [level[1:] - np.minimum.accumulate(level)[:-1] - kappa
+             for level, (_, _, kappa, _) in zip(levels, budgets)]
+    top = max((float(rise.max()) for rise in rises if rise.size), default=-np.inf)
+    if top == -np.inf:  # no steps, or no finite chatter bound
         return ScheduleValidation(True, 0, 0, "duration", -np.inf)
-    excess, t1, t2, kind = worst
-    return ScheduleValidation(excess <= 0.0, t1, t2, kind, excess)
+    floor = top - _tie_band(n + abs(top))
+    found = []
+    for k, ((_, counts, kappa, nu), level, rise) in enumerate(zip(budgets, levels, rises)):
+        lengths, count = _lengths_near(level, rise, counts, kappa, floor)
+        found.append((count - (kappa + lengths / nu), lengths, np.full(len(lengths), k)))
+    excess, length, kind = (np.concatenate(f) for f in zip(*found))
+    i = np.lexsort((kind, length, -excess))[0]
+    m, counts = int(length[i]), budgets[kind[i]][1]
+    t1 = int(np.argmax(counts[m:] - counts[:-m]))
+    return ScheduleValidation(bool(excess[i] <= 0.0), t1, t1 + m, budgets[kind[i]][0],
+                              float(excess[i]))
 
 
 def inter_success_bound(params: AttackParams) -> float:
@@ -166,17 +235,45 @@ def inter_success_bound(params: AttackParams) -> float:
     return (params.kappa_d + params.kappa_f) / slack + 1.0
 
 
-def _suffix_ok(ind: np.ndarray, pd: np.ndarray, pf: np.ndarray, end: int,
-               params: AttackParams) -> bool:
-    """Budgets on all intervals [t1, end) for t1 < end; prefixes up to end."""
-    m = np.arange(end, 0, -1)
-    dur = pd[end] - pd[:end]
-    frq = pf[end] - pf[:end]
-    if np.any(dur > params.kappa_d + m / params.nu_d):
-        return False
-    if np.any(frq > params.kappa_f + m / params.nu_f):
-        return False
-    return True
+class _PrefixMinima:
+    """Prefix counts of a schedule being built left to right, with the running
+    minima of D(t) = pd[t] - t/nu_d and F(t) = pf[t] - t/nu_f over the ends
+    recorded so far (t = 0 included)."""
+
+    def __init__(self, params: AttackParams, t_sim: int):
+        self.params = params
+        self.pd = np.zeros(t_sim + 1, dtype=int)
+        self.pf = np.zeros(t_sim + 1, dtype=int)
+        self.low = (0.0, 0.0)
+        self.band = _tie_band(t_sim)  # the margins it decides lie near zero
+        lengths = np.arange(1, t_sim + 1)
+        # budget of an interval of length m, at index m - 1
+        self.cap_d = params.kappa_d + lengths / params.nu_d
+        self.cap_f = params.kappa_f + lengths / params.nu_f
+
+    def admits(self, end: int, dur: int, frq: int) -> bool:
+        """Whether counts pd[end] = dur, pf[end] = frq keep both budgets on every
+        interval [t1, end), given the counts recorded before end."""
+        p = self.params
+        self.pd[end] = dur
+        self.pf[end] = frq
+        for count, counts, low, kappa, nu, cap in (
+                (dur, self.pd, self.low[0], p.kappa_d, p.nu_d, self.cap_d),
+                (frq, self.pf, self.low[1], p.kappa_f, p.nu_f, self.cap_f)):
+            margin = count - end / nu - low - kappa
+            if margin > self.band:
+                return False
+            if margin >= -self.band and np.any(counts[end] - counts[:end] > cap[end - 1::-1]):
+                return False
+        return True
+
+    def record(self, end: int, dur: int, frq: int) -> None:
+        """Fix the counts at end and fold D(end), F(end) into the minima."""
+        self.pd[end] = dur
+        self.pf[end] = frq
+        low_d, low_f = self.low
+        self.low = (min(low_d, dur - end / self.params.nu_d),
+                    min(low_f, frq - end / self.params.nu_f))
 
 
 def generate_random(params: AttackParams, t_sim: int, seed: int = 0) -> DosSchedule:
@@ -188,24 +285,33 @@ def generate_random(params: AttackParams, t_sim: int, seed: int = 0) -> DosSched
     failing. The result always passes full validation.
     """
     rng = np.random.default_rng(seed)
-    ind = np.zeros(t_sim, dtype=int)
+    ind = np.zeros(t_sim, dtype=bool)
+    minima = _PrefixMinima(params, t_sim)
     p_len = min(1.0, params.nu_d / params.nu_f)
     p_start = 1.0 / params.nu_f
-    t = 0
+    dur = frq = t = 0
     while t < t_sim:
         if rng.random() >= p_start:
             t += 1
+            minima.record(t, dur, frq)
             continue
         burst = min(int(rng.geometric(p_len)), t_sim - t)
-        ind[t:t + burst] = 1
-        pd = np.concatenate([[0], np.cumsum(ind)])
-        pf = np.concatenate([[0], np.cumsum(_onsets(ind).astype(int))])
-        if all(_suffix_ok(ind, pd, pf, e, params) for e in range(t + 1, t + burst + 1)):
-            t += burst
+        onset = int(t == 0 or not ind[t - 1])
+        low = minima.low
+        for j in range(1, burst + 1):
+            if not minima.admits(t + j, dur + j, frq + onset):
+                break
+            minima.record(t + j, dur + j, frq + onset)
         else:
-            ind[t:t + burst] = 0
-            t += 1
-    schedule = DosSchedule(indicators=ind.astype(bool), params=params, seed=seed)
+            ind[t:t + burst] = True
+            dur += burst
+            frq += onset
+            t += burst
+            continue
+        minima.low = low
+        t += 1
+        minima.record(t, dur, frq)
+    schedule = DosSchedule(indicators=ind, params=params, seed=seed)
     assert validate_schedule(schedule.indicators, params).passed
     return schedule
 
@@ -215,14 +321,17 @@ def generate_worst_case(params: AttackParams, t_sim: int) -> DosSchedule:
 
     Maximizes prefix attack density; passes validation by construction.
     """
-    ind = np.zeros(t_sim, dtype=int)
+    ind = np.zeros(t_sim, dtype=bool)
+    minima = _PrefixMinima(params, t_sim)
+    dur = frq = 0
     for t in range(t_sim):
-        ind[t] = 1
-        pd = np.concatenate([[0], np.cumsum(ind[:t + 1])])
-        pf = np.concatenate([[0], np.cumsum(_onsets(ind[:t + 1]).astype(int))])
-        if not _suffix_ok(ind, pd, pf, t + 1, params):
-            ind[t] = 0
-    schedule = DosSchedule(indicators=ind.astype(bool), params=params, seed="adversarial")
+        onset = int(t == 0 or not ind[t - 1])
+        if minima.admits(t + 1, dur + 1, frq + onset):
+            ind[t] = True
+            dur += 1
+            frq += onset
+        minima.record(t + 1, dur, frq)
+    schedule = DosSchedule(indicators=ind, params=params, seed="adversarial")
     assert validate_schedule(schedule.indicators, params).passed
     return schedule
 
@@ -274,5 +383,7 @@ def load_schedule(path) -> DosSchedule:
     meta = json.loads(path.with_suffix(path.suffix + ".json").read_text())
     params = AttackParams(kappa_f=meta["kappa_f"], nu_f=meta["nu_f"],
                           kappa_d=meta["kappa_d"], nu_d=meta["nu_d"])
+    if set(line) - {"0", "1"}:
+        raise ValueError(f"{path}: schedule line must hold only 0 and 1")
     ind = np.array([ch == "1" for ch in line])
     return DosSchedule(indicators=ind, params=params, seed=meta.get("seed"))

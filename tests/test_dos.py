@@ -1,7 +1,9 @@
 import itertools
 
+import dos_oracle
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from dosmpc import dos
 from dosmpc.errors import ResilienceError
@@ -9,6 +11,38 @@ from dosmpc.errors import ResilienceError
 
 def params(kf=1.0, nf=2.0, kd=1.0, nd=2.0):
     return dos.AttackParams(kappa_f=kf, nu_f=nf, kappa_d=kd, nu_d=nd)
+
+
+RATIOS = (0.8841, 0.9142, 0.9317)
+
+
+def budget_params():
+    """Dyadic nu with integer kappa, where margins tie exactly; nu such as 3 or
+    1.5, where budgets tie exactly but m/nu rounds; arbitrary kappa and nu;
+    and the study's ratios."""
+    exact = st.builds(dos.AttackParams, kappa_f=st.integers(0, 3),
+                      nu_f=st.sampled_from([2, 4, 8]), kappa_d=st.integers(0, 3),
+                      nu_d=st.sampled_from([1, 2, 4, 8]))
+    kappas = st.one_of(st.integers(0, 3), st.sampled_from([0.3, 0.5, 1.3, 2.7]))
+    rounded = st.builds(dos.AttackParams, kappa_f=kappas,
+                        nu_f=st.sampled_from([2, 2.5, 3, 3.5, 4, 6, 8]), kappa_d=kappas,
+                        nu_d=st.sampled_from([1, 1.25, 1.5, 2, 2.5, 3, 5]))
+    arbitrary = st.builds(dos.AttackParams, kappa_f=st.floats(0, 3), nu_f=st.floats(2, 9),
+                          kappa_d=st.floats(0, 3), nu_d=st.floats(1, 9))
+    return st.one_of(exact, rounded, arbitrary,
+                     st.sampled_from(RATIOS).map(dos.params_for_ratio))
+
+
+@st.composite
+def schedules(draw):
+    """Random 0/1 sequences with T <= 60, and periodic ones with T <= 200
+    after an attack-free lead-in, whose budget margins return to the same
+    value again and again."""
+    if draw(st.booleans()):
+        return draw(st.lists(st.integers(0, 1), max_size=60))
+    period = draw(st.lists(st.integers(0, 1), min_size=1, max_size=8))
+    lead = [0] * draw(st.integers(0, 5))
+    return (lead + period * 200)[:draw(st.integers(0, 200))]
 
 
 class TestCounts:
@@ -83,6 +117,20 @@ class TestValidateSchedule:
         first_fail = verdicts.index(False)
         assert not any(verdicts[first_fail:])
 
+    # the explicit examples are ties that the direct sums round apart
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(ind=schedules(), p=budget_params())
+    @example(ind=[0, 0, 1, 1, 0, 0, 0, 1], p=dos.AttackParams(0.5, 6.0, 1.3, 5.0))
+    @example(ind=[0, 0, 0, 0, 0, 1, 1, 0, 1, 1, 0, 1, 1, 0, 1, 1],
+             p=dos.AttackParams(2.0, 4.0, 0.0, 1.5))
+    def test_matches_all_intervals_oracle(self, ind, p):
+        assert dos.validate_schedule(ind, p) == dos_oracle.validate_schedule(ind, p)
+
+    def test_rejects_non_binary_entries(self):
+        for ind in ([2, 0, 1], [0, -1], [0.5, 1.0]):
+            with pytest.raises(ValueError):
+                dos.validate_schedule(ind, params())
+
 
 class TestInterSuccessBound:
     def test_zero_chatter(self):
@@ -129,6 +177,26 @@ class TestGenerators:
         greedy = dos.generate_worst_case(p, 10)
         assert int(np.sum(greedy.indicators)) == best
 
+    # the explicit examples have margins in the tie band that only the direct
+    # sums decide
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(p=budget_params(), t_sim=st.integers(0, 300), seed=st.integers(0, 2**32 - 1))
+    @example(p=dos.AttackParams(1.0, 4.0, 1.0, 1.5), t_sim=60, seed=0)
+    @example(p=dos.AttackParams(1.0, 2.0, 1.0, 1.5), t_sim=15, seed=0)
+    def test_match_all_intervals_oracle(self, p, t_sim, seed):
+        assert np.array_equal(dos.generate_random(p, t_sim, seed).indicators,
+                              dos_oracle.generate_random(p, t_sim, seed))
+        assert np.array_equal(dos.generate_worst_case(p, t_sim).indicators,
+                              dos_oracle.generate_worst_case(p, t_sim))
+
+    def test_attack_long_inputs_match_oracle(self):
+        # the benchmark's attack-long schedules: ratio 0.9142, T = 5000
+        p = dos.params_for_ratio(0.9142)
+        assert np.array_equal(dos.generate_worst_case(p, 5000).indicators,
+                              dos_oracle.generate_worst_case(p, 5000))
+        assert np.array_equal(dos.generate_random(p, 5000, 3).indicators,
+                              dos_oracle.generate_random(p, 5000, 3))
+
     def test_worst_case_prefix_binds_duration(self):
         p = params(kf=1, nf=2, kd=1, nd=2)
         sched = dos.generate_worst_case(p, 10)
@@ -151,6 +219,14 @@ class TestScheduleUtilities:
             dos.AttackParams(kappa_f=0, nu_f=1.5, kappa_d=0, nu_d=2)
         with pytest.raises(ValueError):
             dos.AttackParams(kappa_f=0, nu_f=4, kappa_d=0, nu_d=0.5)
+        nan = float("nan")
+        with pytest.raises(ValueError):
+            dos.AttackParams(kappa_f=nan, nu_f=nan, kappa_d=nan, nu_d=nan)
+        for field in ("kappa_f", "nu_f", "kappa_d", "nu_d"):
+            fields = dict(kappa_f=1, nu_f=4, kappa_d=1, nu_d=2)
+            fields[field] = nan
+            with pytest.raises(ValueError):
+                dos.AttackParams(**fields)
 
     def test_max_success_gap_conventions(self):
         assert dos.max_success_gap(np.zeros(5, dtype=int)) == 1
@@ -166,3 +242,10 @@ class TestScheduleUtilities:
         assert np.array_equal(clone.indicators, sched.indicators)
         assert clone.params.nu_d == pytest.approx(p.nu_d)
         assert clone.seed == 5
+
+    def test_load_rejects_non_binary_line(self, tmp_path):
+        path = tmp_path / "schedule.txt"
+        dos.save_schedule(dos.generate_random(dos.params_for_ratio(0.9142), 6, seed=5), path)
+        path.write_text("01x1 2\n")
+        with pytest.raises(ValueError):
+            dos.load_schedule(path)

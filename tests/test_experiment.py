@@ -2,6 +2,7 @@ import json
 from dataclasses import replace
 from pathlib import Path
 
+import dos_oracle
 import numpy as np
 import pytest
 
@@ -268,6 +269,29 @@ class TestCli:
         assert cli.main(["attack-check", "--schedule", str(out / "schedule.txt")]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["passed"]
+
+    def test_attack_check_report_matches_oracle(self, tmp_path, capsys):
+        # a passing T = 2000 worst-case schedule and a failing hand-made one
+        out = tmp_path / "atk"
+        assert cli.main(["attack-check", "--ratio", "0.9142", "--t-sim", "2000",
+                         "--worst-case", "--out", str(out)]) == 0
+        failing = tmp_path / "failing.txt"
+        failing.write_text("0110111011110\n")
+        Path(str(failing) + ".json").write_text(json.dumps(
+            {"kappa_f": 1.0, "nu_f": 4.0, "kappa_d": 1.0, "nu_d": 2.0, "seed": 0}))
+        for path, code in ((out / "schedule.txt", 0), (failing, 1)):
+            capsys.readouterr()
+            assert cli.main(["attack-check", "--schedule", str(path)]) == code
+            report = json.loads(capsys.readouterr().out)
+            meta = json.loads(Path(str(path) + ".json").read_text())
+            params = dos.AttackParams(**{k: meta[k] for k in ("kappa_f", "nu_f",
+                                                              "kappa_d", "nu_d")})
+            expected = dos_oracle.validate_schedule(
+                [int(ch) for ch in path.read_text().strip()], params)
+            assert report["passed"] == expected.passed
+            assert report["worst_interval"] == [expected.worst_t1, expected.worst_t2]
+            assert report["worst_kind"] == expected.worst_kind
+            assert report["worst_excess"] == expected.worst_excess
 
     def test_attack_check_rejects_invalid_schedule(self, tmp_path, capsys):
         path = tmp_path / "schedule.txt"
