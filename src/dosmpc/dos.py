@@ -97,7 +97,7 @@ class DosSchedule:
     seed: Union[int, str, None] = None
 
     def __post_init__(self):
-        ind = np.asarray(self.indicators, dtype=bool)
+        ind = _indicators(self.indicators).astype(bool)
         ind.setflags(write=False)
         object.__setattr__(self, "indicators", ind)
 

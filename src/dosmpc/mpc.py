@@ -145,8 +145,8 @@ class MpcAssembler:
     """Builds the QP once and re-instantiates it per step with fresh windows.
 
     The static arrays (P, Aeq, q, bounds) and the weight matrices are built
-    once and shared across instances built by the same assembler; only beq
-    changes from one step to the next.
+    and validated once, as one ``QpProblem`` whose ``param_rows`` are the
+    initial-window rows of beq; each instance replaces only beq.
     """
 
     def __init__(self, hankel: HankelPair, config: MpcConfig):
@@ -211,6 +211,9 @@ class MpcAssembler:
         lb[off_u + eta * n_u: off_u + w * n_u] = -config.u_max
         ub[off_u + eta * n_u: off_u + w * n_u] = config.u_max
         self.lb, self.ub = lb, ub
+        init_rows = np.arange(self._init_rows, self._init_rows + eta * (n_u + n_y))
+        self._problem = QpProblem(p=p, q=self.q, aeq=a, beq=np.zeros(m), lb=lb, ub=ub,
+                                  param_rows=init_rows)
 
     def qp(self, init_u, init_zeta) -> QpProblem:
         cfg = self.config
@@ -220,7 +223,7 @@ class MpcAssembler:
         r = self._init_rows
         beq[r:r + init_u.size] = init_u
         beq[r + init_u.size:r + init_u.size + init_zeta.size] = init_zeta
-        return QpProblem(p=self.p, q=self.q, aeq=self.aeq, beq=beq, lb=self.lb, ub=self.ub)
+        return self._problem.with_beq(beq)
 
     def extract(self, qp_solution, validate: bool = True) -> MpcSolution:
         cfg = self.config

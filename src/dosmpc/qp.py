@@ -8,24 +8,23 @@ Programming 27, 1983), warm-started from the bound rows at which a previous
 optimizer sits, as in qpOASES (Ferreau et al., Math. Prog. Comp. 2014). The
 equality rows are always in the working set; each iteration solves the KKT
 system of the equalities plus the working set's box rows, refined in
-extended precision. A ``Solver`` keeps the last working set's factorization:
-in closed loop only q, beq and the bounds change between solves, so the
-optimizer is one affine map per working set (Bemporad et al., Automatica
-2002). Problem sizes here stay in the low hundreds of variables, so dense
-factorizations are ample.
+extended precision. In closed loop only the beq rows named by
+``QpProblem.param_rows`` change between solves, so on a working set the
+optimizer is affine in them (Bemporad et al., Automatica 2002): a ``Solver``
+keeps that piece, and a solve that keeps its working set costs one matvec.
+Problem sizes stay in the low hundreds of variables: dense factorizations.
 """
 from __future__ import annotations
 
-import json
+import copy
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import DimensionError
 
-__all__ = ["QpProblem", "QpSolution", "Settings", "Solver", "solve", "kkt_residuals",
-           "dump_problem", "load_problem"]
+__all__ = ["QpProblem", "QpSolution", "Settings", "Solver", "solve", "kkt_residuals"]
 
 # Bound violations and wrong-sign box multipliers up to this size are ignored.
 _TOL = 1e-9
@@ -36,7 +35,10 @@ _DEPENDENT = 1e-9
 
 @dataclass(frozen=True)
 class QpProblem:
-    """Dense QP data. P is symmetrized on construction; bounds may be infinite."""
+    """Dense QP data. P is symmetrized on construction; bounds may be infinite.
+
+    ``param_rows`` names the beq rows, sorted and unique, that change between
+    otherwise equal instances; ``with_beq`` makes such an instance."""
 
     p: np.ndarray
     q: np.ndarray
@@ -44,6 +46,7 @@ class QpProblem:
     beq: np.ndarray
     lb: np.ndarray
     ub: np.ndarray
+    param_rows: Sequence[int] = ()
 
     def __post_init__(self):
         p = np.asarray(self.p, dtype=float)
@@ -66,15 +69,28 @@ class QpProblem:
             raise DimensionError("Aeq and beq row counts differ")
         if np.any(lb > ub):
             raise DimensionError("lb must be <= ub componentwise")
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "aeq", aeq)
-        object.__setattr__(self, "beq", beq)
-        object.__setattr__(self, "lb", lb)
-        object.__setattr__(self, "ub", ub)
+        rows = np.asarray(self.param_rows).reshape(-1)
+        if rows.size and not (np.issubdtype(rows.dtype, np.integer) and np.all(np.diff(rows) > 0)
+                              and 0 <= rows[0] and rows[-1] < beq.size):
+            raise DimensionError("param_rows must be sorted, unique indices of beq rows")
+        rows = rows.astype(int)
+        rows.setflags(write=False)
+        for name, value in (("q", q), ("aeq", aeq), ("beq", beq), ("lb", lb), ("ub", ub),
+                            ("param_rows", rows)):
+            object.__setattr__(self, name, value)
 
     @property
     def n(self) -> int:
         return self.p.shape[0]
+
+    def with_beq(self, beq) -> "QpProblem":
+        """This problem with another beq; the other fields are shared, not re-validated."""
+        beq = np.asarray(beq, dtype=float).reshape(-1)
+        if beq.shape != self.beq.shape:
+            raise DimensionError(f"beq must have length {self.beq.size}, got {beq.size}")
+        new = copy.copy(self)
+        object.__setattr__(new, "beq", beq)
+        return new
 
 
 @dataclass
@@ -108,10 +124,6 @@ class Settings:
     max_iter: int = 50_000
 
 
-def _objective(problem: QpProblem, z: np.ndarray) -> float:
-    return float(0.5 * z @ problem.p @ z + problem.q @ z)
-
-
 def _ext_matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Matrix-vector product accumulated in extended precision.
 
@@ -142,11 +154,8 @@ def _residuals(problem: QpProblem, z, mu, aeq_z, aeqt_y):
     eq_res = aeq_z - problem.beq
     box_low = np.maximum(problem.lb - z, 0.0)
     box_high = np.maximum(z - problem.ub, 0.0)
-    primal = max(
-        np.max(np.abs(eq_res)) if eq_res.size else 0.0,
-        np.max(box_low, initial=0.0),
-        np.max(box_high, initial=0.0),
-    )
+    primal = max(np.max(np.abs(eq_res), initial=0.0), np.max(box_low, initial=0.0),
+                 np.max(box_high, initial=0.0))
     stat = problem.p @ z + problem.q + mu + aeqt_y
     dual = float(np.max(np.abs(stat), initial=0.0))
     mu_hi = np.maximum(mu, 0.0)
@@ -193,25 +202,30 @@ class Solver:
     counts as optimal only after it passes the termination check of
     ``Settings``.
 
-    The solver remembers one factorization, the inverse of the last working
-    set's regularized KKT matrix, across calls too. Another working set
-    rebuilds it; a P or Aeq not exactly equal to the copies it was built
-    from (a new problem, or the same arrays changed in place) drops it. A
-    reused solver returns bit for bit what a fresh one returns; one solver
-    must not be shared between threads.
+    Across calls too, the solver remembers the inverse of the last working
+    set's regularized KKT matrix and that working set's affine piece: in
+    long double, the refined KKT solution x0 for the target with the
+    ``param_rows`` of beq zeroed and one refined column of X per param row.
+    A solve returns x0 + X b, b the param rows of beq, summed in long double
+    and rounded once. Another working set rebuilds both, another target with
+    those rows zeroed (q, bounds, other beq rows) the piece; a P or Aeq not
+    exactly equal to the copies they were built from drops both. Every
+    working set visited gets its piece at once, so a reused solver returns
+    bit for bit what a fresh one returns. Do not share one between threads.
     """
 
     def __init__(self, settings: Optional[Settings] = None):
         self.settings = settings or Settings()
-        self._p = self._aeq = self._p_ext = self._aeq_ext = None
-        self._key = self._kkt_inv = None
+        self._p = self._aeq = None
+        self._key = self._kkt_inv = self._piece = None
 
     def _adopt(self, problem: QpProblem) -> None:
-        """Drop the remembered factorization unless it belongs to this P and Aeq."""
+        """Drop the remembered inverse and piece unless they belong to this P and Aeq."""
         if not (np.array_equal(problem.p, self._p) and np.array_equal(problem.aeq, self._aeq)):
             self._p, self._aeq = problem.p.copy(), problem.aeq.copy()
             self._p_ext, self._aeq_ext = (a.astype(np.longdouble) for a in (self._p, self._aeq))
-            self._key = None
+            self._abs_p, self._abs_aeq = np.abs(self._p), np.abs(self._aeq)
+            self._key = self._piece = None
 
     def solve(self, problem: QpProblem, warm_z=None) -> QpSolution:
         s = self.settings
@@ -227,11 +241,7 @@ class Solver:
         changes, status = 0, "optimal"
         enter, t = None, 0.0  # the bound row being added (index, sign) and its multiplier
         while True:
-            direction = None
-            if enter is not None:
-                direction = np.zeros(n)
-                direction[enter[0]] = enter[1]
-            z, y_eq, mu, step = self._solve_active(problem, lo, hi, direction)
+            z, y_eq, mu, step = self._solve_active(problem, lo, hi, enter)
             if enter is None:
                 wrong_lo, wrong_hi = lo[mu[lo] > _TOL], hi[mu[hi] < -_TOL]
                 viol = np.maximum(lb - z, z - ub)
@@ -289,7 +299,7 @@ class Solver:
         polished = status == "optimal" and r_p <= e_p and r_d <= e_d
         if status == "optimal" and not polished:
             status = "inaccurate"
-        return QpSolution(z=z, objective=_objective(problem, z), primal_residual=r_p,
+        return QpSolution(z=z, objective=float(0.5 * z @ problem.p @ z + problem.q @ z), primal_residual=r_p,
                           dual_residual=r_d, iterations=changes, status=status,
                           y_eq=y_eq, mu=mu, polished=polished)
 
@@ -304,10 +314,9 @@ class Solver:
         z_box = np.abs(z[box])
         v_box = np.abs(np.clip(z, problem.lb, problem.ub)[box])
         abs_z = np.abs(z)
-        abs_aeq = np.abs(problem.aeq)
-        floor_p = eps_m * max(np.max(abs_aeq @ abs_z + np.abs(problem.beq), initial=0.0),
+        floor_p = eps_m * max(np.max(self._abs_aeq @ abs_z + np.abs(problem.beq), initial=0.0),
                               np.max(z_box + v_box, initial=0.0))
-        floor_d = eps_m * np.max(np.abs(problem.p) @ abs_z + abs_aeq.T @ np.abs(y_eq)
+        floor_d = eps_m * np.max(self._abs_p @ abs_z + self._abs_aeq.T @ np.abs(y_eq)
                                  + np.abs(mu) + np.abs(problem.q), initial=0.0)
         e_p = s.eps_abs + s.eps_rel * max(
             np.max(np.abs(aeq_z), initial=0.0),
@@ -319,12 +328,13 @@ class Solver:
             np.max(np.abs(problem.q), initial=0.0)) + floor_d
         return float(e_p), float(e_d)
 
-    def _solve_active(self, problem, lo_act, hi_act, direction=None):
-        """Refined KKT solve with the given box rows pinned at their bounds.
+    def _solve_active(self, problem, lo_act, hi_act, enter=None):
+        """KKT solve with the given box rows pinned at their bounds, from the
+        working set's affine piece, which is built here unless remembered.
 
         Returns z, the equality multipliers and the box multipliers mu. With
-        a ``direction`` c, also returns (dz, dmu): their change per unit of an
-        added cost term c'z, from the same KKT matrix; otherwise None.
+        an entering row ``enter`` = (i, sign), also returns (dz, dmu): their
+        change per unit of an added cost term sign * z_i; otherwise None.
         """
         n, m_eq = problem.n, problem.aeq.shape[0]
         pinned = np.concatenate([lo_act, hi_act])
@@ -334,61 +344,51 @@ class Solver:
             self._kkt_inv = np.linalg.inv(np.block([
                 [problem.p + delta * np.eye(n), a_act.T],
                 [a_act, -delta * np.eye(a_act.shape[0])]]))
-            self._key = key
+            self._key, self._piece = key, None
         target = np.concatenate([-problem.q, problem.beq, problem.lb[lo_act], problem.ub[hi_act]])
-        if direction is not None:
-            target = np.column_stack([target, np.concatenate([-direction, np.zeros_like(target[n:])])])
-        sol = self._kkt_inv @ target
-        # Refine against the unregularized system with residuals accumulated
-        # in extended precision, block by block from the long-double P and
-        # Aeq: removes the delta regularization and drives the true residual
-        # toward the 80-bit evaluation floor.
-        target_ext = target.astype(np.longdouble)
-        for _ in range(3):
-            ext = sol.astype(np.longdouble)
-            z = ext[:n]
-            top = self._p_ext @ z + self._aeq_ext.T @ ext[n:n + m_eq]
-            top[pinned] += ext[n + m_eq:]
-            resid = target_ext - np.concatenate([top, self._aeq_ext @ z, z[pinned]])
-            sol = sol + self._kkt_inv @ resid.astype(float)
+        rows = n + problem.param_rows
+        fixed = target.copy()
+        fixed[rows] = 0.0
+        # Keyed by the bytes, so that a target equal only up to the sign of
+        # a zero builds its own piece, as a fresh solver would.
+        if self._piece is None or self._piece[0] != fixed.tobytes():
+            columns = np.column_stack([fixed, np.eye(target.size)[:, rows]])
+            self._piece = (fixed.tobytes(), self._refine(pinned, columns))
+        piece = self._piece[1]
 
         def split(sol):
             mu = np.zeros(n)
             mu[pinned] = sol[n + m_eq:]
             return sol[:n], sol[n:n + m_eq], mu
 
-        if direction is None:
-            return (*split(sol), None)
-        z, y_eq, mu = split(sol[:, 0])
-        dz, _, dmu = split(sol[:, 1])
+        z, y_eq, mu = split((piece[:, 0] + piece[:, 1:] @ target[rows].astype(np.longdouble))
+                            .astype(float))
+        if enter is None:
+            return z, y_eq, mu, None
+        d = np.zeros((target.size, 1))
+        d[enter[0]] = -enter[1]
+        dz, _, dmu = split(self._refine(pinned, d)[:, 0].astype(float))
         return z, y_eq, mu, (dz, dmu)
+
+    def _refine(self, pinned, target):
+        """Long-double solutions of the working set's KKT system for the
+        columns of ``target``: three refinement passes against the
+        unregularized system, residuals accumulated block by block from the
+        long-double P and Aeq, remove the inverse's delta regularization and
+        drive the true residual toward the 80-bit floor."""
+        n, m_eq = self._p.shape[0], self._aeq.shape[0]
+        sol = (self._kkt_inv @ target).astype(np.longdouble)
+        target_ext = target.astype(np.longdouble)
+        for _ in range(3):
+            z = sol[:n]
+            top = self._p_ext @ z + self._aeq_ext.T @ sol[n:n + m_eq]
+            top[pinned] += sol[n + m_eq:]
+            resid = target_ext - np.concatenate([top, self._aeq_ext @ z, z[pinned]])
+            sol += self._kkt_inv @ resid.astype(float)
+        return sol
 
 
 def solve(problem: QpProblem, settings: Optional[Settings] = None, warm_z=None) -> QpSolution:
     """Single-shot convenience wrapper around Solver."""
     return Solver(settings).solve(problem, warm_z=warm_z)
 
-
-def dump_problem(problem: QpProblem) -> str:
-    """Serialize to JSON (row-major dense arrays; infinite bounds as null)."""
-    def encode_bounds(v):
-        return [None if not np.isfinite(x) else float(x) for x in v]
-
-    return json.dumps({
-        "p": problem.p.tolist(),
-        "q": problem.q.tolist(),
-        "aeq": problem.aeq.tolist(),
-        "beq": problem.beq.tolist(),
-        "lb": encode_bounds(problem.lb),
-        "ub": encode_bounds(problem.ub),
-    })
-
-
-def load_problem(text: str) -> QpProblem:
-    obj = json.loads(text)
-    n = len(obj["q"])
-    lb = np.array([-np.inf if v is None else v for v in obj["lb"]])
-    ub = np.array([np.inf if v is None else v for v in obj["ub"]])
-    aeq = np.array(obj["aeq"], dtype=float).reshape(-1, n) if obj["aeq"] else np.zeros((0, n))
-    return QpProblem(p=np.array(obj["p"]), q=np.array(obj["q"]), aeq=aeq,
-                     beq=np.array(obj["beq"]), lb=lb, ub=ub)

@@ -243,6 +243,11 @@ class TestScheduleUtilities:
         assert clone.params.nu_d == pytest.approx(p.nu_d)
         assert clone.seed == 5
 
+    def test_schedule_rejects_non_binary_indicators(self):
+        for ind in ([2, 0, -1], [0, 0.5]):
+            with pytest.raises(ValueError):
+                dos.DosSchedule(indicators=ind, params=dos.params_for_ratio(0.9142))
+
     def test_load_rejects_non_binary_line(self, tmp_path):
         path = tmp_path / "schedule.txt"
         dos.save_schedule(dos.generate_random(dos.params_for_ratio(0.9142), 6, seed=5), path)
