@@ -6,13 +6,15 @@
 The method is the dual active-set method of Goldfarb and Idnani (Math.
 Programming 27, 1983), warm-started from the bound rows at which a previous
 optimizer sits, as in qpOASES (Ferreau et al., Math. Prog. Comp. 2014). The
-equality rows are always in the working set; each iteration solves the KKT
-system of the equalities plus the working set's box rows, refined in
-extended precision. In closed loop only the beq rows named by
-``QpProblem.param_rows`` change between solves, so on a working set the
-optimizer is affine in them (Bemporad et al., Automatica 2002): a ``Solver``
-keeps that piece, and a solve that keeps its working set costs one matvec.
-Problem sizes stay in the low hundreds of variables: dense factorizations.
+base KKT matrix K = [[P, Aeq'], [Aeq, 0]] is inverted once per (P, Aeq), and
+every working set is reached from it by the Schur complement of its box rows
+(Gill, Murray, Saunders and Wright, SIAM J. Sci. Stat. Comput. 1990), refined
+in extended precision. So K must be nonsingular: Aeq of full row rank and P
+positive definite on its null space. Outside that domain a solve may end
+"inaccurate" even where an optimizer exists. On a working set the optimizer
+is affine in the beq rows named by ``QpProblem.param_rows``, the only ones
+that change in closed loop (Bemporad et al., Automatica 2002): a ``Solver``
+keeps that piece, so a solve that keeps its working set costs one matvec.
 """
 from __future__ import annotations
 
@@ -167,20 +169,13 @@ def _residuals(problem: QpProblem, z, mu, aeq_z, aeqt_y):
     return float(primal), dual, comp
 
 
-def _active_rows(problem: QpProblem, lo, hi):
-    """Equality rows, then unit rows pinning ``lo`` at lb and ``hi`` at ub."""
-    sel = np.zeros((lo.size + hi.size, problem.n))
-    sel[np.arange(sel.shape[0]), np.concatenate([lo, hi])] = 1.0
-    return np.vstack([problem.aeq, sel])
-
-
 def _span_distances(problem: QpProblem, lo, hi, idx) -> np.ndarray:
     """Distance of each unit row e_i, i in ``idx``, from the span of the
     active rows of (lo, hi) and of the rows of ``idx`` before it: the
     diagonal of R in a QR factorization of the stacked rows."""
     if not len(idx):
         return np.zeros(0)
-    a = _active_rows(problem, lo, np.concatenate([hi, idx]))
+    a = np.vstack([problem.aeq, np.eye(problem.n)[np.concatenate([lo, hi, idx])]])
     diag = np.abs(np.diagonal(np.linalg.qr(a.T, mode="r")))[a.shape[0] - len(idx):]
     dist = np.zeros(len(idx))
     dist[:diag.size] = diag
@@ -202,30 +197,31 @@ class Solver:
     counts as optimal only after it passes the termination check of
     ``Settings``.
 
-    Across calls too, the solver remembers the inverse of the last working
-    set's regularized KKT matrix and that working set's affine piece: in
-    long double, the refined KKT solution x0 for the target with the
-    ``param_rows`` of beq zeroed and one refined column of X per param row.
-    A solve returns x0 + X b, b the param rows of beq, summed in long double
-    and rounded once. Another working set rebuilds both, another target with
-    those rows zeroed (q, bounds, other beq rows) the piece; a P or Aeq not
-    exactly equal to the copies they were built from drops both. Every
-    working set visited gets its piece at once, so a reused solver returns
-    bit for bit what a fresh one returns. Do not share one between threads.
+    Across calls too, per P and Aeq (compared by value), the solver keeps
+    the inverse of the delta-regularized K and refined long-double solutions
+    of K: the base piece, for [-q; beq] with the ``param_rows`` zeroed plus
+    one column per param row, and G_i = K^-1 e_i for each index whose
+    bound it has pinned. A working set W gets its piece (x0, X) from the
+    Schur complement G_W[W] and keeps it while W and the target with those
+    rows zeroed stay; a solve returns x0 + X b (b the param rows of beq)
+    rounded once. Nothing kept depends on the path to it, so a reused solver
+    returns bit for bit what a fresh one returns. Not thread-safe.
     """
 
     def __init__(self, settings: Optional[Settings] = None):
         self.settings = settings or Settings()
         self._p = self._aeq = None
-        self._key = self._kkt_inv = self._piece = None
 
     def _adopt(self, problem: QpProblem) -> None:
-        """Drop the remembered inverse and piece unless they belong to this P and Aeq."""
+        """Unless already kept for this P and Aeq, invert their base KKT matrix."""
         if not (np.array_equal(problem.p, self._p) and np.array_equal(problem.aeq, self._aeq)):
             self._p, self._aeq = problem.p.copy(), problem.aeq.copy()
             self._p_ext, self._aeq_ext = (a.astype(np.longdouble) for a in (self._p, self._aeq))
             self._abs_p, self._abs_aeq = np.abs(self._p), np.abs(self._aeq)
-            self._key = self._piece = None
+            n, m_eq, delta = self._p.shape[0], self._aeq.shape[0], 1e-9
+            self._kkt_inv = np.linalg.inv(np.block([[self._p + delta * np.eye(n), self._aeq.T],
+                                                    [self._aeq, -delta * np.eye(m_eq)]]))
+            self._columns, self._base, self._key, self._piece = {}, None, None, None
 
     def solve(self, problem: QpProblem, warm_z=None) -> QpSolution:
         s = self.settings
@@ -331,59 +327,63 @@ class Solver:
     def _solve_active(self, problem, lo_act, hi_act, enter=None):
         """KKT solve with the given box rows pinned at their bounds, from the
         working set's affine piece, which is built here unless remembered.
-
-        Returns z, the equality multipliers and the box multipliers mu. With
-        an entering row ``enter`` = (i, sign), also returns (dz, dmu): their
-        change per unit of an added cost term sign * z_i; otherwise None.
-        """
+        Returns z, the equality multipliers, the box multipliers mu and, with
+        an entering row ``enter`` = (i, sign), (dz, dmu): their change per
+        unit of an added cost term sign * z_i; otherwise None."""
         n, m_eq = problem.n, problem.aeq.shape[0]
         pinned = np.concatenate([lo_act, hi_act])
-        key = (lo_act.tolist(), hi_act.tolist())
-        if key != self._key:
-            a_act, delta = _active_rows(problem, lo_act, hi_act), 1e-9
-            self._kkt_inv = np.linalg.inv(np.block([
-                [problem.p + delta * np.eye(n), a_act.T],
-                [a_act, -delta * np.eye(a_act.shape[0])]]))
-            self._key, self._piece = key, None
-        target = np.concatenate([-problem.q, problem.beq, problem.lb[lo_act], problem.ub[hi_act]])
-        rows = n + problem.param_rows
-        fixed = target.copy()
+        fixed = np.concatenate([-problem.q, problem.beq, problem.lb[lo_act], problem.ub[hi_act]])
+        rows, size = n + problem.param_rows, n + m_eq
+        params = fixed[rows].astype(np.longdouble)
         fixed[rows] = 0.0
         # Keyed by the bytes, so that a target equal only up to the sign of
         # a zero builds its own piece, as a fresh solver would.
-        if self._piece is None or self._piece[0] != fixed.tobytes():
-            columns = np.column_stack([fixed, np.eye(target.size)[:, rows]])
-            self._piece = (fixed.tobytes(), self._refine(pinned, columns))
-        piece = self._piece[1]
-
-        def split(sol):
-            mu = np.zeros(n)
-            mu[pinned] = sol[n + m_eq:]
-            return sol[:n], sol[n:n + m_eq], mu
-
-        z, y_eq, mu = split((piece[:, 0] + piece[:, 1:] @ target[rows].astype(np.longdouble))
-                            .astype(float))
+        key = (lo_act.tolist(), hi_act.tolist(), fixed.tobytes())
+        if key != self._key:
+            if self._base is None or self._base[0] != fixed[:size].tobytes():
+                self._base = (fixed[:size].tobytes(),
+                              self._refine(np.column_stack([fixed[:size], np.eye(size)[:, rows]])))
+            values = np.column_stack([fixed[size:], np.zeros((pinned.size, rows.size))])
+            self._key, self._piece = key, self._pin(pinned, self._base[1], values)
+        sol = (self._piece[:, 0] + np.dot(self._piece[:, 1:], params)).astype(float)
         if enter is None:
-            return z, y_eq, mu, None
-        d = np.zeros((target.size, 1))
-        d[enter[0]] = -enter[1]
-        dz, _, dmu = split(self._refine(pinned, d)[:, 0].astype(float))
-        return z, y_eq, mu, (dz, dmu)
+            return sol[:n], sol[n:size], sol[size:], None
+        step = -enter[1] * self._pin(pinned, self._unit_columns(enter[:1]), 0.0)[:, 0].astype(float)
+        return sol[:n], sol[n:size], sol[size:], (step[:n], step[size:])
 
-    def _refine(self, pinned, target):
-        """Long-double solutions of the working set's KKT system for the
-        columns of ``target``: three refinement passes against the
-        unregularized system, residuals accumulated block by block from the
-        long-double P and Aeq, remove the inverse's delta regularization and
-        drive the true residual toward the 80-bit floor."""
-        n, m_eq = self._p.shape[0], self._aeq.shape[0]
+    def _pin(self, pinned, base, values):
+        """Long-double [x; mu] of the working set's KKT system from ``base``,
+        solutions of K, with the pinned rows held at ``values``; mu has one
+        row per variable. With G the pinned unit columns and S = G[pinned],
+        mu = S^-1 (base[pinned] - values), solved in float64 and corrected
+        twice in long double, and x = base - G mu."""
+        g = self._unit_columns(pinned)
+        s, rhs = g[pinned], base[pinned] - values
+        mu = np.zeros((self._p.shape[0], base.shape[1]), np.longdouble)
+        for _ in range(3):
+            resid = (rhs - np.dot(s, mu[pinned])).astype(float)
+            mu[pinned] += np.linalg.solve(s.astype(float), resid)
+        return np.vstack([base - np.dot(g, mu[pinned]), mu])
+
+    def _unit_columns(self, idx):
+        """The columns K^-1 e_i, i in ``idx``, each refined once and alone,
+        so that its bits never depend on which solves came before."""
+        size = self._kkt_inv.shape[0]
+        for i in set(map(int, idx)) - self._columns.keys():
+            self._columns[i] = self._refine(np.eye(size)[:, [i]])[:, 0]
+        return np.array([self._columns[int(i)] for i in idx], np.longdouble).reshape(-1, size).T
+
+    def _refine(self, target):
+        """Long-double solutions of K for the columns of ``target``: three
+        refinement passes against the unregularized K, residuals accumulated
+        from the long-double P and Aeq, remove the delta regularization.
+        np.dot forms the same long-double sums as ``@``, three times faster."""
+        n, p, aeq = self._p.shape[0], self._p_ext, self._aeq_ext
         sol = (self._kkt_inv @ target).astype(np.longdouble)
-        target_ext = target.astype(np.longdouble)
+        rhs = target.astype(np.longdouble)
         for _ in range(3):
             z = sol[:n]
-            top = self._p_ext @ z + self._aeq_ext.T @ sol[n:n + m_eq]
-            top[pinned] += sol[n + m_eq:]
-            resid = target_ext - np.concatenate([top, self._aeq_ext @ z, z[pinned]])
+            resid = rhs - np.concatenate([np.dot(p, z) + np.dot(aeq.T, sol[n:]), np.dot(aeq, z)])
             sol += self._kkt_inv @ resid.astype(float)
         return sol
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dosmpc import qp
+from dosmpc import dos, experiment, qp
 from dosmpc.errors import DimensionError
 
 
@@ -106,7 +106,8 @@ def enumeration_oracle(problem):
 
     A labeling counts only when its KKT system is solved to 1e-9, so a
     singular system whose computed point misses the equalities is rejected.
-    Raises ValueError when no labeling is feasible."""
+    A labeling that pins an infinite bound is skipped. Raises ValueError
+    when no labeling is feasible."""
     n = problem.n
     best = None
     for code in range(3 ** n):
@@ -115,6 +116,9 @@ def enumeration_oracle(problem):
         for _ in range(n):
             labels.append(c % 3)
             c //= 3
+        pins = [problem.lb[i] if lab == 1 else problem.ub[i] for i, lab in enumerate(labels) if lab]
+        if not np.all(np.isfinite(pins)):
+            continue
         rows, rhs = [], []
         if problem.aeq.shape[0]:
             rows.append(problem.aeq)
@@ -198,6 +202,18 @@ class TestAgainstEnumerationOracle:
             sol = qp.solve(problem)
             assert sol.status == "optimal"
             assert np.max(np.abs(sol.z - z_star)) <= 1e-7
+
+    def test_infinite_bound_is_never_pinned(self):
+        # The unconstrained optimum (0, 3) violates ub[1]. A labeling that
+        # pins z_0 at its upper bound pins it at +inf and solves to NaN; the
+        # oracle must skip it rather than return that point.
+        problem = qp.QpProblem(p=np.eye(2), q=np.array([0.0, -3.0]), aeq=np.zeros((0, 2)),
+                               beq=np.zeros(0), lb=-np.ones(2), ub=np.array([np.inf, 1.0]))
+        z_star = enumeration_oracle(problem)
+        assert np.all(np.isfinite(z_star))
+        sol = qp.solve(problem)
+        assert sol.status == "optimal"
+        assert np.max(np.abs(sol.z - z_star)) <= 1e-7
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(small_box_qps())
@@ -324,6 +340,72 @@ class TestAffinePiece:
                 undeclared = qp.solve(qp.QpProblem(p=p, q=q, aeq=aeq, beq=beq, lb=lb, ub=ub),
                                       warm_z=warm_z)
                 assert np.max(np.abs(sol.z - undeclared.z)) <= 256 * eps * np.max(np.abs(sol.z))
+            warm = sol.z
+
+
+class TestSchurComplement:
+    def test_singular_base_kkt_is_never_wrongly_optimal(self):
+        # P is zero on e_2 - e_3, which spans null(Aeq) with e_1, so the base
+        # KKT matrix [[P, Aeq'], [Aeq, 0]] is singular: outside the solver's
+        # domain. It may give up, but an "optimal" answer must be right.
+        problem = qp.QpProblem(p=np.diag([1.0, 0.0, 0.0]), q=np.array([0.0, -1.0, 0.5]),
+                               aeq=np.array([[0.0, 1.0, 1.0]]), beq=np.array([0.3]),
+                               lb=-np.ones(3), ub=np.ones(3))
+        z_star = enumeration_oracle(problem)
+        for warm in (None, z_star, np.zeros(3), np.array([1.0, -1.0, 1.0])):
+            sol = qp.solve(problem, warm_z=warm)
+            assert sol.status != "optimal" or np.max(np.abs(sol.z - z_star)) <= 1e-7
+
+    def test_one_inverse_per_p_and_aeq(self, monkeypatch):
+        # The held-out noise-sweep triple at v_bar = 3e-4 changes working sets
+        # along its data-driven loop; no working set may invert a KKT matrix.
+        inverses, seen = [], set()
+        inv, solve = np.linalg.inv, qp.Solver.solve
+
+        def counting_inv(a):
+            inverses.append(a.shape)
+            return inv(a)
+
+        def recording_solve(self, problem, warm_z=None):
+            seen.add((id(self), problem.p.tobytes(), problem.aeq.tobytes()))
+            return solve(self, problem, warm_z=warm_z)
+
+        monkeypatch.setattr(np.linalg, "inv", counting_inv)
+        monkeypatch.setattr(qp.Solver, "solve", recording_solve)
+        record = experiment.run_experiment(experiment.ExperimentConfig(
+            v_bar=3e-4, attack=dos.params_for_ratio(0.8841),
+            data_seed=10025, noise_seed=10026, attack_seed=10027))
+        assert np.nansum(record.qp_iterations) > 0
+        assert len({solver for solver, _, _ in seen}) == 1
+        assert len(inverses) == len(seen) == 1
+
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_large_working_sets(self, seed):
+        # Working sets of 5-26 bounds, beyond the n <= 6 tests: n 20-40,
+        # m <= 8, box +-1. P = G'G has rank n/2, plus a ridge of 1e-8 (as in
+        # the MPC cost) or 1e-3, each in half the draws. Each q is built
+        # from a KKT point that pins bounds with multipliers of at least 0.5.
+        # The second QP is warm-started from the first answer, so the reused
+        # solver meets it holding the first QP's columns and piece.
+        rng = np.random.default_rng(seed)
+        n, m = int(rng.integers(20, 41)), int(rng.integers(0, 9))
+        pinned = int(rng.integers(5, min(26, n - m - 2) + 1))
+        ridge = (1e-3, 1e-8)[int(rng.integers(2))]
+        g = rng.standard_normal((n // 2, n))
+        p, aeq = g.T @ g + ridge * np.eye(n), rng.standard_normal((m, n))
+        reused, warm = qp.Solver(), None
+        for _ in range(2):
+            idx, side = rng.choice(n, pinned, replace=False), rng.choice([-1.0, 1.0], pinned)
+            z, mu = rng.uniform(-0.9, 0.9, n), np.zeros(n)
+            z[idx], mu[idx] = side, side * rng.uniform(0.5, 3.0, pinned)
+            problem = qp.QpProblem(p=p, q=-(p @ z + aeq.T @ rng.standard_normal(m) + mu),
+                                   aeq=aeq, beq=aeq @ z, lb=-np.ones(n), ub=np.ones(n))
+            sol = reused.solve(problem, warm_z=warm)
+            fresh = qp.Solver().solve(problem, warm_z=warm)
+            assert sol.status == "optimal"
+            assert np.array_equal(sol.z, fresh.z)
+            assert (sol.status, sol.iterations) == (fresh.status, fresh.iterations)
             warm = sol.z
 
 

@@ -1,0 +1,200 @@
+"""Before/after measurements of two dosmpc checkouts, written as one JSON file.
+
+    python3 tools/bench_compare.py --parent ../parent --change . \\
+        --out BENCH_qp_schur.json --pairs noise-sweep=10 attack-long=6 \\
+        --seconds 40 --seed 3000 --claim noise-sweep:run_s
+
+Every measurement runs the same way on both sides, each in its own checkout
+with its own ``src`` and ``perfbench``, BLAS pinned to one thread:
+
+- alternating pairs of untraced ``perfbench/run.py`` runs per workload, the
+  parent first on even pairs and both sides of a pair on the same seed,
+  summarised by median, quartiles and the pairs the change wins;
+- one traced run per side and workload, on the seed after the last pair;
+- KKT inverses (``np.linalg.inv`` calls) and refined columns (columns
+  passed to ``qp.Solver._refine``) over noise-sweep indices 0-8, with every
+  record checked by ``workloads.check_op``;
+- the default 200-step fixture run, min of 7 after one warm-up, two rounds;
+- the Tier-1 suite, two runs per side in alternating order.
+
+Metric directions come from the change checkout's BENCHMARK.json.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+ENV = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+SIDES = ("parent", "change")
+
+# Run inside a checkout: counts KKT inverses and refined columns over
+# noise-sweep indices 0-8 and checks every record against the references.
+COUNTS = """
+import json, sys, tempfile
+from pathlib import Path
+sys.path[:0] = ["src", "perfbench"]
+import numpy as np
+from dosmpc import qp
+import workloads
+counts = {"inverses": 0, "refine_calls": 0, "refined_columns": 0, "solves": 0}
+inv, refine, solve = np.linalg.inv, qp.Solver._refine, qp.Solver.solve
+def counting_inv(a):
+    counts["inverses"] += 1
+    return inv(a)
+def counting_refine(self, *args):
+    counts["refine_calls"] += 1
+    counts["refined_columns"] += args[-1].shape[1]
+    return refine(self, *args)
+def counting_solve(self, *args, **kwargs):
+    counts["solves"] += 1
+    return solve(self, *args, **kwargs)
+np.linalg.inv, qp.Solver._refine, qp.Solver.solve = counting_inv, counting_refine, counting_solve
+w = workloads.WORKLOADS["noise-sweep"]
+refs, problems = workloads.load_references(w), []
+with tempfile.TemporaryDirectory() as tmp:
+    for index in range(9):
+        problems += workloads.check_op(w, workloads.run_op(w, index, Path(tmp) / str(index)), refs)
+print(json.dumps(dict(counts, records=27, problems=problems)))
+"""
+
+# Run inside a checkout: min over 7 default fixture runs after one warm-up, in ms.
+DEFAULT_RUN = """
+import sys, time
+sys.path.insert(0, "src")
+from dosmpc import dos, experiment
+config = experiment.ExperimentConfig(attack=dos.params_for_ratio(0.8841))
+experiment.run_experiment(config)
+times = []
+for _ in range(7):
+    t0 = time.perf_counter()
+    experiment.run_experiment(config)
+    times.append(time.perf_counter() - t0)
+print(1e3 * min(times))
+"""
+
+
+def last_json(text: str) -> dict:
+    return json.loads(text.strip().splitlines()[-1])
+
+
+def perfbench(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    out = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
+                          "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
+                         cwd=root, env=ENV, capture_output=True, text=True, check=False)
+    result = last_json(out.stdout)
+    return {"attempted": result["attempted"], "failed": result["failed"],
+            "correct": result["correct"],
+            "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
+
+
+def python(root: Path, code: str) -> str:
+    return subprocess.run([sys.executable, "-c", code], cwd=root, env=ENV, capture_output=True,
+                          text=True, check=True).stdout
+
+
+def spread(values) -> dict:
+    q1, median, q3 = np.percentile(values, [25, 50, 75])
+    return {"median": round(float(median), 5), "q1": round(float(q1), 5), "q3": round(float(q3), 5)}
+
+
+def pairs(roots: dict, workload: str, count: int, seed: int, seconds: float, better: dict) -> dict:
+    runs = {side: [] for side in SIDES}
+    for i in range(count):
+        for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
+            runs[side].append(perfbench(roots[side], workload, seed + i, seconds, 0))
+            print(f"{workload} pair {i} {side}: {runs[side][-1]['metrics']}", file=sys.stderr)
+    metrics = {}
+    for name in runs["parent"][0]["metrics"]:
+        values = {side: [r["metrics"][name] for r in runs[side]] for side in SIDES}
+        sign = 1.0 if better[name] == "lower" else -1.0
+        gains = [sign * (p - c) for p, c in zip(values["parent"], values["change"])]
+        metrics[name] = {**{side: spread(values[side]) for side in SIDES},
+                         "change_wins": sum(g > 0 for g in gains),
+                         "ties": sum(g == 0 for g in gains)}
+    return {"pairs": count, "seeds": [seed, seed + count - 1],
+            "operations_attempted": {side: sum(r["attempted"] for r in runs[side]) for side in SIDES},
+            "operations_failed": {side: sum(r["failed"] for r in runs[side]) for side in SIDES},
+            "every_output_check_passed": all(r["correct"] for side in SIDES for r in runs[side]),
+            "metrics": metrics}
+
+
+def tier1(root: Path) -> dict:
+    env = dict(ENV, PYTHONPATH="src")
+    t0 = time.perf_counter()
+    out = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                          "--continue-on-collection-errors"], cwd=root, env=env,
+                         capture_output=True, text=True, check=False)
+    summary = [line for line in out.stdout.splitlines() if " in " in line and "passed" in line]
+    return {"wall_s": round(time.perf_counter() - t0, 2), "summary": summary[-1].strip("= ")}
+
+
+def git_head(root: Path):
+    out = subprocess.run(["git", "rev-parse", "--short", "HEAD"], cwd=root, capture_output=True,
+                         text=True, check=False)
+    return out.stdout.strip() or None
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--parent", type=Path, required=True)
+    parser.add_argument("--change", type=Path, required=True)
+    parser.add_argument("--out", type=Path, required=True)
+    parser.add_argument("--pairs", nargs="+", required=True, help="workload=count")
+    parser.add_argument("--seconds", type=float, default=40.0)
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--claim", help="workload:metric whose gain is claimed")
+    args = parser.parse_args(argv)
+    roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    bench = json.loads((roots["change"] / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in bench["end_to_end"] + bench["per_layer"]}
+
+    report = {"parent_commit": git_head(roots["parent"]),
+              "host": {"cores": os.cpu_count(), "blas_threads": 1,
+                       "python": sys.version.split()[0], "numpy": np.__version__},
+              "command": f"python3 perfbench/run.py --workload <w> --seed <s> "
+                         f"--seconds {args.seconds:g} --trace <0|1>",
+              "end_to_end": {}, "traced": {}}
+    seed = args.seed
+    for spec in args.pairs:
+        workload, count = spec.split("=")
+        report["end_to_end"][workload] = pairs(roots, workload, int(count), seed,
+                                               args.seconds, better)
+        seed += int(count)
+        report["traced"][workload] = {"seed": seed, **{
+            side: perfbench(roots[side], workload, seed, args.seconds, 1)["metrics"]
+            for side in SIDES}}
+        seed += 1
+    if args.claim:
+        workload, metric = args.claim.split(":")
+        entry = report["end_to_end"][workload]["metrics"][metric]
+        report["claim"] = {"workload": workload, "metric": metric,
+                           "parent_median": entry["parent"]["median"],
+                           "change_median": entry["change"]["median"],
+                           "parent_iqr": round(entry["parent"]["q3"] - entry["parent"]["q1"], 5),
+                           "change_wins": entry["change_wins"],
+                           "pairs": report["end_to_end"][workload]["pairs"]}
+    report["noise_sweep_indices_0_8"] = {side: json.loads(python(roots[side], COUNTS))
+                                         for side in SIDES}
+    report["default_fixture_run_ms"] = {side: [] for side in SIDES}
+    for _ in range(2):
+        for side in SIDES:
+            report["default_fixture_run_ms"][side].append(
+                round(float(python(roots[side], DEFAULT_RUN)), 1))
+    report["tier1"] = {side: [] for side in SIDES}
+    for order in (SIDES, SIDES[::-1]):
+        for side in order:
+            report["tier1"][side].append(tier1(roots[side]))
+    args.out.write_text(json.dumps(report, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
