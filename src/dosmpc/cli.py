@@ -18,7 +18,8 @@ import numpy as np
 from . import dos
 from .data import collect_offline
 from .errors import ConfigError
-from .experiment import ExperimentConfig, compare, prepare, run_experiment, sweep
+from .experiment import (CONTROLLERS, ExperimentConfig, compare, prepare, run_experiment,
+                         sweep)
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -55,8 +56,7 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--u-max", dest="u_max", type=float)
     p.add_argument("--lambda-g", dest="lambda_g", type=float)
     p.add_argument("--lambda-h", dest="lambda_h", type=float)
-    p.add_argument("--controller", choices=["data-driven", "data-driven-periodic",
-                                            "model-based"])
+    p.add_argument("--controller", choices=CONTROLLERS)
     p.add_argument("--ratio", type=float, help="attack pressure 1/nu_f + 1/nu_d")
     p.add_argument("--no-attack", action="store_true")
     p.add_argument("--data-seed", dest="data_seed", type=int)

@@ -4,6 +4,11 @@ One experiment is: collect offline data, generate an attack schedule, run the
 selected controller against the plant across a lossy, noisy measurement
 channel, and log a per-step record with a recomputable summary. Everything is
 seeded; identical configurations produce byte-identical CSV outputs.
+
+The controller kinds are ``CONTROLLERS``: "data-driven" and
+"data-driven-periodic" are one ``DataDrivenController`` with solve period 1
+or n_x, "model-based" is the observer/predictor baseline. The closed loop
+drives every kind through the same ``step``/``finish`` protocol.
 """
 from __future__ import annotations
 
@@ -17,8 +22,7 @@ from typing import Optional
 import numpy as np
 
 from . import dos
-from .controllers import (DataDrivenController, ModelBasedController,
-                          PeriodicDataDrivenController)
+from .controllers import DataDrivenController, ModelBasedController
 from .data import HankelPair, collect_offline
 from .errors import ConfigError
 from .lti import SystemModel, check_structure, observability_index, synthesize_gains
@@ -331,7 +335,7 @@ def revalidate_record(directory, stem: str = "record") -> bool:
     return all(same(stored.get(k), fresh[k]) for k in fresh)
 
 
-def run_closed_loop(model: SystemModel, controller, eta: int, t_sim: int,
+def run_closed_loop(model: SystemModel, controller, t_sim: int,
                     x0, v_bar: float, noise_seed: int,
                     schedule: Optional[dos.DosSchedule] = None,
                     blow_up: float = 1e6, controller_name: str = "custom",
@@ -339,10 +343,10 @@ def run_closed_loop(model: SystemModel, controller, eta: int, t_sim: int,
     """Drive plant, channel, and controller for t_sim steps.
 
     Process and network noise are i.i.d. uniform on [-v_bar, v_bar] per
-    coordinate, drawn up front from the noise seed (process first). The
-    measurement channel delivers the packet exactly at attack-free steps; the
-    model-based controller's sensor-side observer additionally receives the
-    current noisy measurement every step.
+    coordinate, drawn up front from the noise seed (process first). Each step
+    the controller emits its input (``step``), the plant is measured, and the
+    noisy measurement goes back to the controller's sensor side (``finish``).
+    The record logs the measurement as delivered exactly at attack-free steps.
     """
     rng = np.random.default_rng(noise_seed)
     w = rng.uniform(-v_bar, v_bar, size=(t_sim, model.n_x)) if v_bar > 0 \
@@ -354,40 +358,28 @@ def run_closed_loop(model: SystemModel, controller, eta: int, t_sim: int,
     if indicators.shape[0] < t_sim:
         raise ConfigError("attack schedule shorter than the simulation horizon")
 
-    is_baseline = isinstance(controller, ModelBasedController)
     x = np.asarray(x0, dtype=float).reshape(model.n_x)
     u_log = np.zeros((t_sim, model.n_u))
     y_log = np.zeros((t_sim, model.n_y))
     zeta_log = np.full((t_sim, model.n_y), np.nan)
     cost_log = np.full(t_sim, np.nan)
     iter_log = np.full(t_sim, np.nan)
-    zeta_full = np.zeros((t_sim, model.n_y))
     status = "ok"
     steps = t_sim
 
     t0 = time.perf_counter()
     for t in range(t_sim):
         attack = bool(indicators[t])
-        if is_baseline:
-            u = controller.begin(t, attack)
-            y = model.c @ x + model.d @ u
-            zeta = y + noise[t]
-            controller.finish(zeta, u)
-        else:
-            y = model.c @ x  # D @ u enters below; data-driven fixtures have D = 0
-            window = None
-            if not attack and t >= eta:
-                window = zeta_full[t - eta:t]
-            result = controller.step(t, attack, window)
-            u = result.u
-            y = y + model.d @ u
-            zeta = y + noise[t]
-            if result.solved:
-                cost_log[t] = result.cost
-                iter_log[t] = result.qp_iterations
+        result = controller.step(t, attack)
+        u = result.u
+        y = model.c @ x + model.d @ u
+        zeta = y + noise[t]
+        controller.finish(zeta, u)
+        if result.solved:
+            cost_log[t] = result.cost
+            iter_log[t] = result.qp_iterations
         u_log[t] = u
         y_log[t] = y
-        zeta_full[t] = zeta
         if not attack:
             zeta_log[t] = zeta
         x = model.a @ x + model.b @ u + w[t]
@@ -410,15 +402,12 @@ def run_closed_loop(model: SystemModel, controller, eta: int, t_sim: int,
     return record
 
 
-def _build_controller(prepared: Prepared, data: HankelPair):
-    kind = prepared.config.controller
-    if kind == "data-driven":
-        return DataDrivenController(data, prepared.mpc_config)
-    if kind == "data-driven-periodic":
-        return PeriodicDataDrivenController(data, prepared.mpc_config,
-                                            period=prepared.model.n_x)
-    gains = synthesize_gains(prepared.model)
-    return ModelBasedController(prepared.model, gains)
+def _build_controller(prepared: Prepared, data: Optional[HankelPair]):
+    model = prepared.model
+    if prepared.config.controller == "model-based":
+        return ModelBasedController(model, synthesize_gains(model))
+    period = model.n_x if prepared.config.controller == "data-driven-periodic" else 1
+    return DataDrivenController(data, prepared.mpc_config, period=period)
 
 
 def run_experiment(config: ExperimentConfig) -> RunRecord:
@@ -428,7 +417,6 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
     schedule = None
     if config.attack is not None:
         schedule = dos.generate_random(config.attack, config.t_sim, config.attack_seed)
-    controller = None
     data = None
     if config.controller != "model-based":
         traj = collect_offline(model, config.n_samples, prepared.pe_order,
@@ -438,9 +426,9 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
     controller = _build_controller(prepared, data)
     seeds = {"data": config.data_seed, "noise": config.noise_seed,
              "attack": config.attack_seed}
-    record = run_closed_loop(model, controller, prepared.eta, config.t_sim,
-                             prepared.x0, config.v_bar, config.noise_seed,
-                             schedule=schedule, blow_up=config.blow_up,
+    record = run_closed_loop(model, controller, config.t_sim, prepared.x0,
+                             config.v_bar, config.noise_seed, schedule=schedule,
+                             blow_up=config.blow_up,
                              controller_name=config.controller, seeds=seeds)
     if config.output_dir is not None:
         record.save(config.output_dir)

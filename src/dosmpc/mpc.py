@@ -23,10 +23,9 @@ import numpy as np
 
 from .data import HankelPair
 from .errors import DimensionError, SolverError
-from .qp import QpProblem, Settings, Solver
+from .qp import QpProblem, Solver
 
-__all__ = ["MpcConfig", "MpcProblem", "MpcSolution", "VariableMap", "MpcAssembler",
-           "assemble", "solve_mpc", "predicted_input_at"]
+__all__ = ["MpcConfig", "MpcSolution", "VariableMap", "MpcAssembler", "solve_mpc"]
 
 logger = logging.getLogger(__name__)
 
@@ -86,31 +85,6 @@ class MpcConfig:
 
 
 @dataclass(frozen=True)
-class MpcProblem:
-    """One solve instance: offline Hankel data plus the fresh init windows."""
-
-    hankel: HankelPair
-    init_u: np.ndarray
-    init_zeta: np.ndarray
-    config: MpcConfig
-
-    def __post_init__(self):
-        cfg = self.config
-        if self.hankel.depth != cfg.window:
-            raise DimensionError(
-                f"Hankel depth {self.hankel.depth} must equal horizon+eta = {cfg.window}"
-            )
-        for name, dim in (("init_u", self.hankel.n_u), ("init_zeta", self.hankel.n_y)):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.size != cfg.eta * dim:
-                raise DimensionError(
-                    f"{name} must hold {cfg.eta} samples of dimension {dim}, "
-                    f"got shape {arr.shape}"
-                )
-            object.__setattr__(self, name, arr.reshape(cfg.eta, dim))
-
-
-@dataclass(frozen=True)
 class VariableMap:
     """Slices of the decision vector z = (g, h, u_stack, y_stack)."""
 
@@ -152,6 +126,10 @@ class MpcAssembler:
     def __init__(self, hankel: HankelPair, config: MpcConfig):
         if hankel.source is None or hankel.source.pe is None or not hankel.source.pe.excited:
             raise ValueError("offline data carries no persistency-of-excitation certificate")
+        if hankel.depth != config.window:
+            raise DimensionError(
+                f"Hankel depth {hankel.depth} must equal horizon+eta = {config.window}"
+            )
         if config.v_bar < _V_BAR_FLOOR:
             logger.warning("v_bar=%g clamped to %g in cost scaling", config.v_bar, _V_BAR_FLOOR)
         self.hankel = hankel
@@ -216,13 +194,20 @@ class MpcAssembler:
                                   param_rows=init_rows)
 
     def qp(self, init_u, init_zeta) -> QpProblem:
-        cfg = self.config
-        init_u = np.asarray(init_u, float).reshape(cfg.eta * self.vmap.n_u)
-        init_zeta = np.asarray(init_zeta, float).reshape(cfg.eta * self.vmap.n_y)
+        """The instance whose initial window holds ``init_u`` and ``init_zeta``,
+        eta samples each."""
         beq = np.zeros(self.m)
         r = self._init_rows
-        beq[r:r + init_u.size] = init_u
-        beq[r + init_u.size:r + init_u.size + init_zeta.size] = init_zeta
+        for name, arr, dim in (("init_u", init_u, self.vmap.n_u),
+                               ("init_zeta", init_zeta, self.vmap.n_y)):
+            arr = np.asarray(arr, float)
+            if arr.size != self.config.eta * dim:
+                raise DimensionError(
+                    f"{name} must hold {self.config.eta} samples of dimension {dim}, "
+                    f"got shape {arr.shape}"
+                )
+            beq[r:r + arr.size] = arr.reshape(-1)
+            r += arr.size
         return self._problem.with_beq(beq)
 
     def extract(self, qp_solution, validate: bool = True) -> MpcSolution:
@@ -265,24 +250,18 @@ class MpcAssembler:
         )
 
 
-def assemble(problem: MpcProblem) -> tuple[QpProblem, VariableMap]:
-    """One-shot assembly of an MpcProblem into a QpProblem plus index map."""
-    asm = MpcAssembler(problem.hankel, problem.config)
-    return asm.qp(problem.init_u, problem.init_zeta), asm.vmap
-
-
-def solve_mpc(problem: MpcProblem, warm: Optional[MpcSolution] = None,
-              solver: Optional[Solver] = None, assembler: Optional[MpcAssembler] = None,
-              ) -> MpcSolution:
-    """Solve one instance; deterministic given identical inputs.
+def solve_mpc(assembler: MpcAssembler, init_u, init_zeta,
+              warm: Optional[MpcSolution] = None,
+              solver: Optional[Solver] = None) -> MpcSolution:
+    """Solve one instance from the eta-long windows of applied inputs and
+    received outputs; deterministic given identical inputs.
 
     The previous solution ``warm`` seeds the solver's working set with the
     input bounds it was pinned at. A non-optimal solver status is surfaced as
     SolverError with diagnostics.
     """
-    asm = assembler or MpcAssembler(problem.hankel, problem.config)
-    qp_problem = asm.qp(problem.init_u, problem.init_zeta)
-    slv = solver or Solver(Settings())
+    qp_problem = assembler.qp(init_u, init_zeta)
+    slv = solver or Solver()
     sol = slv.solve(qp_problem, warm_z=warm.z if warm is not None else None)
     if sol.status != "optimal":
         raise SolverError(
@@ -290,27 +269,4 @@ def solve_mpc(problem: MpcProblem, warm: Optional[MpcSolution] = None,
             f"(primal {sol.primal_residual:.3g}, dual {sol.dual_residual:.3g}, "
             f"{sol.iterations} iterations)"
         )
-    return asm.extract(sol)
-
-
-def predicted_input_at(solution: MpcSolution, offset: int) -> np.ndarray:
-    """Predicted input at the given offset from the solve instant."""
-    if not 0 <= offset < solution.u_pred.shape[0]:
-        raise IndexError(f"offset {offset} outside [0, {solution.u_pred.shape[0] - 1}]")
-    return solution.u_pred[offset]
-
-
-def dump_solution(solution: MpcSolution) -> str:
-    """JSON snapshot of one solve, for debugging reproduction."""
-    import json
-
-    return json.dumps({
-        "cost": solution.cost,
-        "u_pred": solution.u_pred.tolist(),
-        "y_pred": solution.y_pred.tolist(),
-        "g": solution.g.tolist(),
-        "h": solution.h.tolist(),
-        "qp_iterations": solution.qp_iterations,
-        "qp_primal_residual": solution.qp_primal_residual,
-        "qp_dual_residual": solution.qp_dual_residual,
-    }, indent=2)
+    return assembler.extract(sol)

@@ -118,16 +118,13 @@ def test_criterion_3b_fixture_solve_residuals(reactor):
     for t in range(config.t_sim):
         attack = bool(schedule.indicators[t])
         if not attack and t >= eta:
-            problem = mpc.MpcProblem(hankel=asm.hankel, init_u=u_applied[t - eta:t],
-                                     init_zeta=zeta[t - eta:t],
-                                     config=prepared.mpc_config)
-            solution = mpc.solve_mpc(problem, warm=solution, solver=solver,
-                                     assembler=asm)
+            solution = mpc.solve_mpc(asm, u_applied[t - eta:t], zeta[t - eta:t],
+                                     warm=solution, solver=solver)
             solved_at.append(t)
             residuals.append(max(solution.qp_primal_residual, solution.qp_dual_residual))
             floors.append(eps * float(np.max(abs_aeq @ np.abs(solution.z))))
             iterations.append(solution.qp_iterations)
-        u = baseline.begin(t, attack)
+        u = baseline.step(t, attack).u
         y = reactor.c @ x + reactor.d @ u
         zeta[t] = y + nn[t]
         baseline.finish(zeta[t], u)
@@ -200,7 +197,7 @@ def test_criterion_6_deadbeat_baseline(reactor):
     x = np.ones(4) / 2
     worst_reset = 0.0
     for t, attacked in enumerate(indicators):
-        u = controller.begin(t, bool(attacked))
+        u = controller.step(t, bool(attacked)).u
         if not attacked and t >= 2:
             worst_reset = max(worst_reset, float(np.linalg.norm(controller.xhat - x)))
         y = reactor.c @ x

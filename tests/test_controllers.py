@@ -12,18 +12,11 @@ def drive(reactor, controller, indicators, x0, v_bar, noise_seed=2):
     w = rng.uniform(-v_bar, v_bar, (t_sim, 4)) if v_bar > 0 else np.zeros((t_sim, 4))
     nn = rng.uniform(-v_bar, v_bar, (t_sim, 2)) if v_bar > 0 else np.zeros((t_sim, 2))
     x = np.asarray(x0, dtype=float).copy()
-    zeta = np.zeros((t_sim, 2))
     states, inputs, results = [], [], []
     for t in range(t_sim):
-        attack = bool(indicators[t])
-        y = reactor.c @ x
         states.append(x.copy())
-        if isinstance(controller, controllers.ModelBasedController):
-            res = controller.step(t, attack, y + nn[t])
-        else:
-            window = zeta[t - 2:t] if (not attack and t >= 2) else None
-            res = controller.step(t, attack, window)
-        zeta[t] = y + nn[t]
+        res = controller.step(t, bool(indicators[t]))
+        controller.finish(reactor.c @ x + nn[t], res.u)
         inputs.append(res.u.copy())
         results.append(res)
         x = reactor.a @ x + reactor.b @ res.u + w[t]
@@ -34,33 +27,62 @@ class TestDataDrivenController:
     def test_zero_input_before_window_fills(self, noisy_hankel, study_config):
         ctrl = controllers.DataDrivenController(noisy_hankel, study_config)
         for t in range(2):
-            res = ctrl.step(t, attack=False, fresh_zeta=None)
+            res = ctrl.step(t, attack=False)
             assert not res.solved and np.all(res.u == 0.0)
+            ctrl.finish(np.zeros(2), res.u)
 
     def test_missing_packet_on_success_raises(self, noisy_hankel, study_config):
+        # a success instant whose measurement window finish has not filled
         ctrl = controllers.DataDrivenController(noisy_hankel, study_config)
-        ctrl.step(0, False)
+        ctrl.finish(np.zeros(2), ctrl.step(0, False).u)
         ctrl.step(1, False)
         with pytest.raises(ValueError):
-            ctrl.step(2, False, None)
+            ctrl.step(2, False)
 
-    def test_success_applies_first_predicted_input(self, reactor, noisy_hankel, study_config):
-        ctrl = controllers.DataDrivenController(noisy_hankel, study_config)
-        u_pred0 = {}
-        solve = ctrl._solve
+    def test_success_applies_first_predicted_input(self, reactor, noisy_hankel, study_config,
+                                                   monkeypatch):
+        u_pred0 = []
 
-        def capture(t, fresh_zeta):
-            solution = solve(t, fresh_zeta)
-            u_pred0[t] = solution.u_pred[0].copy()
+        def capture(*args, **kwargs):
+            solution = mpc.solve_mpc(*args, **kwargs)
+            u_pred0.append(solution.u_pred[0].copy())
             return solution
 
-        ctrl._solve = capture
+        monkeypatch.setattr(controllers, "solve_mpc", capture)
+        ctrl = controllers.DataDrivenController(noisy_hankel, study_config)
         ind = np.zeros(6, dtype=int)
         _, inputs, results = drive(reactor, ctrl, ind, np.ones(4) / 2, 1e-4)
-        assert results[2].solved and sorted(u_pred0) == [2, 3, 4, 5]
+        solved_at = [t for t, r in enumerate(results) if r.solved]
+        assert solved_at == [2, 3, 4, 5] and len(u_pred0) == 4
         # the applied input at each solve equals offset zero of that solution
-        for t, u0 in u_pred0.items():
+        for t, u0 in zip(solved_at, u_pred0):
             assert np.array_equal(inputs[t], u0)
+
+    def test_solve_after_attack_run_uses_last_eta_measurements(self, noisy_hankel,
+                                                               study_config):
+        # the sensor-side buffer keeps measuring through the attack run, so
+        # the solve at t = 6 starts from the inputs and measurements of t = 4, 5
+        ctrl = controllers.DataDrivenController(noisy_hankel, study_config)
+        instances = []
+        build = ctrl.assembler.qp
+
+        def capture(init_u, init_zeta):
+            instances.append(build(init_u, init_zeta))
+            return instances[-1]
+
+        ctrl.assembler.qp = capture
+        rng = np.random.default_rng(5)
+        fed_u, fed_zeta = [], []
+        for t, attack in enumerate([False, False, False, True, True, True, False]):
+            res = ctrl.step(t, attack)
+            zeta = rng.uniform(-1e-2, 1e-2, 2)
+            ctrl.finish(zeta, res.u)
+            fed_u.append(res.u.copy())
+            fed_zeta.append(zeta)
+        assert len(instances) == 2 and ctrl.last_solve == 6
+        last = instances[-1]
+        expected = np.concatenate([np.ravel(fed_u[4:6]), np.ravel(fed_zeta[4:6])])
+        assert np.array_equal(last.beq[last.param_rows], expected)
 
     def test_hold_then_zero_is_bit_exact(self, reactor, noisy_hankel, study_config):
         # one success, then an attack run longer than the horizon
@@ -70,7 +92,7 @@ class TestDataDrivenController:
         ctrl = controllers.DataDrivenController(noisy_hankel, study_config)
         _, inputs, results = drive(reactor, ctrl, ind, np.ones(4) / 2, 1e-4)
         assert results[2].solved and not any(r.solved for r in results[3:])
-        cached = ctrl.state.cached
+        cached = ctrl.cached
         for offset in range(1, 10):
             assert np.array_equal(inputs[2 + offset], cached.u_pred[offset])
         for t in range(12, t_sim):  # offsets >= L are zero
@@ -97,7 +119,7 @@ class TestDataDrivenController:
         assert dos.validate_schedule(indicators, params).passed
         schedule = dos.DosSchedule(indicators=indicators, params=params, seed="manual")
         ctrl = controllers.DataDrivenController(noisy_hankel, study_config)
-        record = run_closed_loop(reactor, ctrl, eta=2, t_sim=200, x0=np.ones(4) / 2,
+        record = run_closed_loop(reactor, ctrl, t_sim=200, x0=np.ones(4) / 2,
                                  v_bar=1e-4, noise_seed=2, schedule=schedule)
         assert record.summary["status"] == "ok"
         assert np.max(record.y_norm[40:80]) < 1.0
@@ -115,18 +137,20 @@ class TestDataDrivenController:
 
 
 class TestPeriodicController:
+    def test_period_must_be_positive(self, noisy_hankel, study_config):
+        with pytest.raises(ValueError):
+            controllers.DataDrivenController(noisy_hankel, study_config, period=0)
+
     def test_solve_count_without_attacks(self, reactor, noisy_hankel, study_config):
         t_sim = 200
-        ctrl = controllers.PeriodicDataDrivenController(noisy_hankel, study_config,
-                                                        period=4)
+        ctrl = controllers.DataDrivenController(noisy_hankel, study_config, period=4)
         _, _, results = drive(reactor, ctrl, np.zeros(t_sim, dtype=int),
                               np.ones(4) / 2, 1e-4)
         solves = sum(r.solved for r in results)
         assert solves == int(np.ceil(t_sim / 4)) == 50
 
     def test_equilibrium_stays_at_zero(self, reactor, clean_hankel, study_config):
-        ctrl = controllers.PeriodicDataDrivenController(clean_hankel, study_config,
-                                                        period=4)
+        ctrl = controllers.DataDrivenController(clean_hankel, study_config, period=4)
         _, inputs, _ = drive(reactor, ctrl, np.zeros(30, dtype=int), np.zeros(4), 0.0)
         assert np.max(np.abs(inputs)) <= 1e-9
 
@@ -142,8 +166,7 @@ class TestPeriodicController:
         assert record.summary["tail_norm"] < 1.0
 
     def test_holds_cached_plan_between_solves(self, reactor, noisy_hankel, study_config):
-        ctrl = controllers.PeriodicDataDrivenController(noisy_hankel, study_config,
-                                                        period=4)
+        ctrl = controllers.DataDrivenController(noisy_hankel, study_config, period=4)
         _, inputs, results = drive(reactor, ctrl, np.zeros(12, dtype=int),
                                    np.ones(4) / 2, 1e-4)
         first = next(t for t, r in enumerate(results) if r.solved)
@@ -165,12 +188,12 @@ class TestModelBasedController:
         ctrl = controllers.ModelBasedController(reactor, gains)
         ind = np.array([0, 0, 0, 1, 1, 0, 0, 0])
         states, _, _ = drive(reactor, ctrl, ind, np.ones(4) / 2, 0.0)
-        # replay: at each success t >= 2, begin() resets xhat to xbar
+        # replay: at each success t >= 2, step() resets xhat to xbar
         ctrl2 = controllers.ModelBasedController(reactor, gains)
         x = np.ones(4) / 2
         for t in range(len(ind)):
             attack = bool(ind[t])
-            u = ctrl2.begin(t, attack)
+            u = ctrl2.step(t, attack).u
             if not attack and t >= 2:
                 assert np.linalg.norm(ctrl2.xhat - x) <= 1e-8
             y = reactor.c @ x
@@ -181,7 +204,7 @@ class TestModelBasedController:
         gains = lti.synthesize_gains(reactor)
         ctrl = controllers.ModelBasedController(reactor, gains)
         sched = dos.generate_random(dos.params_for_ratio(0.8841), 200, seed=3)
-        record = run_closed_loop(reactor, ctrl, eta=2, t_sim=200, x0=np.ones(4) / 2,
+        record = run_closed_loop(reactor, ctrl, t_sim=200, x0=np.ones(4) / 2,
                                  v_bar=1e-3, noise_seed=2, schedule=sched,
                                  controller_name="model-based")
         assert record.summary["status"] == "ok"
@@ -191,7 +214,56 @@ class TestModelBasedController:
         gains = lti.synthesize_gains(reactor)
         ctrl = controllers.ModelBasedController(reactor, gains)
         ctrl.xbar = np.ones(4)
-        u = ctrl.begin(0, attack=True)
+        u = ctrl.step(0, attack=True).u
         ctrl.finish(None, u)
         expected = reactor.a @ np.ones(4) + reactor.b @ u
         np.testing.assert_allclose(ctrl.xbar, expected)
+
+
+class Recorder:
+    """Forwards the loop protocol to a controller and logs every call; it is
+    an instance of neither controller class."""
+
+    def __init__(self, inner):
+        self.inner, self.calls, self.measured = inner, [], []
+
+    def step(self, t, attack):
+        self.calls.append(("step", t))
+        return self.inner.step(t, attack)
+
+    def finish(self, zeta, u):
+        self.calls.append(("finish", len(self.measured)))
+        self.measured.append(np.array(zeta))
+        self.inner.finish(zeta, u)
+
+
+class TestLoopProtocol:
+    def test_run_closed_loop_drives_every_kind_without_type_check(
+            self, reactor, noisy_hankel, study_config):
+        sched = dos.generate_random(dos.params_for_ratio(0.8841), 40, seed=3)
+        builds = {
+            "data-driven": lambda: controllers.DataDrivenController(
+                noisy_hankel, study_config),
+            "data-driven-periodic": lambda: controllers.DataDrivenController(
+                noisy_hankel, study_config, period=4),
+            "model-based": lambda: controllers.ModelBasedController(
+                reactor, lti.synthesize_gains(reactor)),
+        }
+        for kind, build in builds.items():
+            kwargs = dict(t_sim=40, x0=np.ones(4) / 2, v_bar=1e-4, noise_seed=2,
+                          schedule=sched)
+            plain = run_closed_loop(reactor, build(), **kwargs)
+            recorder = Recorder(build())
+            record = run_closed_loop(reactor, recorder, **kwargs)
+            assert recorder.calls == [(name, t) for t in range(40)
+                                      for name in ("step", "finish")], kind
+            for name in ("u", "y", "zeta", "cost"):
+                assert np.array_equal(getattr(record, name), getattr(plain, name),
+                                      equal_nan=True), (kind, name)
+            # finish receives the measurement at every step, attacked or not;
+            # the record logs it only where it was delivered
+            measured = np.array(recorder.measured)
+            delivered = sched.indicators[:40] == 0
+            assert np.array_equal(measured[delivered], record.zeta[delivered]), kind
+            assert np.max(np.abs(measured - record.y)) <= 1e-4, kind
+            assert (record.summary["num_solves"] > 0) == (kind != "model-based"), kind

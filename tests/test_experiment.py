@@ -119,7 +119,7 @@ class TestRunExperiment:
         gains = lti.synthesize_gains(reactor)
         frozen = lti.GainSet(k=np.zeros((2, 4)), l_obs=gains.l_obs, eta=gains.eta)
         controller = ModelBasedController(reactor, frozen)
-        record = experiment.run_closed_loop(reactor, controller, eta=2, t_sim=200,
+        record = experiment.run_closed_loop(reactor, controller, t_sim=200,
                                             x0=np.ones(4) / 2, v_bar=0.0, noise_seed=2,
                                             controller_name="open-loop")
         assert record.summary["status"] == "diverged"
@@ -145,7 +145,7 @@ class TestIssMetrics:
         gains = lti.synthesize_gains(reactor)
         frozen = lti.GainSet(k=np.zeros((2, 4)), l_obs=gains.l_obs, eta=gains.eta)
         record = experiment.run_closed_loop(reactor, ModelBasedController(reactor, frozen),
-                                            eta=2, t_sim=200, x0=np.ones(4) / 2,
+                                            t_sim=200, x0=np.ones(4) / 2,
                                             v_bar=0.0, noise_seed=2)
         assert experiment.iss_metrics(record)["peak_norm"] > 1e3
 
@@ -208,19 +208,6 @@ class TestWarningsAndExtras:
         with caplog.at_level(logging.WARNING, logger="dosmpc.experiment"):
             experiment.prepare(fast_config(horizon=6))
         assert any("stricter experimental bound" in r.message for r in caplog.records)
-
-    def test_solution_dump_per_solve(self, tmp_path, noisy_hankel, study_config):
-        import json as _json
-        from dosmpc.controllers import DataDrivenController
-        ctrl = DataDrivenController(noisy_hankel, study_config,
-                                    dump_dir=tmp_path / "solves")
-        ctrl.step(0, False)
-        ctrl.step(1, False)
-        ctrl.step(2, False, np.zeros((2, 2)))
-        dumped = sorted((tmp_path / "solves").glob("solve_*.json"))
-        assert len(dumped) == 1
-        snap = _json.loads(dumped[0].read_text())
-        assert snap["cost"] == ctrl.state.cached.cost
 
     @pytest.mark.skipif("DOSMPC_FULL_GRID" not in __import__("os").environ,
                         reason="full 45-run trade-off grid; set DOSMPC_FULL_GRID=1")

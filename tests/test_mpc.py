@@ -5,10 +5,9 @@ from dosmpc import data, lti, mpc, qp
 from dosmpc.errors import DimensionError
 
 
-
-def make_problem(hankel, config, init_u, init_zeta):
-    return mpc.MpcProblem(hankel=hankel, init_u=init_u, init_zeta=init_zeta,
-                          config=config)
+def solve(hankel, config, init_u, init_zeta, solver=None):
+    return mpc.solve_mpc(mpc.MpcAssembler(hankel, config), init_u, init_zeta,
+                         solver=solver)
 
 
 def seeded_init(reactor, seed, steps=2, scale=1.0):
@@ -43,8 +42,8 @@ class TestConfig:
 
 class TestAssembly:
     def test_decision_vector_length(self, clean_hankel, study_config):
-        problem = make_problem(clean_hankel, study_config, np.zeros((2, 2)), np.zeros((2, 2)))
-        qp_problem, vmap = mpc.assemble(problem)
+        asm = mpc.MpcAssembler(clean_hankel, study_config)
+        qp_problem, vmap = asm.qp(np.zeros((2, 2)), np.zeros((2, 2))), asm.vmap
         assert vmap.n == 89 + 24 + 24 + 24 == 161
         assert qp_problem.aeq.shape == (64, 161)
 
@@ -55,8 +54,8 @@ class TestAssembly:
         assert vm.u.stop == vm.y.start and vm.y.stop == vm.n
 
     def test_origin_is_feasible_with_zero_windows(self, clean_hankel, study_config):
-        problem = make_problem(clean_hankel, study_config, np.zeros((2, 2)), np.zeros((2, 2)))
-        qp_problem, _ = mpc.assemble(problem)
+        asm = mpc.MpcAssembler(clean_hankel, study_config)
+        qp_problem = asm.qp(np.zeros((2, 2)), np.zeros((2, 2)))
         primal, _, _ = qp.kkt_residuals(qp_problem, np.zeros(qp_problem.n))
         assert primal == 0.0
 
@@ -67,18 +66,19 @@ class TestAssembly:
             mpc.MpcAssembler(hank, study_config)
 
     def test_window_shape_validation(self, clean_hankel, study_config):
+        asm = mpc.MpcAssembler(clean_hankel, study_config)
         with pytest.raises(DimensionError):
-            make_problem(clean_hankel, study_config, np.zeros((3, 2)), np.zeros((2, 2)))
+            asm.qp(np.zeros((3, 2)), np.zeros((2, 2)))
         bad_depth = data.HankelPair.from_trajectory(clean_hankel.source, 11)
         with pytest.raises(DimensionError):
-            make_problem(bad_depth, study_config, np.zeros((2, 2)), np.zeros((2, 2)))
+            mpc.MpcAssembler(bad_depth, study_config)
 
     def test_constructed_feasible_point(self, reactor, clean_hankel, study_config):
         # least-squares representer of the zero-padded continuation, slack
         # absorbing the output mismatch, is primal feasible to 1e-8
         init_u, init_zeta = seeded_init(reactor, 23)
-        problem = make_problem(clean_hankel, study_config, init_u, init_zeta)
-        qp_problem, vm = mpc.assemble(problem)
+        asm = mpc.MpcAssembler(clean_hankel, study_config)
+        qp_problem, vm = asm.qp(init_u, init_zeta), asm.vmap
         w = study_config.window
         u_target = np.zeros((w, 2))
         u_target[:2] = init_u
@@ -99,8 +99,7 @@ class TestAssembly:
 
 class TestSolveMpc:
     def test_zero_windows_cost_zero(self, clean_hankel, study_config, solver):
-        problem = make_problem(clean_hankel, study_config, np.zeros((2, 2)), np.zeros((2, 2)))
-        sol = mpc.solve_mpc(problem, solver=solver)
+        sol = solve(clean_hankel, study_config, np.zeros((2, 2)), np.zeros((2, 2)), solver)
         assert sol.cost <= 1e-8
         assert np.max(np.abs(sol.u_pred)) <= 1e-6
 
@@ -110,10 +109,8 @@ class TestSolveMpc:
                              v_bar=1e-3, r1=1e-4, r2=3.0, u_max=10.0)
         double = mpc.MpcConfig(horizon=10, eta=2, lambda_g=0.2, lambda_h=200.0,
                                v_bar=1e-3, r1=2e-4, r2=6.0, u_max=10.0)
-        sol_a = mpc.solve_mpc(make_problem(clean_hankel, base, init_u, init_zeta),
-                              solver=qp.Solver())
-        sol_b = mpc.solve_mpc(make_problem(clean_hankel, double, init_u, init_zeta),
-                              solver=qp.Solver())
+        sol_a = solve(clean_hankel, base, init_u, init_zeta)
+        sol_b = solve(clean_hankel, double, init_u, init_zeta)
         assert sol_b.cost == pytest.approx(2.0 * sol_a.cost, rel=1e-6)
         assert np.max(np.abs(sol_b.u_pred - sol_a.u_pred)) <= 1e-6
 
@@ -122,8 +119,7 @@ class TestSolveMpc:
         asm = mpc.MpcAssembler(noisy_hankel, study_config)
         for seed in range(10):
             init_u, init_zeta = seeded_init(reactor, 100 + seed)
-            sol = mpc.solve_mpc(make_problem(noisy_hankel, study_config, init_u, init_zeta),
-                                solver=solver, assembler=asm)
+            sol = mpc.solve_mpc(asm, init_u, init_zeta, solver=solver)
             assert np.all(sol.u_pred[8:] == 0.0)
             assert np.all(sol.y_pred[8:] == 0.0)
             assert np.max(np.abs(sol.u_pred)) <= study_config.u_max
@@ -131,8 +127,7 @@ class TestSolveMpc:
 
     def test_cost_bounds_on_slack_and_coefficients(self, reactor, noisy_hankel, study_config):
         init_u, init_zeta = seeded_init(reactor, 31)
-        sol = mpc.solve_mpc(make_problem(noisy_hankel, study_config, init_u, init_zeta),
-                            solver=qp.Solver())
+        sol = solve(noisy_hankel, study_config, init_u, init_zeta)
         vc = study_config.cost_noise_scale()
         assert np.linalg.norm(sol.h) <= np.sqrt(sol.cost * vc / study_config.lambda_h)
         assert np.linalg.norm(sol.g) <= np.sqrt(sol.cost / (vc * study_config.lambda_g))
@@ -141,8 +136,7 @@ class TestSolveMpc:
         config = mpc.MpcConfig(horizon=10, eta=2, lambda_g=0.1, lambda_h=100.0,
                                v_bar=0.0, r1=1e-4, r2=3.0, u_max=10.0)
         init_u, init_zeta = seeded_init(reactor, 7)
-        sol = mpc.solve_mpc(make_problem(clean_hankel, config, init_u, init_zeta),
-                            solver=qp.Solver())
+        sol = solve(clean_hankel, config, init_u, init_zeta)
         assert np.linalg.norm(sol.h) <= 1e-6
 
     def test_feasibility_unconditional(self, reactor, noisy_hankel, study_config):
@@ -153,15 +147,14 @@ class TestSolveMpc:
         for _ in range(100):
             init_u = rng.uniform(-1, 1, (2, 2))
             init_zeta = rng.uniform(-2, 2, (2, 2))
-            sol = mpc.solve_mpc(make_problem(noisy_hankel, study_config, init_u, init_zeta),
-                                solver=solver, assembler=asm)
+            sol = mpc.solve_mpc(asm, init_u, init_zeta, solver=solver)
             assert sol.cost >= 0.0
 
     def test_determinism_across_fresh_solvers(self, reactor, noisy_hankel, study_config):
         init_u, init_zeta = seeded_init(reactor, 13)
-        problem = make_problem(noisy_hankel, study_config, init_u, init_zeta)
-        sol_a = mpc.solve_mpc(problem, solver=qp.Solver())
-        sol_b = mpc.solve_mpc(problem, solver=qp.Solver())
+        asm = mpc.MpcAssembler(noisy_hankel, study_config)
+        sol_a = mpc.solve_mpc(asm, init_u, init_zeta, solver=qp.Solver())
+        sol_b = mpc.solve_mpc(asm, init_u, init_zeta, solver=qp.Solver())
         assert np.array_equal(sol_a.u_pred, sol_b.u_pred)
         assert np.array_equal(sol_a.g, sol_b.g)
 
@@ -170,37 +163,8 @@ class TestSolveMpc:
         rng = np.random.default_rng(3)
         x0 = rng.standard_normal(4)
         sim = lti.simulate(reactor, x0, rng.uniform(-1, 1, (2, 2)))
-        sol = mpc.solve_mpc(make_problem(clean_hankel, study_config, sim.inputs, sim.outputs),
-                            solver=qp.Solver())
+        sol = solve(clean_hankel, study_config, sim.inputs, sim.outputs)
         replay = lti.simulate(reactor, sim.states[2], sol.u_pred)
         # deviation is limited by the slack budget sqrt(J v/lh) ~ 1e-4,
         # amplified by the open-loop growth over the horizon
         assert np.max(np.abs(replay.outputs - sol.y_pred)) <= 2e-3
-
-
-class TestPredictedInputAt:
-    def test_terminal_offsets_are_zero(self, clean_hankel, study_config, reactor):
-        init_u, init_zeta = seeded_init(reactor, 19)
-        sol = mpc.solve_mpc(make_problem(clean_hankel, study_config, init_u, init_zeta),
-                            solver=qp.Solver())
-        assert np.array_equal(mpc.predicted_input_at(sol, 9), np.zeros(2))
-        assert np.array_equal(mpc.predicted_input_at(sol, 8), np.zeros(2))
-
-    def test_zero_fixture_offset_zero(self, clean_hankel, study_config, solver):
-        problem = make_problem(clean_hankel, study_config, np.zeros((2, 2)), np.zeros((2, 2)))
-        sol = mpc.solve_mpc(problem, solver=solver)
-        assert np.max(np.abs(mpc.predicted_input_at(sol, 0))) <= 1e-6
-
-    def test_slicing_is_bit_exact(self, clean_hankel, study_config, reactor):
-        init_u, init_zeta = seeded_init(reactor, 29)
-        sol = mpc.solve_mpc(make_problem(clean_hankel, study_config, init_u, init_zeta),
-                            solver=qp.Solver())
-        assert np.array_equal(mpc.predicted_input_at(sol, 3), sol.u_pred[3])
-
-    def test_out_of_range(self, clean_hankel, study_config, solver):
-        problem = make_problem(clean_hankel, study_config, np.zeros((2, 2)), np.zeros((2, 2)))
-        sol = mpc.solve_mpc(problem, solver=solver)
-        with pytest.raises(IndexError):
-            mpc.predicted_input_at(sol, 10)
-        with pytest.raises(IndexError):
-            mpc.predicted_input_at(sol, -1)

@@ -410,6 +410,22 @@ class TestSchurComplement:
 
 
 class TestKktResiduals:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(shape=st.one_of(st.just((64, 161)), st.tuples(st.integers(1, 80),
+                                                         st.integers(1, 80))),
+           decades=st.integers(0, 12), seed=st.integers(0, 2**32 - 1))
+    def test_ext_matvec_matches_matmul_bit_for_bit(self, shape, decades, seed):
+        # Entries spanning many decades, as in constraint rows built from an
+        # unstable record; the product of the transposed long-double view is
+        # the one the termination check takes for Aeq' y.
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal(shape) * 10.0 ** rng.integers(0, decades + 1, shape)
+        a_ext = a.astype(np.longdouble)
+        for mat in (a, a_ext, a.T, a_ext.T):
+            x = rng.standard_normal(mat.shape[1])
+            expected = (np.asarray(mat, np.longdouble) @ x.astype(np.longdouble)).astype(float)
+            assert np.array_equal(qp._ext_matvec(mat, x), expected)
+
     def test_exact_point_and_multipliers(self):
         rng = np.random.default_rng(6)
         problem, z_star, y_star = random_equality_qp(rng)

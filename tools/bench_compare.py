@@ -15,6 +15,11 @@ with its own ``src`` and ``perfbench``, BLAS pinned to one thread:
   passed to ``qp.Solver._refine``) over noise-sweep indices 0-8, with every
   record checked by ``workloads.check_op``;
 - the default 200-step fixture run, min of 7 after one warm-up, two rounds;
+- records identity: a fixed grid of ``run_experiment`` runs per side, every
+  controller kind at v_bar 1e-4, 3e-4 and 1e-3 on three seed triples, plus
+  one attack-free and one periodic run at ratio 0.2; ``record.csv`` and
+  ``schedule.txt`` must match byte for byte and the summaries must be equal
+  apart from ``wall_time_s``;
 - the Tier-1 suite, two runs per side in alternating order.
 
 Metric directions come from the change checkout's BENCHMARK.json.
@@ -26,6 +31,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -78,6 +84,58 @@ for _ in range(7):
     times.append(time.perf_counter() - t0)
 print(1e3 * min(times))
 """
+
+# Run inside a checkout: the records identity grid, one output directory per
+# run under the directory given as the first argument.
+RECORDS = """
+import logging, sys
+from dataclasses import replace
+from pathlib import Path
+sys.path.insert(0, "src")
+from dosmpc import dos, experiment
+logging.disable(logging.WARNING)
+base = experiment.ExperimentConfig(attack=dos.params_for_ratio(0.8841))
+grid = {f"{kind}-v{v_bar:g}-triple{k}": replace(
+            base, controller=kind, v_bar=v_bar,
+            data_seed=1 + 3 * k, noise_seed=2 + 3 * k, attack_seed=3 + 3 * k)
+        for kind in experiment.CONTROLLERS for v_bar in (1e-4, 3e-4, 1e-3) for k in range(3)}
+grid["data-driven-attack-free"] = replace(base, attack=None)
+grid["data-driven-periodic-ratio0.2"] = replace(
+    base, controller="data-driven-periodic",
+    attack=dos.AttackParams(kappa_f=1.0, nu_f=10.0, kappa_d=1.0, nu_d=10.0))
+for name, config in grid.items():
+    experiment.run_experiment(replace(config, output_dir=str(Path(sys.argv[1]) / name)))
+"""
+RECORD_FILES = ("record.csv", "schedule.txt")
+
+
+def _summary(run_dir: Path) -> dict:
+    summary = json.loads((run_dir / "record_summary.json").read_text())
+    summary.pop("wall_time_s", None)
+    return summary
+
+
+def records_identity(roots: dict) -> dict:
+    """Run the RECORDS grid in both checkouts and compare what it persists."""
+    with tempfile.TemporaryDirectory() as tmp:
+        dirs = {side: Path(tmp) / side for side in SIDES}
+        for side in SIDES:
+            subprocess.run([sys.executable, "-c", RECORDS, str(dirs[side])], cwd=roots[side],
+                           env=ENV, check=True)
+        runs = sorted(p.name for p in dirs["parent"].iterdir())
+        differing = []
+        for run in runs:
+            parent, change = dirs["parent"] / run, dirs["change"] / run
+            files = [f for f in RECORD_FILES if (parent / f).exists() or (change / f).exists()]
+            same = all((parent / f).exists() and (change / f).exists()
+                       and (parent / f).read_bytes() == (change / f).read_bytes()
+                       for f in files)
+            if not same or _summary(parent) != _summary(change):
+                differing.append(run)
+        return {"runs": len(runs), "files": list(RECORD_FILES),
+                "runs_with_schedule": sum((dirs["parent"] / r / "schedule.txt").exists()
+                                          for r in runs),
+                "identical": len(runs) - len(differing), "differing": differing}
 
 
 def last_json(text: str) -> dict:
@@ -188,6 +246,7 @@ def main(argv=None) -> int:
         for side in SIDES:
             report["default_fixture_run_ms"][side].append(
                 round(float(python(roots[side], DEFAULT_RUN)), 1))
+    report["records_identity"] = records_identity(roots)
     report["tier1"] = {side: [] for side in SIDES}
     for order in (SIDES, SIDES[::-1]):
         for side in order:
