@@ -86,8 +86,7 @@ class ModelBasedController:
     """Observer/predictor baseline with a deadbeat observer gain.
 
     The observer lives at the sensor side and sees the (noisy) measurement at
-    every step; DoS gates only the estimate transfer into the predictor. When
-    no measurement is supplied at all the observer coasts open loop.
+    every step; DoS gates only the estimate transfer into the predictor.
     """
 
     def __init__(self, model: SystemModel, gains: GainSet):
@@ -106,10 +105,7 @@ class ModelBasedController:
         """Advance observer and predictor once the measurement exists."""
         m, g = self.model, self.gains
         u = np.asarray(u, dtype=float).reshape(m.n_u)
-        if zeta is not None:
-            zeta = np.asarray(zeta, dtype=float).reshape(m.n_y)
-            innovation = zeta - (m.c @ self.xbar + m.d @ u)
-            self.xbar = m.a @ self.xbar + g.l_obs @ innovation + m.b @ u
-        else:
-            self.xbar = m.a @ self.xbar + m.b @ u
+        zeta = np.asarray(zeta, dtype=float).reshape(m.n_y)
+        innovation = zeta - (m.c @ self.xbar + m.d @ u)
+        self.xbar = m.a @ self.xbar + g.l_obs @ innovation + m.b @ u
         self.xhat = m.a @ self.xhat + m.b @ u

@@ -1,6 +1,7 @@
 """Offline data collection, Hankel matrices, persistency-of-excitation
 certification, and the trajectory-representation residual used as an
-executable oracle for the behavioral (Hankel span) system description.
+executable oracle for the behavioral (Hankel span) system description, and
+the one CSV table format (``_write_table``/``_read_table``) of every record.
 """
 from __future__ import annotations
 
@@ -89,19 +90,15 @@ class Trajectory:
     def save_csv(self, path) -> None:
         """Persist as CSV (t, u_*, y_*, optional x_*, w_*) plus a JSON sidecar."""
         path = Path(path)
-        cols = [f"u_{i}" for i in range(self.n_u)] + [f"y_{i}" for i in range(self.n_y)]
-        parts = [self.inputs, self.outputs]
+        names = ["t"] + [f"u_{i}" for i in range(self.n_u)] + [f"y_{i}" for i in range(self.n_y)]
+        parts = [np.arange(len(self))[:, None], self.inputs, self.outputs]
         if self.states is not None:
-            cols += [f"x_{i}" for i in range(self.states.shape[1])]
+            names += [f"x_{i}" for i in range(self.states.shape[1])]
             parts.append(self.states[: len(self)])
         if self.noises is not None:
-            cols += [f"w_{i}" for i in range(self.noises.shape[1])]
+            names += [f"w_{i}" for i in range(self.noises.shape[1])]
             parts.append(self.noises)
-        table = np.hstack(parts)
-        with open(path, "w") as fh:
-            fh.write("t," + ",".join(cols) + "\n")
-            for t in range(len(self)):
-                fh.write(str(t) + "," + ",".join(f"{v:.17g}" for v in table[t]) + "\n")
+        _write_table(path, names, np.hstack(parts), int_cols=1)
         sidecar = {
             "n": len(self),
             "n_u": self.n_u,
@@ -116,28 +113,54 @@ class Trajectory:
     @staticmethod
     def load_csv(path) -> "Trajectory":
         path = Path(path)
-        with open(path) as fh:
-            header = fh.readline().strip().split(",")
-            rows = [line.strip().split(",") for line in fh if line.strip()]
-        table = np.array([[float(v) for v in row[1:]] for row in rows])
-        names = header[1:]
-        pick = lambda prefix: [i for i, c in enumerate(names) if c.startswith(prefix)]
-        u_idx, y_idx = pick("u_"), pick("y_")
-        x_idx, w_idx = pick("x_"), pick("w_")
+        names, table = _read_table(path)
+        x_idx, w_idx = _columns(names, "x_"), _columns(names, "w_")
         meta = {}
         sidecar = path.with_suffix(path.suffix + ".json")
         if sidecar.exists():
             meta = json.loads(sidecar.read_text())
         pe = meta.get("pe")
         return Trajectory(
-            inputs=table[:, u_idx],
-            outputs=table[:, y_idx],
+            inputs=table[:, _columns(names, "u_")],
+            outputs=table[:, _columns(names, "y_")],
             states=table[:, x_idx] if x_idx else None,
             noises=table[:, w_idx] if w_idx else None,
             seed=meta.get("seed"),
             v_bar=meta.get("v_bar"),
             pe=None if pe is None else PeReport(**pe),
         )
+
+
+def _format_row(template: str, row) -> str:
+    """``template % row`` with each NaN cell left empty: ``%d`` and ``%.17g``
+    write NaN as ``nan`` and write no other cell containing those letters."""
+    return (template % tuple(row)).replace("nan", "")
+
+
+def _write_table(path, names, table, int_cols: int) -> None:
+    """CSV with a header row: the leading ``int_cols`` columns as ``%d``,
+    the rest as ``%.17g`` (round-trip exact), NaN as an empty cell."""
+    template = ",".join(["%d"] * int_cols + ["%.17g"] * (len(names) - int_cols)) + "\n"
+    with open(path, "w") as fh:
+        fh.write(",".join(names) + "\n")
+        # Row by row, so no copy of the whole table as text is held at once.
+        fh.writelines(_format_row(template, row) for row in table)
+
+
+def _read_table(path) -> tuple[list, np.ndarray]:
+    """Column names and float table of a CSV ``_write_table`` wrote; empty
+    cells read as NaN."""
+    with open(path) as fh:
+        names = fh.readline().rstrip("\n").split(",")
+        rows = [line.rstrip("\n").split(",") for line in fh]
+    table = np.array([[float(v) if v else np.nan for v in row] for row in rows])
+    return names, table.reshape(len(rows), len(names))
+
+
+def _columns(names, prefix: str) -> list:
+    """Indices of the columns named ``prefix`` followed by digits, in order."""
+    return [i for i, name in enumerate(names)
+            if name.startswith(prefix) and name[len(prefix):].isdigit()]
 
 
 def build_hankel(seq, depth: int) -> np.ndarray:

@@ -23,7 +23,8 @@ import numpy as np
 
 from . import dos
 from .controllers import DataDrivenController, ModelBasedController
-from .data import HankelPair, collect_offline
+from .data import (HankelPair, _columns, _format_row, _read_table, _write_table,
+                   collect_offline)
 from .errors import ConfigError
 from .lti import SystemModel, check_structure, observability_index, synthesize_gains
 from .mpc import MpcConfig
@@ -82,6 +83,11 @@ class ExperimentConfig:
     @staticmethod
     def from_json(text: str) -> "ExperimentConfig":
         obj = json.loads(text)
+        seeds = obj.get("seeds", {})
+        unknown = sorted(set(obj) - set(ExperimentConfig.__dataclass_fields__) - {"seeds"})
+        unknown += [f"seeds.{k}" for k in sorted(set(seeds) - {"data", "noise", "attack"})]
+        if unknown:
+            raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
         attack = obj.get("attack")
         if attack is not None:
             if "ratio" in attack:
@@ -90,9 +96,8 @@ class ExperimentConfig:
                                               kappa=attack.get("kappa", 1.0))
             else:
                 attack = dos.AttackParams(**attack)
-        seeds = obj.get("seeds", {})
-        known = {f for f in ExperimentConfig.__dataclass_fields__}
-        kwargs = {k: v for k, v in obj.items() if k in known and k not in ("attack", "x0")}
+        kwargs = {k: v for k, v in obj.items() if k not in
+                  ("attack", "x0", "seeds", "data_seed", "noise_seed", "attack_seed")}
         x0 = obj.get("x0")
         return ExperimentConfig(
             attack=attack,
@@ -100,8 +105,7 @@ class ExperimentConfig:
             data_seed=seeds.get("data", obj.get("data_seed", 1)),
             noise_seed=seeds.get("noise", obj.get("noise_seed", 2)),
             attack_seed=seeds.get("attack", obj.get("attack_seed", 3)),
-            **{k: v for k, v in kwargs.items()
-               if k not in ("data_seed", "noise_seed", "attack_seed")},
+            **kwargs,
         )
 
     def to_json(self) -> str:
@@ -210,23 +214,12 @@ class RunRecord:
         csv_path = directory / f"{stem}.csv"
         n_u = self.u.shape[1]
         n_y = self.y.shape[1]
-        cols = (["t", "attack"] + [f"u_{i}" for i in range(n_u)]
-                + [f"y_{i}" for i in range(n_y)] + [f"zeta_{i}" for i in range(n_y)]
-                + ["y_norm", "cost", "qp_iterations"])
-
-        def cell(v: float) -> str:
-            return "" if np.isnan(v) else f"{v:.17g}"
-
-        with open(csv_path, "w") as fh:
-            fh.write(",".join(cols) + "\n")
-            for i in range(len(self)):
-                row = [str(int(self.t[i])), str(int(self.attack[i]))]
-                row += [f"{v:.17g}" for v in self.u[i]]
-                row += [f"{v:.17g}" for v in self.y[i]]
-                row += [cell(v) for v in self.zeta[i]]
-                row += [f"{self.y_norm[i]:.17g}", cell(self.cost[i]),
-                        cell(self.qp_iterations[i])]
-                fh.write(",".join(row) + "\n")
+        names = (["t", "attack"] + [f"u_{i}" for i in range(n_u)]
+                 + [f"y_{i}" for i in range(n_y)] + [f"zeta_{i}" for i in range(n_y)]
+                 + ["y_norm", "cost", "qp_iterations"])
+        table = np.column_stack([self.t, self.attack, self.u, self.y, self.zeta,
+                                 self.y_norm, self.cost, self.qp_iterations])
+        _write_table(csv_path, names, table, int_cols=2)
         summary = {k: (None if isinstance(v, float) and np.isnan(v) else v)
                    for k, v in self.summary.items()}
         (directory / f"{stem}_summary.json").write_text(json.dumps(summary, indent=2))
@@ -235,23 +228,15 @@ class RunRecord:
     @staticmethod
     def load(directory, stem: str = "record") -> "RunRecord":
         directory = Path(directory)
-        with open(directory / f"{stem}.csv") as fh:
-            header = fh.readline().strip().split(",")
-            rows = [line.rstrip("\n").split(",") for line in fh if line.strip()]
-        names = header
-        table = np.array([[np.nan if v == "" else float(v) for v in row] for row in rows])
-
-        def pick(prefix):
-            return [i for i, cname in enumerate(names)
-                    if cname.startswith(prefix) and cname[len(prefix):].isdigit()]
+        names, table = _read_table(directory / f"{stem}.csv")
         summary = json.loads((directory / f"{stem}_summary.json").read_text())
         summary = {k: (np.nan if v is None else v) for k, v in summary.items()}
         return RunRecord(
             t=table[:, names.index("t")].astype(int),
             attack=table[:, names.index("attack")].astype(int),
-            u=table[:, pick("u_")],
-            y=table[:, pick("y_")],
-            zeta=table[:, pick("zeta_")],
+            u=table[:, _columns(names, "u_")],
+            y=table[:, _columns(names, "y_")],
+            zeta=table[:, _columns(names, "zeta_")],
             y_norm=table[:, names.index("y_norm")],
             cost=table[:, names.index("cost")],
             qp_iterations=table[:, names.index("qp_iterations")],
@@ -259,7 +244,7 @@ class RunRecord:
         )
 
 
-def iss_metrics(record: RunRecord, v_bar: Optional[float] = None) -> dict:
+def iss_metrics(record: RunRecord) -> dict:
     """Empirical stability metrics of one run.
 
     tail_norm is the max output norm over the final quarter, peak_norm over
@@ -491,11 +476,10 @@ def sweep(config: ExperimentConfig, axis: str, values, repetitions: int = 1,
         with open(out / "sweep.csv", "w") as fh:
             fh.write("axis,value,repetition,status,tail_norm,mean_cost,max_success_gap\n")
             for row in rows:
-                tail = "" if np.isnan(row["tail_norm"]) else f"{row['tail_norm']:.17g}"
-                mean = "" if isinstance(row["mean_cost"], float) and np.isnan(row["mean_cost"]) \
-                    else f"{row['mean_cost']:.17g}"
+                status = row["status"].replace('"', '""')  # RFC 4180 quoting
+                floats = _format_row("%.17g,%.17g", (row["tail_norm"], row["mean_cost"]))
                 fh.write(f"{row['axis']},{row['value']},{row['repetition']},"
-                         f"\"{row['status']}\",{tail},{mean},{row['max_success_gap']}\n")
+                         f"\"{status}\",{floats},{row['max_success_gap']}\n")
     return rows
 
 

@@ -210,7 +210,7 @@ class MpcAssembler:
             r += arr.size
         return self._problem.with_beq(beq)
 
-    def extract(self, qp_solution, validate: bool = True) -> MpcSolution:
+    def extract(self, qp_solution) -> MpcSolution:
         cfg = self.config
         vm = self.vmap
         z = qp_solution.z
@@ -218,13 +218,12 @@ class MpcAssembler:
         y_stack = z[vm.y].reshape(vm.window, vm.n_y).copy()
         u_pred = u_stack[cfg.eta:]
         y_pred = y_stack[cfg.eta:]
-        if validate:
-            tail_u = np.max(np.abs(u_pred[cfg.horizon - cfg.eta:]), initial=0.0)
-            tail_y = np.max(np.abs(y_pred[cfg.horizon - cfg.eta:]), initial=0.0)
-            if max(tail_u, tail_y) > 1e-6:
-                raise SolverError(f"terminal anchor violated: {max(tail_u, tail_y):.3g}")
-            if np.max(np.abs(u_pred), initial=0.0) > cfg.u_max + 1e-8:
-                raise SolverError("input box violated beyond tolerance")
+        tail_u = np.max(np.abs(u_pred[cfg.horizon - cfg.eta:]), initial=0.0)
+        tail_y = np.max(np.abs(y_pred[cfg.horizon - cfg.eta:]), initial=0.0)
+        if max(tail_u, tail_y) > 1e-6:
+            raise SolverError(f"terminal anchor violated: {max(tail_u, tail_y):.3g}")
+        if np.max(np.abs(u_pred), initial=0.0) > cfg.u_max + 1e-8:
+            raise SolverError("input box violated beyond tolerance")
         # Project onto the constraints the replay logic relies on exactly.
         u_pred[cfg.horizon - cfg.eta:] = 0.0
         y_pred[cfg.horizon - cfg.eta:] = 0.0

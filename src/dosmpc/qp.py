@@ -111,18 +111,14 @@ class QpSolution:
     polished: bool = False
 
 
+_EPS_ABS = 1e-8
+_EPS_REL = 1e-8
+
+
 @dataclass
 class Settings:
-    """``max_iter`` caps the number of working-set changes.
+    """``max_iter`` caps the number of working-set changes."""
 
-    Termination uses eps_abs + eps_rel * scale plus an evaluation-floor
-    term eps_machine * max_i (|A||z| + |v|)_i (and its dual analogue): the
-    rounding noise of evaluating the residual itself. Without it, problems
-    whose constraint rows span many decades can never terminate, since even
-    the exact optimizer rounded to float64 evaluates above eps_abs."""
-
-    eps_abs: float = 1e-8
-    eps_rel: float = 1e-8
     max_iter: int = 50_000
 
 
@@ -302,11 +298,13 @@ class Solver:
                           y_eq=y_eq, mu=mu, polished=polished)
 
     def _tolerances(self, problem, z, y_eq, mu, aeq_z, aeqt_y):
-        """Primal and dual termination bounds at a candidate: eps_abs, plus
-        eps_rel times the largest term of each residual, plus the float64
-        floor of evaluating it. ``aeq_z`` and ``aeqt_y`` are Aeq z and
-        Aeq' y_eq accumulated in extended precision."""
-        s = self.settings
+        """Primal and dual termination bounds at a candidate: _EPS_ABS, plus
+        _EPS_REL times the largest term of each residual, plus the float64
+        floor of evaluating it, eps_machine * max_i (|A||z| + |v|)_i and its
+        dual analogue. Without the floor, problems whose constraint rows span
+        many decades never terminate, since even the exact optimizer rounded
+        to float64 evaluates above _EPS_ABS. ``aeq_z`` and ``aeqt_y`` are
+        Aeq z and Aeq' y_eq accumulated in extended precision."""
         eps_m = float(np.finfo(float).eps)
         box = np.isfinite(problem.lb) | np.isfinite(problem.ub)
         z_box = np.abs(z[box])
@@ -316,11 +314,11 @@ class Solver:
                               np.max(z_box + v_box, initial=0.0))
         floor_d = eps_m * np.max(self._abs_p @ abs_z + self._abs_aeq.T @ np.abs(y_eq)
                                  + np.abs(mu) + np.abs(problem.q), initial=0.0)
-        e_p = s.eps_abs + s.eps_rel * max(
+        e_p = _EPS_ABS + _EPS_REL * max(
             np.max(np.abs(aeq_z), initial=0.0),
             np.max(np.abs(problem.beq), initial=0.0),
             np.max(z_box, initial=0.0), np.max(v_box, initial=0.0)) + floor_p
-        e_d = s.eps_abs + s.eps_rel * max(
+        e_d = _EPS_ABS + _EPS_REL * max(
             np.max(np.abs(problem.p @ z), initial=0.0),
             np.max(np.abs(aeqt_y + mu), initial=0.0),
             np.max(np.abs(problem.q), initial=0.0)) + floor_d

@@ -210,15 +210,6 @@ class TestModelBasedController:
         assert record.summary["status"] == "ok"
         assert record.summary["peak_norm"] < 1e3
 
-    def test_observer_coasts_without_measurement(self, reactor):
-        gains = lti.synthesize_gains(reactor)
-        ctrl = controllers.ModelBasedController(reactor, gains)
-        ctrl.xbar = np.ones(4)
-        u = ctrl.step(0, attack=True).u
-        ctrl.finish(None, u)
-        expected = reactor.a @ np.ones(4) + reactor.b @ u
-        np.testing.assert_allclose(ctrl.xbar, expected)
-
 
 class Recorder:
     """Forwards the loop protocol to a controller and logs every call; it is

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dosmpc import data, lti
 from dosmpc.errors import DimensionError
@@ -123,3 +125,54 @@ class TestFundamentalLemmaResidual:
             data.fundamental_lemma_residual(clean_record, np.zeros((5, 2)), np.zeros((6, 2)))
         with pytest.raises(DimensionError):
             data.fundamental_lemma_residual(clean_record, np.zeros((5, 3)), np.zeros((5, 2)))
+
+
+def oracle_write_table(path, names, table, int_cols):
+    """The per-cell writer the package used before ``data._write_table``:
+    integer columns through ``int``, the rest as ``%.17g``, NaN as an empty
+    cell."""
+    def cell(v):
+        return "" if np.isnan(v) else f"{v:.17g}"
+
+    with open(path, "w") as fh:
+        fh.write(",".join(names) + "\n")
+        for row in table:
+            cells = [str(int(v)) for v in row[:int_cols]] + [cell(v) for v in row[int_cols:]]
+            fh.write(",".join(cells) + "\n")
+
+
+EDGE_FLOATS = [np.nan, 0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 2.225073858507201e-308,
+               -2.2250738585072014e-308, 1.7976931348623157e308, -1e308, 9.999999999999999e307]
+
+
+def canonical_bits(table):
+    """Bit patterns with every NaN replaced by the one NaN a reader returns."""
+    return np.where(np.isnan(table), np.nan, table).view(np.uint64)
+
+
+class TestTableCodec:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_matches_per_cell_writer_and_round_trips_bits(self, tmp_path_factory, example):
+        int_cols = example.draw(st.integers(0, 2))
+        float_cols = example.draw(st.integers(1, 4))
+        rows = example.draw(st.integers(0, 8))
+        ints = st.integers(-2**53, 2**53).map(float)
+        floats = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats())
+        table = np.array([[example.draw(ints) for _ in range(int_cols)]
+                          + [example.draw(floats) for _ in range(float_cols)]
+                          for _ in range(rows)]).reshape(rows, int_cols + float_cols)
+        names = [f"c_{i}" for i in range(int_cols + float_cols)]
+        out = tmp_path_factory.mktemp("codec")
+        data._write_table(out / "new.csv", names, table, int_cols)
+        oracle_write_table(out / "old.csv", names, table, int_cols)
+        assert (out / "new.csv").read_bytes() == (out / "old.csv").read_bytes()
+        read_names, read = data._read_table(out / "new.csv")
+        assert read_names == names and read.shape == table.shape
+        assert np.array_equal(canonical_bits(read), canonical_bits(table))
+
+    def test_reader_accepts_spelled_out_nan(self, tmp_path):
+        (tmp_path / "t.csv").write_text("t,u_0,y_0,y_norm\n0,nan,,1.5\n")
+        names, table = data._read_table(tmp_path / "t.csv")
+        assert data._columns(names, "y_") == [2]
+        assert np.isnan(table[0, 1:3]).all() and table[0, 3] == 1.5

@@ -1,3 +1,4 @@
+import csv
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -28,6 +29,16 @@ class TestConfig:
         cfg = experiment.ExperimentConfig.from_json(json.dumps(obj))
         assert cfg.attack.ratio == pytest.approx(0.9142)
         assert cfg.noise_seed == 9 and cfg.t_sim == 50
+
+    def test_unknown_keys_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="t_sims"):
+            experiment.ExperimentConfig.from_json('{"t_sims": 50}')
+        with pytest.raises(ConfigError, match="seeds.nosie"):
+            experiment.ExperimentConfig.from_json('{"seeds": {"nosie": 9}}')
+        path = tmp_path / "config.json"
+        path.write_text('{"t_sims": 50}')
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 3
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_controller(self):
         with pytest.raises(ConfigError):
@@ -181,6 +192,16 @@ class TestCompareAndSweep:
         assert rows[0]["status"].startswith("error")
         assert all(r["status"] == "ok" for r in rows[1:])
         assert (tmp_path / "sweep.csv").exists()
+
+    def test_sweep_csv_reads_back_with_csv_reader(self, tmp_path):
+        # the failure message holds double quotes and commas
+        rows = experiment.sweep(fast_config(controller="it's"), "v_bar", [1e-4],
+                                output_dir=str(tmp_path))
+        with open(tmp_path / "sweep.csv", newline="") as fh:
+            table = list(csv.reader(fh))
+        assert [len(row) for row in table] == [7, 7]
+        assert table[1][3] == rows[0]["status"] and '"' in rows[0]["status"]
+        assert table[1][4:] == ["", "", "-1"]
 
     def test_horizon_sweep_at_small_n_is_order_limited(self):
         # with N = 40 every horizon in the nominal range needs more samples

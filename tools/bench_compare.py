@@ -15,11 +15,13 @@ with its own ``src`` and ``perfbench``, BLAS pinned to one thread:
   passed to ``qp.Solver._refine``) over noise-sweep indices 0-8, with every
   record checked by ``workloads.check_op``;
 - the default 200-step fixture run, min of 7 after one warm-up, two rounds;
-- records identity: a fixed grid of ``run_experiment`` runs per side, every
-  controller kind at v_bar 1e-4, 3e-4 and 1e-3 on three seed triples, plus
-  one attack-free and one periodic run at ratio 0.2; ``record.csv`` and
-  ``schedule.txt`` must match byte for byte and the summaries must be equal
-  apart from ``wall_time_s``;
+- records identity: a fixed grid per side: ``run_experiment`` for every
+  controller kind at v_bar 1e-4, 3e-4 and 1e-3 on three seed triples, one
+  attack-free run, one periodic run at ratio 0.2 and one T = 5000
+  model-based run at ratio 0.9142; ``dosmpc collect`` at v_bar 1e-4 and
+  1e-3; a sweep with a failing cell; a ``compare`` directory. Every file
+  written must match byte for byte, apart from the ``wall_time_s`` line of
+  each summary and the ``output_dir`` line of ``config.json``;
 - the Tier-1 suite, two runs per side in alternating order.
 
 Metric directions come from the change checkout's BENCHMARK.json.
@@ -86,14 +88,15 @@ print(1e3 * min(times))
 """
 
 # Run inside a checkout: the records identity grid, one output directory per
-# run under the directory given as the first argument.
+# entry under the directory given as the first argument.
 RECORDS = """
 import logging, sys
 from dataclasses import replace
 from pathlib import Path
 sys.path.insert(0, "src")
-from dosmpc import dos, experiment
+from dosmpc import cli, dos, experiment
 logging.disable(logging.WARNING)
+out = Path(sys.argv[1])
 base = experiment.ExperimentConfig(attack=dos.params_for_ratio(0.8841))
 grid = {f"{kind}-v{v_bar:g}-triple{k}": replace(
             base, controller=kind, v_bar=v_bar,
@@ -103,39 +106,44 @@ grid["data-driven-attack-free"] = replace(base, attack=None)
 grid["data-driven-periodic-ratio0.2"] = replace(
     base, controller="data-driven-periodic",
     attack=dos.AttackParams(kappa_f=1.0, nu_f=10.0, kappa_d=1.0, nu_d=10.0))
+grid["model-based-T5000-ratio0.9142"] = replace(
+    base, controller="model-based", t_sim=5000, attack=dos.params_for_ratio(0.9142))
 for name, config in grid.items():
-    experiment.run_experiment(replace(config, output_dir=str(Path(sys.argv[1]) / name)))
+    experiment.run_experiment(replace(config, output_dir=str(out / name)))
+for v_bar in ("1e-4", "1e-3"):
+    cli.main(["collect", "--v-bar", v_bar, "--out", str(out / f"collect-v{v_bar}")])
+experiment.sweep(replace(base, t_sim=60), "N", [40, 60], output_dir=out / "sweep-N40-fails")
+experiment.compare(replace(base, output_dir=str(out / "compare")))
 """
-RECORD_FILES = ("record.csv", "schedule.txt")
 
 
-def _summary(run_dir: Path) -> dict:
-    summary = json.loads((run_dir / "record_summary.json").read_text())
-    summary.pop("wall_time_s", None)
-    return summary
+def _same_file(parent: Path, change: Path) -> bool:
+    """Byte identity apart from the one JSON line that must differ between
+    two checkouts: ``output_dir`` in config.json, ``wall_time_s`` elsewhere."""
+    if not (parent.exists() and change.exists()):
+        return False
+    key = b'"output_dir":' if parent.name == "config.json" else b'"wall_time_s":'
+
+    def kept(path: Path) -> list:
+        return [line for line in path.read_bytes().splitlines() if key not in line]
+    return kept(parent) == kept(change)
 
 
 def records_identity(roots: dict) -> dict:
-    """Run the RECORDS grid in both checkouts and compare what it persists."""
+    """Run the RECORDS grid in both checkouts and compare every file it writes."""
     with tempfile.TemporaryDirectory() as tmp:
         dirs = {side: Path(tmp) / side for side in SIDES}
         for side in SIDES:
             subprocess.run([sys.executable, "-c", RECORDS, str(dirs[side])], cwd=roots[side],
-                           env=ENV, check=True)
-        runs = sorted(p.name for p in dirs["parent"].iterdir())
-        differing = []
-        for run in runs:
-            parent, change = dirs["parent"] / run, dirs["change"] / run
-            files = [f for f in RECORD_FILES if (parent / f).exists() or (change / f).exists()]
-            same = all((parent / f).exists() and (change / f).exists()
-                       and (parent / f).read_bytes() == (change / f).read_bytes()
-                       for f in files)
-            if not same or _summary(parent) != _summary(change):
-                differing.append(run)
-        return {"runs": len(runs), "files": list(RECORD_FILES),
-                "runs_with_schedule": sum((dirs["parent"] / r / "schedule.txt").exists()
-                                          for r in runs),
-                "identical": len(runs) - len(differing), "differing": differing}
+                           env=ENV, check=True, stdout=subprocess.DEVNULL)
+        files = sorted({str(p.relative_to(dirs[side])) for side in SIDES
+                        for p in dirs[side].rglob("*") if p.is_file()})
+        differing = [f for f in files
+                     if not _same_file(dirs["parent"] / f, dirs["change"] / f)]
+        return {"runs": len({f.split("/")[0] for f in files}), "files": len(files),
+                "identical": len(files) - len(differing), "differing": differing,
+                "ignored": ["the wall_time_s line of every file but config.json",
+                            "the output_dir line of config.json"]}
 
 
 def last_json(text: str) -> dict:
