@@ -3,14 +3,16 @@
 Subcommands: collect (offline data), attack-check (validate or generate DoS
 schedules), run (single closed-loop experiment), sweep (one-axis grid),
 compare (data-driven vs model-based on shared randomness). All outputs are
-CSV/JSON in the chosen output directory; the exit code is nonzero on
-validation failure or divergence.
+CSV/JSON in the chosen output directory. Exit codes: 0 ok, 1 schedule
+validation failure, 2 divergence, 3 configuration error (nothing written),
+4 numerical failure.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,13 +20,20 @@ import numpy as np
 from . import dos
 from .data import collect_offline
 from .errors import ConfigError
-from .experiment import (CONTROLLERS, ExperimentConfig, compare, prepare, run_experiment,
-                         sweep)
+from .experiment import (CONTROLLERS, ExperimentConfig, attack_params, compare, prepare,
+                         run_experiment, sweep)
 
 
 def _load_config(args) -> ExperimentConfig:
+    """The config file (or the defaults) with the command-line overrides. The
+    output directory is ``--out``, else the config's ``output_dir``, else
+    ``out``."""
     if args.config:
-        config = ExperimentConfig.from_json(Path(args.config).read_text())
+        try:
+            text = Path(args.config).read_text()
+        except OSError as exc:
+            raise ConfigError(f"cannot read config: {exc}") from exc
+        config = ExperimentConfig.from_json(text)
     else:
         config = ExperimentConfig()
     overrides = {}
@@ -34,16 +43,11 @@ def _load_config(args) -> ExperimentConfig:
         value = getattr(args, name, None)
         if value is not None:
             overrides[name] = value
-    if getattr(args, "ratio", None) is not None:
-        overrides["attack"] = dos.params_for_ratio(args.ratio)
-    if getattr(args, "no_attack", False):
+    if args.ratio is not None:
+        overrides["attack"] = attack_params({"ratio": args.ratio})
+    if args.no_attack:
         overrides["attack"] = None
-    if getattr(args, "out", None) is not None:
-        overrides["output_dir"] = args.out
-    if overrides:
-        from dataclasses import replace
-        config = replace(config, **overrides)
-    return config
+    return replace(config, output_dir=args.out or config.output_dir or "out", **overrides)
 
 
 def _add_common(p: argparse.ArgumentParser):
@@ -71,7 +75,7 @@ def _cmd_collect(args) -> int:
     traj = collect_offline(prepared.model, config.n_samples, prepared.pe_order,
                            amplitude=config.amplitude(),
                            noise_bound=config.v_bar, seed=config.data_seed)
-    out = Path(args.out or "out")
+    out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     traj.save_csv(out / "offline_data.csv")
     print(f"collected N={len(traj)} samples, certified excitation order "
@@ -91,9 +95,9 @@ def _cmd_attack_check(args) -> int:
             "attack_fraction": schedule.attack_fraction,
         }, indent=2))
         return 0 if report.passed else 1
-    params = dos.params_for_ratio(args.ratio) if args.ratio is not None else \
-        dos.AttackParams(kappa_f=args.kappa_f, nu_f=args.nu_f,
-                         kappa_d=args.kappa_d, nu_d=args.nu_d)
+    params = attack_params({"ratio": args.ratio} if args.ratio is not None else
+                           {"kappa_f": args.kappa_f, "nu_f": args.nu_f,
+                            "kappa_d": args.kappa_d, "nu_d": args.nu_d})
     if args.worst_case:
         schedule = dos.generate_worst_case(params, args.t_sim)
     else:
@@ -108,11 +112,7 @@ def _cmd_attack_check(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    config = _load_config(args)
-    if config.output_dir is None:
-        from dataclasses import replace
-        config = replace(config, output_dir="out")
-    record = run_experiment(config)
+    record = run_experiment(_load_config(args))
     print(json.dumps({k: v for k, v in record.summary.items() if k != "seeds"},
                      indent=2, default=str))
     return 0 if record.summary["status"] == "ok" else 2
@@ -124,7 +124,7 @@ def _cmd_sweep(args) -> int:
     if args.axis in ("N", "L"):
         values = [int(v) for v in values]
     rows = sweep(config, args.axis, values, repetitions=args.repetitions,
-                 output_dir=args.out or "out")
+                 output_dir=config.output_dir)
     bad = [r for r in rows if r["status"] != "ok"]
     for row in rows:
         print(f"{args.axis}={row['value']} rep={row['repetition']} "
@@ -133,11 +133,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    config = _load_config(args)
-    if config.output_dir is None:
-        from dataclasses import replace
-        config = replace(config, output_dir="out")
-    result = compare(config)
+    result = compare(_load_config(args))
     print(json.dumps(result["delta"], indent=2))
     ok = (result["data_driven"].summary["status"] == "ok"
           and result["model_based"].summary["status"] == "ok")

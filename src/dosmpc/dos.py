@@ -14,15 +14,16 @@ before t and D(t) = pd[t] - t/nu_d, the duration excess of [t1, t2) is
 D(t2) - D(t1) - kappa_d, so the budget holds on every interval iff
 D(t2) - min_{t1 < t2} D(t1) <= kappa_d for every t2; the frequency budget is
 the same with onset counts pf and F(t) = pf[t] - t/nu_f. A running minimum
-makes validation O(T) and each step of the generators O(1).
+makes validation O(T) and each step of the generators O(1) outside the tie
+band.
 
 A margin from the extrema decides only outside a tie band of about 1e-9
 around its threshold. Exact ties are common (with nu_f = 4 every t/4 is
 exact), and there the extrema and the direct comparison count > kappa + m/nu
 may round apart; inside the band the direct comparison over the intervals
 concerned decides, so every verdict and report is the one an all-intervals
-scan gives. Inside the band a generator step costs O(T), and validation
-costs the number of intervals evaluated.
+scan gives. Inside the band a generator step ending at t costs O(t), and
+validation costs the number of intervals evaluated.
 """
 from __future__ import annotations
 
@@ -132,23 +133,20 @@ def _onsets(ind: np.ndarray) -> np.ndarray:
     return (ind == 1) & (prev == 0)
 
 
-def _check_range(t1: int, t2: int, n: int):
-    if not 0 <= t1 <= t2 <= n:
-        raise IndexError(f"interval [{t1}, {t2}) outside [0, {n}]")
+def _count(marks: np.ndarray, t1: int, t2: int) -> int:
+    if not 0 <= t1 <= t2 <= len(marks):
+        raise IndexError(f"interval [{t1}, {t2}) outside [0, {len(marks)}]")
+    return int(np.sum(marks[t1:t2]))
 
 
 def duration_count(schedule, t1: int, t2: int) -> int:
     """Number of attacked steps in [t1, t2)."""
-    ind = _indicators(schedule)
-    _check_range(t1, t2, len(ind))
-    return int(np.sum(ind[t1:t2]))
+    return _count(_indicators(schedule), t1, t2)
 
 
 def frequency_count(schedule, t1: int, t2: int) -> int:
     """Number of attack onsets (off-to-on transitions) in [t1, t2)."""
-    ind = _indicators(schedule)
-    _check_range(t1, t2, len(ind))
-    return int(np.sum(_onsets(ind)[t1:t2]))
+    return _count(_onsets(_indicators(schedule)), t1, t2)
 
 
 def _tie_band(scale: float) -> float:
@@ -271,9 +269,42 @@ class _PrefixMinima:
         """Fix the counts at end and fold D(end), F(end) into the minima."""
         self.pd[end] = dur
         self.pf[end] = frq
+        d = dur - end / self.params.nu_d
+        f = frq - end / self.params.nu_f
         low_d, low_f = self.low
-        self.low = (min(low_d, dur - end / self.params.nu_d),
-                    min(low_f, frq - end / self.params.nu_f))
+        # conditional expressions: two builtin min() calls cost more per step
+        self.low = (d if d < low_d else low_d, f if f < low_f else low_f)
+
+
+def _greedy(params: AttackParams, t_sim: int, propose, seed) -> DosSchedule:
+    """Build a schedule left to right. At every step t outside an accepted
+    burst, propose() gives a burst length (0 for no attack), cut at the
+    horizon. The burst is kept whole if every interval ending inside it keeps
+    both budgets; otherwise the minima are restored and step t stays free."""
+    minima = _PrefixMinima(params, t_sim)
+    dur = frq = t = 0
+    onset = 1  # a burst at t is an onset: the step before (or time zero) is free
+    while t < t_sim:
+        burst = propose()
+        if burst > t_sim - t:
+            burst = t_sim - t
+        low = minima.low
+        for j in range(1, burst + 1):
+            if not minima.admits(t + j, dur + j, frq + onset):
+                minima.low = low
+                burst = 0
+                break
+            minima.record(t + j, dur + j, frq + onset)
+        if burst:
+            dur, frq, t, onset = dur + burst, frq + onset, t + burst, 0
+        else:
+            t += 1
+            minima.record(t, dur, frq)
+            onset = 1
+    # every end 1..T was last written by a kept step, so pd holds the schedule
+    schedule = DosSchedule(indicators=np.diff(minima.pd) > 0, params=params, seed=seed)
+    assert validate_schedule(schedule.indicators, params).passed
+    return schedule
 
 
 def generate_random(params: AttackParams, t_sim: int, seed: int = 0) -> DosSchedule:
@@ -285,35 +316,12 @@ def generate_random(params: AttackParams, t_sim: int, seed: int = 0) -> DosSched
     failing. The result always passes full validation.
     """
     rng = np.random.default_rng(seed)
-    ind = np.zeros(t_sim, dtype=bool)
-    minima = _PrefixMinima(params, t_sim)
     p_len = min(1.0, params.nu_d / params.nu_f)
     p_start = 1.0 / params.nu_f
-    dur = frq = t = 0
-    while t < t_sim:
-        if rng.random() >= p_start:
-            t += 1
-            minima.record(t, dur, frq)
-            continue
-        burst = min(int(rng.geometric(p_len)), t_sim - t)
-        onset = int(t == 0 or not ind[t - 1])
-        low = minima.low
-        for j in range(1, burst + 1):
-            if not minima.admits(t + j, dur + j, frq + onset):
-                break
-            minima.record(t + j, dur + j, frq + onset)
-        else:
-            ind[t:t + burst] = True
-            dur += burst
-            frq += onset
-            t += burst
-            continue
-        minima.low = low
-        t += 1
-        minima.record(t, dur, frq)
-    schedule = DosSchedule(indicators=ind, params=params, seed=seed)
-    assert validate_schedule(schedule.indicators, params).passed
-    return schedule
+
+    def propose() -> int:
+        return int(rng.geometric(p_len)) if rng.random() < p_start else 0
+    return _greedy(params, t_sim, propose, seed)
 
 
 def generate_worst_case(params: AttackParams, t_sim: int) -> DosSchedule:
@@ -321,19 +329,7 @@ def generate_worst_case(params: AttackParams, t_sim: int) -> DosSchedule:
 
     Maximizes prefix attack density; passes validation by construction.
     """
-    ind = np.zeros(t_sim, dtype=bool)
-    minima = _PrefixMinima(params, t_sim)
-    dur = frq = 0
-    for t in range(t_sim):
-        onset = int(t == 0 or not ind[t - 1])
-        if minima.admits(t + 1, dur + 1, frq + onset):
-            ind[t] = True
-            dur += 1
-            frq += onset
-        minima.record(t + 1, dur, frq)
-    schedule = DosSchedule(indicators=ind, params=params, seed="adversarial")
-    assert validate_schedule(schedule.indicators, params).passed
-    return schedule
+    return _greedy(params, t_sim, lambda: 1, "adversarial")
 
 
 def max_success_gap(indicators) -> int:
@@ -344,14 +340,8 @@ def max_success_gap(indicators) -> int:
     run length + 1. An all-attacked schedule reports T + 1.
     """
     ind = _indicators(indicators)
-    succ = np.where(ind == 0)[0]
-    n = len(ind)
-    if succ.size == 0:
-        return n + 1
-    gaps = [int(succ[0]) + 1, n - int(succ[-1])]
-    if succ.size > 1:
-        gaps.append(int(np.max(np.diff(succ))))
-    return max(gaps)
+    succ = np.concatenate([[-1], np.flatnonzero(ind == 0), [len(ind)]])
+    return int(np.max(np.diff(succ)))
 
 
 def save_schedule(schedule: DosSchedule, path) -> None:

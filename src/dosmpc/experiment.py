@@ -82,25 +82,25 @@ class ExperimentConfig:
 
     @staticmethod
     def from_json(text: str) -> "ExperimentConfig":
-        obj = json.loads(text)
-        seeds = obj.get("seeds", {})
+        try:
+            obj = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"malformed config JSON: {exc}") from exc
+        if not isinstance(obj, dict):
+            raise ConfigError("config must be a JSON object")
+        seeds = {} if obj.get("seeds") is None else obj["seeds"]
+        if not isinstance(seeds, dict):
+            raise ConfigError("seeds must be a JSON object or null")
         unknown = sorted(set(obj) - set(ExperimentConfig.__dataclass_fields__) - {"seeds"})
         unknown += [f"seeds.{k}" for k in sorted(set(seeds) - {"data", "noise", "attack"})]
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
         attack = obj.get("attack")
-        if attack is not None:
-            if "ratio" in attack:
-                attack = dos.params_for_ratio(attack["ratio"],
-                                              nu_f=attack.get("nu_f", 4.0),
-                                              kappa=attack.get("kappa", 1.0))
-            else:
-                attack = dos.AttackParams(**attack)
         kwargs = {k: v for k, v in obj.items() if k not in
                   ("attack", "x0", "seeds", "data_seed", "noise_seed", "attack_seed")}
         x0 = obj.get("x0")
         return ExperimentConfig(
-            attack=attack,
+            attack=attack_params(attack) if attack is not None else None,
             x0=tuple(x0) if x0 is not None else None,
             data_seed=seeds.get("data", obj.get("data_seed", 1)),
             noise_seed=seeds.get("noise", obj.get("noise_seed", 2)),
@@ -117,6 +117,25 @@ class ExperimentConfig:
             "kappa_d": self.attack.kappa_d, "nu_d": self.attack.nu_d,
         }
         return json.dumps(obj, indent=2)
+
+
+def attack_params(spec: dict) -> dos.AttackParams:
+    """Attack budget from a config's ``attack`` object: the four parameters
+    ``kappa_f``, ``nu_f``, ``kappa_d``, ``nu_d``, or the shorthand ``ratio``
+    (1/nu_f + 1/nu_d) with optional ``nu_f`` (default 4) and ``kappa`` (both
+    chatter bounds, default 1). Any other key, or a budget the parameters
+    reject, is a configuration error."""
+    if not isinstance(spec, dict):
+        raise ConfigError("attack must be a JSON object or null")
+    shorthand = "ratio" in spec
+    keys = {"ratio", "nu_f", "kappa"} if shorthand else set(dos.AttackParams.__dataclass_fields__)
+    unknown = sorted(set(spec) - keys)
+    if unknown:
+        raise ConfigError(f"unknown attack keys: {', '.join(unknown)}")
+    try:
+        return dos.params_for_ratio(**spec) if shorthand else dos.AttackParams(**spec)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"attack: {exc}") from exc
 
 
 @dataclass
@@ -154,6 +173,8 @@ def prepare(config: ExperimentConfig) -> Prepared:
     except Exception as exc:
         raise ConfigError(f"Assumption 1 violated: {exc}") from exc
     eta = observability_index(model)
+    if config.x0 is not None and len(config.x0) != model.n_x:
+        raise ConfigError(f"x0 has {len(config.x0)} entries; the model has n_x = {model.n_x}")
     if config.v_bar < 0:
         raise ConfigError("Assumption 3 violated: noise bound must be nonnegative")
     if config.attack is not None:
@@ -440,7 +461,7 @@ def _cell_config(config: ExperimentConfig, axis: str, value, offset: int) -> Exp
     elif axis == "v_bar":
         updates["v_bar"] = float(value)
     elif axis == "ratio":
-        updates["attack"] = dos.params_for_ratio(float(value))
+        updates["attack"] = attack_params({"ratio": float(value)})
     else:
         raise ConfigError(f"unknown sweep axis {axis!r}; pick from {_SWEEP_AXES}")
     return replace(config, **updates)

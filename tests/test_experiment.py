@@ -29,6 +29,13 @@ class TestConfig:
         cfg = experiment.ExperimentConfig.from_json(json.dumps(obj))
         assert cfg.attack.ratio == pytest.approx(0.9142)
         assert cfg.noise_seed == 9 and cfg.t_sim == 50
+        obj = {"attack": {"ratio": 0.75, "nu_f": 8.0, "kappa": 2.0}}
+        cfg = experiment.ExperimentConfig.from_json(json.dumps(obj))
+        assert cfg.attack == dos.params_for_ratio(0.75, nu_f=8.0, kappa=2.0)
+
+    def test_null_seeds_read_as_absent(self):
+        cfg = experiment.ExperimentConfig.from_json('{"seeds": null, "x0": null}')
+        assert cfg == experiment.ExperimentConfig()
 
     def test_unknown_keys_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="t_sims"):
@@ -308,6 +315,50 @@ class TestCli:
                    "seed": 0}
         Path(str(path) + ".json").write_text(json.dumps(sidecar))
         assert cli.main(["attack-check", "--schedule", str(path)]) == 1
+
+    BUDGET = {"kappa_f": 1.0, "nu_f": 4.0, "kappa_d": 1.0, "nu_d": 2.0}
+
+    @pytest.mark.parametrize("config, argv", [
+        ({"attack": dict(BUDGET, nu_x=3.0)}, ["run"]),
+        ({"attack": {"ratio": 0.5, "nu_d": 3.0, "kappa_f": 9.0}}, ["run"]),
+        ({"attack": {"ratio": 1.5}}, ["run"]),
+        (None, ["run", "--ratio", "1.3"]),
+        ({"attack": dict(BUDGET, nu_f=1.0)}, ["run"]),
+        (None, ["attack-check", "--nu-f", "1"]),
+        ('{"t_sim": ', ["run"]),
+        ([1, 2], ["run"]),
+        ({"x0": [1.0, 0.0, 0.0]}, ["run"]),
+        (None, ["run", "--config", "missing.json"]),
+        (None, ["sweep", "--axis", "ratio", "--values", "1.5"]),
+    ], ids=["attack-unknown-key", "ratio-extra-keys", "ratio-config", "ratio-flag",
+            "nu_f-config", "nu_f-flag", "malformed-json", "json-array", "x0-length",
+            "missing-file", "sweep-ratio"])
+    def test_configuration_errors_exit_3_without_output(self, tmp_path, monkeypatch,
+                                                        capsys, config, argv):
+        monkeypatch.chdir(tmp_path)
+        if config is not None:
+            path = tmp_path / "config.json"
+            path.write_text(config if isinstance(config, str) else json.dumps(config))
+            argv = argv + ["--config", str(path)]
+        assert cli.main(argv + ["--t-sim", "60", "--out", "written"]) == 3
+        assert capsys.readouterr().err.startswith("configuration error: ")
+        assert not (tmp_path / "written").exists()
+
+    @pytest.mark.parametrize("command, written", [
+        (["collect"], "offline_data.csv"),
+        (["run", "--t-sim", "60"], "record.csv"),
+        (["sweep", "--axis", "v_bar", "--values", "1e-4", "--t-sim", "60"], "sweep.csv"),
+        (["compare", "--t-sim", "60"], "compare.json"),
+    ], ids=["collect", "run", "sweep", "compare"])
+    def test_output_directory_rule(self, tmp_path, monkeypatch, capsys, command, written):
+        # --out, else the config's output_dir, else out
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "config.json").write_text(json.dumps({"output_dir": "from_config"}))
+        assert cli.main(command + ["--config", "config.json"]) == 0
+        assert cli.main(command + ["--config", "config.json", "--out", "from_flag"]) == 0
+        assert cli.main(command) == 0
+        for out in ("from_config", "from_flag", "out"):
+            assert (tmp_path / out / written).exists()
 
     def test_collect_writes_certified_data(self, tmp_path, capsys):
         out = tmp_path / "data"

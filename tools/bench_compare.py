@@ -15,13 +15,17 @@ with its own ``src`` and ``perfbench``, BLAS pinned to one thread:
   passed to ``qp.Solver._refine``) over noise-sweep indices 0-8, with every
   record checked by ``workloads.check_op``;
 - the default 200-step fixture run, min of 7 after one warm-up, two rounds;
+- both DoS generators at T = 5000 on attack-long's parameters (ratio 0.9142,
+  random seed 3), min of 9 after one warm-up, three alternating rounds;
 - records identity: a fixed grid per side: ``run_experiment`` for every
   controller kind at v_bar 1e-4, 3e-4 and 1e-3 on three seed triples, one
   attack-free run, one periodic run at ratio 0.2 and one T = 5000
   model-based run at ratio 0.9142; ``dosmpc collect`` at v_bar 1e-4 and
-  1e-3; a sweep with a failing cell; a ``compare`` directory. Every file
-  written must match byte for byte, apart from the ``wall_time_s`` line of
-  each summary and the ``output_dir`` line of ``config.json``;
+  1e-3; a sweep with a failing cell; a ``compare`` directory; ``dosmpc
+  attack-check`` schedules at ratios 0.6, 0.8841 and 0.9142 with T 500 and
+  5000, random at seeds 0-2 and ``--worst-case``. Every file written must
+  match byte for byte, apart from the ``wall_time_s`` line of each summary
+  and the ``output_dir`` line of ``config.json``;
 - the Tier-1 suite, two runs per side in alternating order.
 
 Metric directions come from the change checkout's BENCHMARK.json.
@@ -87,6 +91,27 @@ for _ in range(7):
 print(1e3 * min(times))
 """
 
+# Run inside a checkout: min over 9 runs of each DoS generator at T = 5000
+# after one warm-up, in ms.
+GENERATORS = """
+import json, sys, time
+sys.path.insert(0, "src")
+from dosmpc import dos
+params = dos.params_for_ratio(0.9142)
+calls = {"generate_worst_case": lambda: dos.generate_worst_case(params, 5000),
+         "generate_random": lambda: dos.generate_random(params, 5000, 3)}
+result = {}
+for name, call in calls.items():
+    call()
+    times = []
+    for _ in range(9):
+        t0 = time.perf_counter()
+        call()
+        times.append(time.perf_counter() - t0)
+    result[name] = round(1e3 * min(times), 2)
+print(json.dumps(result))
+"""
+
 # Run inside a checkout: the records identity grid, one output directory per
 # entry under the directory given as the first argument.
 RECORDS = """
@@ -114,6 +139,11 @@ for v_bar in ("1e-4", "1e-3"):
     cli.main(["collect", "--v-bar", v_bar, "--out", str(out / f"collect-v{v_bar}")])
 experiment.sweep(replace(base, t_sim=60), "N", [40, 60], output_dir=out / "sweep-N40-fails")
 experiment.compare(replace(base, output_dir=str(out / "compare")))
+for ratio in ("0.6", "0.8841", "0.9142"):
+    for t_sim in ("500", "5000"):
+        for kind in ("--seed=0", "--seed=1", "--seed=2", "--worst-case"):
+            cli.main(["attack-check", "--ratio", ratio, "--t-sim", t_sim, kind, "--out",
+                      str(out / f"attack-check-r{ratio}-T{t_sim}{kind}")])
 """
 
 
@@ -254,6 +284,10 @@ def main(argv=None) -> int:
         for side in SIDES:
             report["default_fixture_run_ms"][side].append(
                 round(float(python(roots[side], DEFAULT_RUN)), 1))
+    report["generator_ms_T5000"] = {side: [] for side in SIDES}
+    for order in (SIDES, SIDES[::-1], SIDES):
+        for side in order:
+            report["generator_ms_T5000"][side].append(json.loads(python(roots[side], GENERATORS)))
     report["records_identity"] = records_identity(roots)
     report["tier1"] = {side: [] for side in SIDES}
     for order in (SIDES, SIDES[::-1]):
