@@ -18,7 +18,7 @@ from .lti import (GainSet, SystemModel, discretize, observability_index,
                   simulate, structural_matrices, synthesize_gains)
 from .mpc import MpcConfig, MpcSolution, solve_mpc
 from .plants import batch_reactor, batch_reactor_continuous
-from .qp import QpProblem, QpSolution, Settings, Solver, kkt_residuals
+from .qp import QpProblem, QpSolution, Solver, kkt_residuals
 
 __version__ = "0.1.0"
 
@@ -26,7 +26,7 @@ __all__ = [
     "AttackParams", "DosSchedule", "DataDrivenController", "ExperimentConfig",
     "GainSet", "HankelPair", "ModelBasedController", "MpcConfig",
     "MpcSolution", "QpProblem", "QpSolution",
-    "RunRecord", "Settings", "Solver", "SystemModel", "Trajectory",
+    "RunRecord", "Solver", "SystemModel", "Trajectory",
     "batch_reactor", "batch_reactor_continuous", "build_hankel", "collect_offline",
     "compare", "discretize", "fundamental_lemma_residual", "generate_random",
     "generate_worst_case", "inter_success_bound", "is_persistently_exciting",

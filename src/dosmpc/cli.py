@@ -95,6 +95,8 @@ def _cmd_attack_check(args) -> int:
             "attack_fraction": schedule.attack_fraction,
         }, indent=2))
         return 0 if report.passed else 1
+    if args.t_sim < 0:
+        raise ConfigError(f"t_sim must be nonnegative, got {args.t_sim}")
     params = attack_params({"ratio": args.ratio} if args.ratio is not None else
                            {"kappa_f": args.kappa_f, "nu_f": args.nu_f,
                             "kappa_d": args.kappa_d, "nu_d": args.nu_d})

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import logging
+import numbers
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -101,7 +102,7 @@ class ExperimentConfig:
         x0 = obj.get("x0")
         return ExperimentConfig(
             attack=attack_params(attack) if attack is not None else None,
-            x0=tuple(x0) if x0 is not None else None,
+            x0=tuple(x0) if isinstance(x0, list) else x0,
             data_seed=seeds.get("data", obj.get("data_seed", 1)),
             noise_seed=seeds.get("noise", obj.get("noise_seed", 2)),
             attack_seed=seeds.get("attack", obj.get("attack_seed", 3)),
@@ -162,12 +163,42 @@ def _load_model(config: ExperimentConfig) -> SystemModel:
     return SystemModel.from_json(Path(config.model).read_text())
 
 
+_INTEGER_FIELDS = ("n_samples", "horizon", "t_sim", "data_seed", "noise_seed", "attack_seed")
+_REAL_FIELDS = ("dt", "lambda_g", "lambda_h", "v_bar", "r1", "r2", "u_max", "blow_up")
+
+
+def _check_fields(config: ExperimentConfig) -> None:
+    """Types of the numeric fields, and the ranges no other check covers."""
+    def real(value) -> bool:
+        return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+    for name in _INTEGER_FIELDS:
+        value = getattr(config, name)
+        if not (isinstance(value, numbers.Integral) and real(value) and value >= 0):
+            raise ConfigError(f"{name} must be a nonnegative integer, got {value!r}")
+    for name in _REAL_FIELDS:
+        value = getattr(config, name)
+        if not real(value):
+            raise ConfigError(f"{name} must be a number, got {value!r}")
+    if config.excitation_amplitude is not None and not real(config.excitation_amplitude):
+        raise ConfigError("excitation_amplitude must be a number or null")
+    if config.x0 is not None and not (isinstance(config.x0, (tuple, list))
+                                      and all(real(v) for v in config.x0)):
+        raise ConfigError(f"x0 must be a list of numbers or null, got {config.x0!r}")
+    if not config.blow_up > 0:
+        raise ConfigError(f"blow_up must be positive, got {config.blow_up}")
+
+
 def prepare(config: ExperimentConfig) -> Prepared:
     """Resolve the model and validate every module-level precondition,
     reporting violations by assumption number."""
+    _check_fields(config)
     if config.controller not in CONTROLLERS:
         raise ConfigError(f"unknown controller {config.controller!r}; pick from {CONTROLLERS}")
-    model = _load_model(config)
+    try:
+        model = _load_model(config)
+    except (OSError, KeyError, ValueError) as exc:
+        raise ConfigError(f"cannot load model {config.model!r}: {exc!r}") from exc
     try:
         check_structure(model)
     except Exception as exc:
@@ -205,9 +236,12 @@ def prepare(config: ExperimentConfig) -> Prepared:
         raise ConfigError(
             f"excitation amplitude {config.amplitude():.4g} exceeds the input box "
             f"u_max = {config.u_max:.4g}; offline inputs must be feasible")
-    mpc_config = MpcConfig(horizon=config.horizon, eta=eta, lambda_g=config.lambda_g,
-                           lambda_h=config.lambda_h, v_bar=config.v_bar,
-                           r1=config.r1, r2=config.r2, u_max=config.u_max)
+    try:
+        mpc_config = MpcConfig(horizon=config.horizon, eta=eta, lambda_g=config.lambda_g,
+                               lambda_h=config.lambda_h, v_bar=config.v_bar,
+                               r1=config.r1, r2=config.r2, u_max=config.u_max)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     return Prepared(model=model, eta=eta, pe_order=pe_order,
                     mpc_config=mpc_config, config=config)
 

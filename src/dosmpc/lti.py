@@ -306,90 +306,35 @@ def _riccati_gain(model: SystemModel, q_weight: float, r_weight: float) -> np.nd
 
 
 def _deadbeat_observer_gain(model: SystemModel, eta: int) -> np.ndarray:
-    """Observer gain with (A - LC)^eta nilpotent to working precision.
+    """Observer gain L with (A - LC)^eta = 0, built from orthonormal bases.
 
-    Works on the dual pair (A^T, C^T): assigns Jordan chains at the origin
-    with chain lengths equal to the dual controllability indices (whose
-    maximum is eta), built level by level from the null space of [A^T, C^T].
-    Chain vectors are mixed with seeded random null-space components until the
-    assembled basis is well conditioned.
+    On the dual pair (F, G) = (A^T, C^T), N_0 = {0} and N_k holds the x with
+    F x in N_(k-1) + Im G (Van Dooren, BIT 24, 1984). One orthonormal basis B
+    grows level by level through N_1, N_2, ...; each new direction b of N_k
+    gets the least-norm input u_b with (I - B B^T)(F b + G u_b) = 0, that is
+    F b + G u_b in N_(k-1). Then K = U B^T maps N_k into N_(k-1) under
+    F + G K, so F + G K is nilpotent once N_eta = R^n, and L = -K^T.
+    N_k is the kernel of (I - B B^T - W W^T) F, with W an orthonormal basis
+    of (I - B B^T) Im G. Singular values at or below ``tol`` count as zero;
+    the new directions of N_k are the left singular vectors of N_k with B
+    projected out whose singular value is 1 (0 or 1 in exact arithmetic).
     """
-    fa, fb = model.a.T, model.c.T
-    n = fa.shape[0]
-    p = fb.shape[1]
-
-    # Crate selection of the dual controllability indices.
-    selected: list[np.ndarray] = []
-    lengths = [0] * p
-    alive = [True] * p
-    cols = [fb[:, i] for i in range(p)]
-    basis = np.zeros((n, 0))
-    for _ in range(n):
-        for i in range(p):
-            if not alive[i]:
-                continue
-            cand = cols[i]
-            resid = cand - basis @ (basis.T @ cand) if basis.shape[1] else cand
-            if np.linalg.norm(resid) > 1e-10 * max(1.0, np.linalg.norm(cand)):
-                qvec = resid / np.linalg.norm(resid)
-                basis = np.hstack([basis, qvec[:, None]])
-                selected.append(cand)
-                lengths[i] += 1
-                cols[i] = fa @ cand
-            else:
-                alive[i] = False
-        if basis.shape[1] == n:
-            break
-    if sum(lengths) != n:
+    f, g = model.a.T, model.c.T
+    n, p = g.shape
+    tol = max(n, p) * _RANK_RTOL * max(np.linalg.norm(f, 2), np.linalg.norm(g, 2))
+    basis, inputs = np.zeros((n, 0)), np.zeros((p, 0))
+    for _ in range(eta):
+        proj = np.eye(n) - basis @ basis.T
+        w, s, zt = np.linalg.svd(proj @ g, full_matrices=False)
+        w, s, zt = w[:, s > tol], s[s > tol], zt[s > tol]
+        sf, vt = np.linalg.svd((proj - w @ w.T) @ f)[1:]
+        q, sq, _ = np.linalg.svd(proj @ vt[np.sum(sf > tol):].T, full_matrices=False)
+        new = q[:, sq > 0.5]
+        basis = np.hstack([basis, new])
+        inputs = np.hstack([inputs, -zt.T @ (w.T @ proj @ f @ new / s[:, None])])
+    if basis.shape[1] != n:
         raise StructureError("(C, A) is not observable; deadbeat gain undefined")
-    chain_lengths = sorted((l for l in lengths if l > 0), reverse=True)
-    if chain_lengths[0] != eta:
-        # Numerically degenerate crate; fall back on eta from the caller.
-        chain_lengths[0] = max(chain_lengths[0], eta)
-
-    # Null space and a solver for [A^T, C^T] [t; w] = rhs.
-    stacked = np.hstack([fa, fb])
-    u_svd, s_svd, vt_svd = np.linalg.svd(stacked)
-    if s_svd[-1] <= s_svd[0] * max(stacked.shape) * _RANK_RTOL:
-        raise StructureError("[A; C] is rank deficient; observable pair expected")
-    null_basis = vt_svd[n:].T  # (n + p, p)
-    pinv = vt_svd[:len(s_svd)].T @ np.diag(1.0 / s_svd) @ u_svd.T
-
-    rng = np.random.default_rng(20)
-    best = None
-    for attempt in range(60):
-        t_cols = []
-        w_cols = []
-        per_chain: list[list[np.ndarray]] = []
-        for ci, clen in enumerate(chain_lengths):
-            coeff = np.zeros(p)
-            if attempt == 0 and ci < p:
-                coeff[ci] = 1.0
-            else:
-                coeff = rng.standard_normal(p)
-            vec = null_basis @ coeff
-            chain = [(vec[:n], vec[n:])]
-            for _ in range(clen - 1):
-                rhs = chain[-1][0]
-                sol = pinv @ rhs
-                if attempt > 0:
-                    sol = sol + null_basis @ (0.3 * rng.standard_normal(p))
-                chain.append((sol[:n], sol[n:]))
-            per_chain.append(chain)
-        for chain in per_chain:
-            for tv, wv in chain:
-                t_cols.append(tv)
-                w_cols.append(wv)
-        t_mat = np.column_stack(t_cols)
-        w_mat = np.column_stack(w_cols)
-        cond = np.linalg.cond(t_mat)
-        if best is None or cond < best[0]:
-            best = (cond, t_mat, w_mat)
-        if cond < 1e8:
-            break
-    _, t_mat, w_mat = best
-    feedback = np.linalg.solve(t_mat.T, w_mat.T).T  # W T^{-1}
-    return -feedback.T
+    return -basis @ inputs.T
 
 
 def synthesize_gains(model: SystemModel, q_weight: float = 1.0, r_weight: float = 1.0) -> GainSet:

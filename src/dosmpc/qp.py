@@ -20,13 +20,13 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DimensionError
 
-__all__ = ["QpProblem", "QpSolution", "Settings", "Solver", "solve", "kkt_residuals"]
+__all__ = ["QpProblem", "QpSolution", "Solver", "solve", "kkt_residuals"]
 
 # Bound violations and wrong-sign box multipliers up to this size are ignored.
 _TOL = 1e-9
@@ -113,13 +113,8 @@ class QpSolution:
 
 _EPS_ABS = 1e-8
 _EPS_REL = 1e-8
-
-
-@dataclass
-class Settings:
-    """``max_iter`` caps the number of working-set changes."""
-
-    max_iter: int = 50_000
+# A solve stops with status "max_iter" after this many working-set changes.
+_MAX_ITER = 50_000
 
 
 def _ext_matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -192,8 +187,7 @@ class Solver:
     row depends linearly on the working set, the step changes multipliers
     only, and no blocking row means the constraints are infeasible. The
     returned ``z`` is the refined KKT solution on the final working set and
-    counts as optimal only after it passes the termination check of
-    ``Settings``.
+    counts as optimal only after it passes the termination check.
 
     Across calls too, per P and Aeq (compared by value), the solver keeps
     the inverse of the delta-regularized K and refined long-double solutions
@@ -206,8 +200,7 @@ class Solver:
     returns bit for bit what a fresh one returns. Not thread-safe.
     """
 
-    def __init__(self, settings: Optional[Settings] = None):
-        self.settings = settings or Settings()
+    def __init__(self):
         self._p = self._aeq = None
 
     def _adopt(self, problem: QpProblem) -> None:
@@ -222,7 +215,6 @@ class Solver:
             self._columns, self._base, self._key, self._piece = {}, None, None, None
 
     def solve(self, problem: QpProblem, warm_z=None) -> QpSolution:
-        s = self.settings
         n, lb, ub = problem.n, problem.lb, problem.ub
         self._adopt(problem)
         lo = hi = empty = np.zeros(0, dtype=int)
@@ -243,7 +235,7 @@ class Solver:
                 p = int(np.argmax(viol))
                 if not (wrong_lo.size or wrong_hi.size or viol[p] > _TOL):
                     break
-                if changes >= s.max_iter:
+                if changes >= _MAX_ITER:
                     status = "max_iter"
                     break
                 if wrong_lo.size or wrong_hi.size:
@@ -272,7 +264,7 @@ class Solver:
             if tau_add == np.inf and tau_drop == np.inf:
                 status = "infeasible"
                 break
-            if changes >= s.max_iter:
+            if changes >= _MAX_ITER:
                 status = "max_iter"
                 break
             changes += 1
@@ -388,7 +380,7 @@ class Solver:
         return sol
 
 
-def solve(problem: QpProblem, settings: Optional[Settings] = None, warm_z=None) -> QpSolution:
+def solve(problem: QpProblem, warm_z=None) -> QpSolution:
     """Single-shot convenience wrapper around Solver."""
-    return Solver(settings).solve(problem, warm_z=warm_z)
+    return Solver().solve(problem, warm_z=warm_z)
 

@@ -43,7 +43,7 @@ def study_config():
 
 @pytest.fixture()
 def solver():
-    return qp.Solver(qp.Settings())
+    return qp.Solver()
 
 
 @pytest.fixture(scope="session")

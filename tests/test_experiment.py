@@ -72,6 +72,13 @@ class TestConfig:
         with pytest.raises(ConfigError, match="Assumption 1"):
             experiment.prepare(fast_config(model=str(path)))
 
+    def test_unloadable_model_reported(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"a": [[1.0]], "b": [[1.0]]}))  # no "c"
+        for model in (str(path), str(tmp_path / "missing.json")):
+            with pytest.raises(ConfigError, match="cannot load model"):
+                experiment.prepare(fast_config(model=model))
+
     def test_excitation_must_fit_input_box(self):
         with pytest.raises(ConfigError, match="excitation amplitude"):
             experiment.prepare(fast_config(excitation_amplitude=2.0, u_max=1.0))
@@ -131,6 +138,12 @@ class TestRunExperiment:
         lines[5] = ",".join(cells)
         (tmp_path / "record.csv").write_text("\n".join(lines) + "\n")
         assert not experiment.revalidate_record(tmp_path)
+
+    def test_explicit_initial_state(self, reactor):
+        # D = 0, so the first output is C x0 whatever the first input is
+        x0 = (1.0, -2.0, 0.5, 0.0)
+        record = experiment.run_experiment(fast_config(x0=x0, t_sim=5))
+        np.testing.assert_allclose(record.y[0], reactor.c @ np.array(x0), rtol=1e-15)
 
     def test_blow_up_guard_truncates(self, reactor):
         # zero feedback gain leaves the unstable plant in open loop
@@ -330,9 +343,20 @@ class TestCli:
         ({"x0": [1.0, 0.0, 0.0]}, ["run"]),
         (None, ["run", "--config", "missing.json"]),
         (None, ["sweep", "--axis", "ratio", "--values", "1.5"]),
+        ({"x0": 5}, ["run"]),
+        ({"t_sim": "200"}, ["run"]),
+        ({"v_bar": "x"}, ["run"]),
+        ({"dt": -0.1}, ["run"]),
+        ({"lambda_h": 0}, ["run"]),
+        (None, ["run", "--lambda-g", "-1"]),
+        (None, ["run", "--t-sim", "-5"]),
+        (None, ["attack-check", "--t-sim", "-5"]),
+        ({"blow_up": -1}, ["run"]),
     ], ids=["attack-unknown-key", "ratio-extra-keys", "ratio-config", "ratio-flag",
             "nu_f-config", "nu_f-flag", "malformed-json", "json-array", "x0-length",
-            "missing-file", "sweep-ratio"])
+            "missing-file", "sweep-ratio", "x0-number", "t_sim-string", "v_bar-string",
+            "dt-negative", "lambda_h-zero", "lambda_g-flag", "t_sim-flag",
+            "attack-check-t_sim", "blow_up-negative"])
     def test_configuration_errors_exit_3_without_output(self, tmp_path, monkeypatch,
                                                         capsys, config, argv):
         monkeypatch.chdir(tmp_path)
@@ -340,7 +364,7 @@ class TestCli:
             path = tmp_path / "config.json"
             path.write_text(config if isinstance(config, str) else json.dumps(config))
             argv = argv + ["--config", str(path)]
-        assert cli.main(argv + ["--t-sim", "60", "--out", "written"]) == 3
+        assert cli.main(argv + ["--out", "written"]) == 3
         assert capsys.readouterr().err.startswith("configuration error: ")
         assert not (tmp_path / "written").exists()
 
@@ -372,6 +396,26 @@ class TestCli:
                          "--t-sim", "60", "--out", str(tmp_path)])
         assert code == 0
         assert (tmp_path / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("axis, values", [("N", "60,80"), ("L", "10,12")])
+    def test_sweep_cli_integer_axis(self, tmp_path, axis, values):
+        # sample counts and horizons reach the cells, and sweep.csv, as integers
+        assert cli.main(["sweep", "--axis", axis, "--values", values, "--t-sim", "20",
+                         "--out", str(tmp_path)]) == 0
+        with open(tmp_path / "sweep.csv", newline="") as fh:
+            table = list(csv.DictReader(fh))
+        assert [row["value"] for row in table] == values.split(",")
+        assert all(row["status"] == "ok" for row in table)
+
+    def test_no_attack_flag_overrides_config(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"attack": {"ratio": 0.8841}}))
+        out = tmp_path / "run"
+        assert cli.main(["run", "--config", str(config), "--no-attack", "--t-sim", "60",
+                         "--out", str(out)]) == 0
+        assert not (out / "schedule.txt").exists()
+        assert json.loads((out / "config.json").read_text())["attack"] is None
+        assert not experiment.RunRecord.load(out).attack.any()
 
     def test_compare_cli(self, tmp_path):
         code = cli.main(["compare", "--t-sim", "60", "--v-bar", "1e-4",

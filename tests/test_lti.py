@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from dosmpc import lti
 from dosmpc.errors import DimensionError, StructureError
@@ -15,6 +16,19 @@ def taylor_expm_oracle(a, terms=60):
         term = term @ a / k
         out = out + term
     return out
+
+
+def observability_stack(model, eta):
+    """[C; CA; ...; CA^(eta-1)]."""
+    return np.vstack([model.c @ np.linalg.matrix_power(model.a, i) for i in range(eta)])
+
+
+def deadbeat_closed_form(model, eta):
+    """A^eta O_eta^-1 [0; ...; 0; I], the one deadbeat gain when p eta = n."""
+    tail = np.zeros((eta * model.n_y, model.n_y))
+    tail[-model.n_y:] = np.eye(model.n_y)
+    return np.linalg.matrix_power(model.a, eta) @ np.linalg.solve(
+        observability_stack(model, eta), tail)
 
 
 class TestDiscretize:
@@ -184,6 +198,34 @@ class TestSynthesizeGains:
         assert np.linalg.norm(nil, 2) <= 1e-8
         radius = max(abs(np.linalg.eigvals(reactor.a + reactor.b @ gains.k)))
         assert radius < 1.0
+
+    def test_batch_reactor_closed_form(self, reactor):
+        # p eta = n = 4, so the deadbeat gain is unique.
+        l_obs = lti.synthesize_gains(reactor).l_obs
+        closed = deadbeat_closed_form(reactor, 2)
+        assert np.linalg.norm(l_obs - closed, 2) <= 1e-12 * np.linalg.norm(closed, 2)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(1, 6), p=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    def test_random_observable_models(self, n, p, seed):
+        # The class: A with N(0, 1/n) entries, C with N(0, 1) entries, B = I,
+        # kept when cond(O_eta) <= 30 for O_eta = [C; CA; ...; CA^(eta-1)].
+        # About six in seven draws pass the filter, and about a third of the
+        # kept ones have unequal observability indices (p eta > n), where the
+        # gain is not unique and only nilpotency is checked. Ill-conditioned
+        # single-output chains are left out: there ||L|| reaches 1e3 and the
+        # absolute 1e-8 on (A - LC)^eta is beyond float64.
+        rng = np.random.default_rng(seed)
+        model = lti.SystemModel(rng.standard_normal((n, n)) / np.sqrt(n), np.eye(n),
+                                rng.standard_normal((p, n)), np.zeros((p, n)))
+        eta = lti.observability_index(model)
+        assume(np.linalg.cond(observability_stack(model, eta)) <= 30)
+        gains = lti.synthesize_gains(model)
+        nil = np.linalg.matrix_power(model.a - gains.l_obs @ model.c, eta)
+        assert np.linalg.norm(nil, 2) <= 1e-8
+        if p * eta == n:
+            closed = deadbeat_closed_form(model, eta)
+            assert np.linalg.norm(gains.l_obs - closed, 2) <= 1e-12 * np.linalg.norm(closed, 2)
 
 
 class TestSerialization:

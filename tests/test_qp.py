@@ -52,12 +52,13 @@ class TestSolve:
             assert sol.status == "optimal"
             assert np.max(np.abs(sol.z - z_star)) <= 1e-6
 
-    def test_inconsistent_equalities_not_optimal(self):
+    def test_inconsistent_equalities_not_optimal(self, monkeypatch):
+        monkeypatch.setattr(qp, "_MAX_ITER", 2000)
         lb, ub = free_bounds(1)
         problem = qp.QpProblem(p=np.eye(1), q=np.zeros(1),
                                aeq=np.array([[1.0], [1.0]]), beq=np.array([0.0, 1.0]),
                                lb=lb, ub=ub)
-        sol = qp.solve(problem, qp.Settings(max_iter=2000))
+        sol = qp.solve(problem)
         assert sol.status != "optimal"
 
     def test_invariant_under_row_scaling(self):
@@ -95,9 +96,10 @@ class TestSolve:
         sol = qp.Solver().solve(problem, warm_z=warm)
         assert sol.objective <= warm_objective + 1e-9
 
-    def test_max_iter_status(self):
+    def test_max_iter_status(self, monkeypatch):
         # The optimum needs one working-set change (the upper bound enters).
-        sol = qp.solve(upper_bound_problem(), qp.Settings(max_iter=0))
+        monkeypatch.setattr(qp, "_MAX_ITER", 0)
+        sol = qp.solve(upper_bound_problem())
         assert sol.status == "max_iter"
 
 

@@ -25,7 +25,11 @@ with its own ``src`` and ``perfbench``, BLAS pinned to one thread:
   attack-check`` schedules at ratios 0.6, 0.8841 and 0.9142 with T 500 and
   5000, random at seeds 0-2 and ``--worst-case``. Every file written must
   match byte for byte, apart from the ``wall_time_s`` line of each summary
-  and the ``output_dir`` line of ``config.json``;
+  and the ``output_dir`` line of ``config.json``. For a CSV table or a JSON
+  object that differs only in numbers, the report gives each differing
+  column's (or key's) largest relative difference by perfbench's rule: the
+  largest absolute difference over the largest absolute parent value. A file
+  whose shape, status or other text differs is reported as changed;
 - the Tier-1 suite, two runs per side in alternating order.
 
 Metric directions come from the change checkout's BENCHMARK.json.
@@ -33,6 +37,7 @@ Metric directions come from the change checkout's BENCHMARK.json.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import subprocess
@@ -147,16 +152,69 @@ for ratio in ("0.6", "0.8841", "0.9142"):
 """
 
 
+def _ignored_key(path: Path) -> str:
+    """The one JSON key that must differ between two checkouts."""
+    return "output_dir" if path.name == "config.json" else "wall_time_s"
+
+
 def _same_file(parent: Path, change: Path) -> bool:
-    """Byte identity apart from the one JSON line that must differ between
-    two checkouts: ``output_dir`` in config.json, ``wall_time_s`` elsewhere."""
+    """Byte identity apart from the line of the ignored JSON key."""
     if not (parent.exists() and change.exists()):
         return False
-    key = b'"output_dir":' if parent.name == "config.json" else b'"wall_time_s":'
+    key = f'"{_ignored_key(parent)}":'.encode()
 
     def kept(path: Path) -> list:
         return [line for line in path.read_bytes().splitlines() if key not in line]
     return kept(parent) == kept(change)
+
+
+def _columns(path: Path):
+    """Column name -> cells of a CSV table, or key -> [value] of a JSON object
+    without its ignored key; None for any other file."""
+    if path.suffix == ".csv":
+        with open(path, newline="") as fh:
+            table = list(csv.reader(fh))
+        if not table or any(len(row) != len(table[0]) for row in table):
+            return None
+        return {name: [row[i] for row in table[1:]] for i, name in enumerate(table[0])}
+    if path.suffix == ".json":
+        obj = json.loads(path.read_text())
+        if isinstance(obj, dict):
+            return {k: [v] for k, v in obj.items() if k != _ignored_key(path)}
+    return None
+
+
+def _numbers(cells):
+    """Cells as floats (an empty cell or null is NaN), or None if any is
+    text or a JSON object or list."""
+    try:
+        return np.array([np.nan if c in ("", None) else float(c) for c in cells])
+    except (TypeError, ValueError):
+        return None
+
+
+def _relative_differences(parent: Path, change: Path):
+    """Largest relative difference of each differing column, by perfbench's
+    rule; None when the files differ in anything but numbers."""
+    if not (parent.exists() and change.exists()):
+        return None
+    old, new = _columns(parent), _columns(change)
+    if old is None or new is None or old.keys() != new.keys():
+        return None
+    moved = {}
+    for name in old:
+        a, b = _numbers(old[name]), _numbers(new[name])
+        if a is None or b is None:
+            if old[name] != new[name]:
+                return None
+        elif a.shape != b.shape or not np.array_equal(np.isnan(a), np.isnan(b)):
+            return None
+        elif not np.array_equal(a, b, equal_nan=True):
+            finite = ~np.isnan(a)
+            scale = float(np.max(np.abs(a[finite]), initial=0.0))
+            diff = float(np.max(np.abs(b[finite] - a[finite]), initial=0.0))
+            moved[name] = diff / scale if scale > 0 else diff
+    return moved
 
 
 def records_identity(roots: dict) -> dict:
@@ -170,8 +228,15 @@ def records_identity(roots: dict) -> dict:
                         for p in dirs[side].rglob("*") if p.is_file()})
         differing = [f for f in files
                      if not _same_file(dirs["parent"] / f, dirs["change"] / f)]
+        moved = {f: _relative_differences(dirs["parent"] / f, dirs["change"] / f)
+                 for f in differing}
+        relative = {f: m for f, m in moved.items() if m is not None}
         return {"runs": len({f.split("/")[0] for f in files}), "files": len(files),
                 "identical": len(files) - len(differing), "differing": differing,
+                "changed": [f for f, m in moved.items() if m is None],
+                "relative_difference": relative,
+                "max_relative_difference": max((v for m in relative.values()
+                                                for v in m.values()), default=0.0),
                 "ignored": ["the wall_time_s line of every file but config.json",
                             "the output_dir line of config.json"]}
 
