@@ -505,8 +505,9 @@ def sweep(config: ExperimentConfig, axis: str, values, repetitions: int = 1,
           output_dir=None) -> list[dict]:
     """Grid of runs along one axis with per-cell derived seeds.
 
-    Per-cell failures are recorded (status column) and the sweep continues.
-    Returns one summary row per (value, repetition).
+    Per-cell failures are recorded (status column) and the sweep continues;
+    a configuration error propagates, and nothing is written. Returns one
+    summary row per (value, repetition).
     """
     rows = []
     for i, value in enumerate(values):
@@ -520,6 +521,8 @@ def sweep(config: ExperimentConfig, axis: str, values, repetitions: int = 1,
                            tail_norm=record.summary["tail_norm"],
                            mean_cost=record.summary["mean_cost"],
                            max_success_gap=record.summary["max_success_gap"])
+            except ConfigError:
+                raise
             except Exception as exc:  # keep sweeping, record the failure
                 logger.warning("sweep cell %s=%s rep %d failed: %s", axis, value, rep, exc)
                 row.update(status=f"error: {exc}", tail_norm=float("nan"),

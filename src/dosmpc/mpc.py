@@ -23,7 +23,7 @@ import numpy as np
 
 from .data import HankelPair
 from .errors import DimensionError, SolverError
-from .qp import QpProblem, Solver
+from .qp import QpProblem, QpSolution, Solver
 
 __all__ = ["MpcConfig", "MpcSolution", "VariableMap", "MpcAssembler", "solve_mpc"]
 
@@ -102,17 +102,20 @@ class VariableMap:
 class MpcSolution:
     """Extracted optimizer. ``u_pred`` / ``y_pred`` cover offsets [0, L-1];
     ``h`` covers the full window [-eta, L-1]. ``cost`` is the program
-    objective recomputed from the extracted blocks."""
+    objective recomputed from the extracted blocks. The QP residuals read
+    through to ``qp_solution``, which computes them on first read."""
 
     u_pred: np.ndarray
     y_pred: np.ndarray
     g: np.ndarray
     h: np.ndarray
     cost: float
+    qp_solution: QpSolution = field(repr=False)
     qp_iterations: int = 0
-    qp_primal_residual: float = 0.0
-    qp_dual_residual: float = 0.0
     z: np.ndarray = field(default_factory=lambda: np.zeros(0), repr=False)
+
+    qp_primal_residual = property(lambda self: self.qp_solution.primal_residual)
+    qp_dual_residual = property(lambda self: self.qp_solution.dual_residual)
 
 
 class MpcAssembler:
@@ -241,11 +244,8 @@ class MpcAssembler:
         for arr in (u_pred, y_pred, g, h):
             arr.setflags(write=False)
         return MpcSolution(
-            u_pred=u_pred, y_pred=y_pred, g=g, h=h, cost=cost,
-            qp_iterations=qp_solution.iterations,
-            qp_primal_residual=qp_solution.primal_residual,
-            qp_dual_residual=qp_solution.dual_residual,
-            z=z,
+            u_pred=u_pred, y_pred=y_pred, g=g, h=h, cost=cost, qp_solution=qp_solution,
+            qp_iterations=qp_solution.iterations, z=z,
         )
 
 

@@ -14,12 +14,15 @@ positive definite on its null space. Outside that domain a solve may end
 "inaccurate" even where an optimizer exists. On a working set the optimizer
 is affine in the beq rows named by ``QpProblem.param_rows``, the only ones
 that change in closed loop (Bemporad et al., Automatica 2002): a ``Solver``
-keeps that piece, so a solve that keeps its working set costs one matvec.
+keeps that piece, so a solve that keeps its working set costs one matvec
+plus, from the piece's second use, a residual certificate in place of the
+full termination check. Residuals and objective are computed when read.
 """
 from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -98,17 +101,25 @@ class QpProblem:
 @dataclass
 class QpSolution:
     """``iterations`` counts working-set changes; ``polished`` is true when
-    ``z`` passed the termination check, which is what ``"optimal"`` means."""
+    ``z`` passed the certificate (then ``certified``) or the full check, which
+    is what ``"optimal"`` means. ``objective`` and the residuals are those
+    of ``problem`` by ``kkt_residuals``, computed from its arrays as they
+    are at the first read."""
 
     z: np.ndarray
-    objective: float
-    primal_residual: float
-    dual_residual: float
     iterations: int
     status: str
+    problem: QpProblem = field(repr=False)
     y_eq: np.ndarray = field(default_factory=lambda: np.zeros(0))
     mu: np.ndarray = field(default_factory=lambda: np.zeros(0))
     polished: bool = False
+    certified: bool = False
+
+    _kkt = cached_property(lambda self: kkt_residuals(self.problem, self.z, self.y_eq, self.mu))
+    primal_residual = property(lambda self: self._kkt[0])
+    dual_residual = property(lambda self: self._kkt[1])
+    objective = cached_property(lambda self: float(0.5 * self.z @ self.problem.p @ self.z
+                                                   + self.problem.q @ self.z))
 
 
 _EPS_ABS = 1e-8
@@ -187,7 +198,7 @@ class Solver:
     row depends linearly on the working set, the step changes multipliers
     only, and no blocking row means the constraints are infeasible. The
     returned ``z`` is the refined KKT solution on the final working set and
-    counts as optimal only after it passes the termination check.
+    counts as optimal only after it passes a termination test.
 
     Across calls too, per P and Aeq (compared by value), the solver keeps
     the inverse of the delta-regularized K and refined long-double solutions
@@ -196,8 +207,12 @@ class Solver:
     bound it has pinned. A working set W gets its piece (x0, X) from the
     Schur complement G_W[W] and keeps it while W and the target with those
     rows zeroed stay; a solve returns x0 + X b (b the param rows of beq)
-    rounded once. Nothing kept depends on the path to it, so a reused solver
-    returns bit for bit what a fresh one returns. Not thread-safe.
+    rounded once. On the piece's second use the solver adds its residual
+    certificate, a proven bound, affine in b and |b|, on the full check's
+    residuals at that z; a solve whose bounds lie within _EPS_ABS, below
+    every tolerance of the check, ends optimal without the check, and any
+    other runs it. Nothing kept depends on the path to it, so a reused
+    solver returns bit for bit what a fresh one returns. Not thread-safe.
     """
 
     def __init__(self):
@@ -212,7 +227,7 @@ class Solver:
             n, m_eq, delta = self._p.shape[0], self._aeq.shape[0], 1e-9
             self._kkt_inv = np.linalg.inv(np.block([[self._p + delta * np.eye(n), self._aeq.T],
                                                     [self._aeq, -delta * np.eye(m_eq)]]))
-            self._columns, self._base, self._key, self._piece = {}, None, None, None
+            self._columns, self._base, self._key, self._piece, self._cert = {}, None, None, None, None
 
     def solve(self, problem: QpProblem, warm_z=None) -> QpSolution:
         n, lb, ub = problem.n, problem.lb, problem.ub
@@ -279,42 +294,71 @@ class Solver:
                 drop = rows[np.argmin(tau)]
                 lo, hi = lo[lo != drop], hi[hi != drop]
 
-        aeq_z, aeqt_y = _ext_matvec(self._aeq_ext, z), _ext_matvec(self._aeq_ext.T, y_eq)
-        r_p, r_d, _ = _residuals(problem, z, mu, aeq_z, aeqt_y)
-        e_p, e_d = self._tolerances(problem, z, y_eq, mu, aeq_z, aeqt_y)
-        polished = status == "optimal" and r_p <= e_p and r_d <= e_d
-        if status == "optimal" and not polished:
-            status = "inaccurate"
-        return QpSolution(z=z, objective=float(0.5 * z @ problem.p @ z + problem.q @ z), primal_residual=r_p,
-                          dual_residual=r_d, iterations=changes, status=status,
-                          y_eq=y_eq, mu=mu, polished=polished)
+        certified = polished = False
+        if status == "optimal":
+            certified = self._cert is not None and max(self._bounds(problem, z, viol[p])) <= _EPS_ABS
+            polished = bool(certified or self._full_check(problem, z, y_eq, mu))
+            status = "optimal" if polished else "inaccurate"
+        return QpSolution(z=z, iterations=changes, status=status, problem=problem,
+                          y_eq=y_eq, mu=mu, polished=polished, certified=bool(certified))
 
-    def _tolerances(self, problem, z, y_eq, mu, aeq_z, aeqt_y):
-        """Primal and dual termination bounds at a candidate: _EPS_ABS, plus
+    def _bounds(self, problem, z, free_viol):
+        """The certificate's (primal, dual) bounds on the full check's residuals
+        at ``z``, given the free rows' largest bound violation; the factor
+        1 + 8u covers the rounding of these sums, and NaN gives NaN."""
+        c, a, e = self._cert
+        v, n = np.concatenate(([1.0], problem.beq[problem.param_rows])), problem.n
+        bound = (np.abs(c @ v) + a @ np.abs(v)) * (1 + 2.0**-50)
+        bound[n:n + self._aeq.shape[0]] += e * (self._abs_aeq @ np.abs(z))
+        return bound[n:].max(initial=max(free_viol, 0.0)), bound[:n].max(initial=0.0)
+
+    def _certificate(self, pinned, rhs):
+        """The remembered piece's certificate (C, A, e), on [1; b] and by row:
+        stationarity, equalities, pinned bounds. C = K_W [x0 X] - rhs is the
+        piece's residual against the unregularized working-set matrix K_W,
+        formed in long double and rounded. A and e (on the equality rows'
+        actual |Aeq| |z|) bound the rest by gamma_k = k u / (1 - k u) terms
+        (Higham, Accuracy and Stability of Numerical Algorithms, sec. 3.1),
+        widened by 1% for their own rounding: forming, rounding and applying
+        C; x0 + X b in long double and its rounding to z, y_eq, mu, through
+        |K_W|; and the full check's float64 evaluation."""
+        n, m = self._p.shape[0], self._aeq.shape[0]
+        x, y, mu = self._piece[:n], self._piece[n:n + m], self._piece[n + m:]
+        c = (np.vstack([np.dot(self._p_ext, x) + np.dot(self._aeq_ext.T, y) + mu,
+                        np.dot(self._aeq_ext, x), x[pinned]]) - rhs).astype(float)
+        ax, ay, amu = (np.abs(part).astype(float) for part in (x, y, mu))
+        scale = np.vstack([self._abs_p @ ax + self._abs_aeq.T @ ay + amu, self._abs_aeq @ ax, ax[pinned]])
+        u, u_ext, k = np.finfo(float).eps / 2, float(np.finfo(np.longdouble).eps) / 2, c.shape[1]
+        gamma = lambda terms, unit: terms * unit / (1 - terms * unit)  # noqa: E731
+        # The check's P z sums the nonzeros of a row of P, then adds q, mu
+        # and Aeq' y: four roundings, plus one for z itself.
+        g_ext, nz_p = gamma(n + m + 2, u_ext), np.max(np.count_nonzero(self._p, axis=1), initial=0)
+        row = np.r_[np.full(n, gamma(nz_p + 5, u) + g_ext), np.zeros(m), np.full(pinned.size, gamma(1, u))]
+        a = 1.01 * ((g_ext + gamma(k, u_ext) + row[:, None]) * scale
+                    + (g_ext + row[:, None] + u) * np.abs(rhs) + gamma(k + 1, u) * np.abs(c))
+        return c, a, 1.01 * (gamma(1, u) + g_ext)
+
+    def _full_check(self, problem, z, y_eq, mu) -> bool:
+        """Whether the residuals at a candidate lie within _EPS_ABS, plus
         _EPS_REL times the largest term of each residual, plus the float64
         floor of evaluating it, eps_machine * max_i (|A||z| + |v|)_i and its
         dual analogue. Without the floor, problems whose constraint rows span
         many decades never terminate, since even the exact optimizer rounded
-        to float64 evaluates above _EPS_ABS. ``aeq_z`` and ``aeqt_y`` are
-        Aeq z and Aeq' y_eq accumulated in extended precision."""
-        eps_m = float(np.finfo(float).eps)
+        to float64 evaluates above _EPS_ABS."""
+        aeq_z, aeqt_y = _ext_matvec(self._aeq_ext, z), _ext_matvec(self._aeq_ext.T, y_eq)
+        r_p, r_d, _ = _residuals(problem, z, mu, aeq_z, aeqt_y)
+        eps_m, top = float(np.finfo(float).eps), lambda a: float(np.max(a, initial=0.0))
         box = np.isfinite(problem.lb) | np.isfinite(problem.ub)
-        z_box = np.abs(z[box])
-        v_box = np.abs(np.clip(z, problem.lb, problem.ub)[box])
+        z_box, v_box = np.abs(z[box]), np.abs(np.clip(z, problem.lb, problem.ub)[box])
         abs_z = np.abs(z)
-        floor_p = eps_m * max(np.max(self._abs_aeq @ abs_z + np.abs(problem.beq), initial=0.0),
-                              np.max(z_box + v_box, initial=0.0))
-        floor_d = eps_m * np.max(self._abs_p @ abs_z + self._abs_aeq.T @ np.abs(y_eq)
-                                 + np.abs(mu) + np.abs(problem.q), initial=0.0)
-        e_p = _EPS_ABS + _EPS_REL * max(
-            np.max(np.abs(aeq_z), initial=0.0),
-            np.max(np.abs(problem.beq), initial=0.0),
-            np.max(z_box, initial=0.0), np.max(v_box, initial=0.0)) + floor_p
-        e_d = _EPS_ABS + _EPS_REL * max(
-            np.max(np.abs(problem.p @ z), initial=0.0),
-            np.max(np.abs(aeqt_y + mu), initial=0.0),
-            np.max(np.abs(problem.q), initial=0.0)) + floor_d
-        return float(e_p), float(e_d)
+        floor_p = eps_m * max(top(self._abs_aeq @ abs_z + np.abs(problem.beq)), top(z_box + v_box))
+        floor_d = eps_m * top(self._abs_p @ abs_z + self._abs_aeq.T @ np.abs(y_eq)
+                              + np.abs(mu) + np.abs(problem.q))
+        e_p = _EPS_ABS + _EPS_REL * max(top(np.abs(aeq_z)), top(np.abs(problem.beq)), top(z_box),
+                                        top(v_box)) + floor_p
+        e_d = _EPS_ABS + _EPS_REL * max(top(np.abs(problem.p @ z)), top(np.abs(aeqt_y + mu)),
+                                        top(np.abs(problem.q))) + floor_d
+        return r_p <= e_p and r_d <= e_d
 
     def _solve_active(self, problem, lo_act, hi_act, enter=None):
         """KKT solve with the given box rows pinned at their bounds, from the
@@ -331,13 +375,19 @@ class Solver:
         # Keyed by the bytes, so that a target equal only up to the sign of
         # a zero builds its own piece, as a fresh solver would.
         key = (lo_act.tolist(), hi_act.tolist(), fixed.tobytes())
-        if key != self._key:
+        reused = key == self._key
+        if not reused:
             if self._base is None or self._base[0] != fixed[:size].tobytes():
                 self._base = (fixed[:size].tobytes(),
                               self._refine(np.column_stack([fixed[:size], np.eye(size)[:, rows]])))
             values = np.column_stack([fixed[size:], np.zeros((pinned.size, rows.size))])
-            self._key, self._piece = key, self._pin(pinned, self._base[1], values)
+            self._key, self._piece, self._cert = key, self._pin(pinned, self._base[1], values), None
         sol = (self._piece[:, 0] + np.dot(self._piece[:, 1:], params)).astype(float)
+        # A piece's second use builds its certificate, unless rounding z
+        # alone, u |Aeq| |z|, is already more than it could accept.
+        if reused and enter is None and self._cert is None and (
+                np.max(self._abs_aeq @ np.abs(sol[:n]), initial=0.0) * 2.0**-53 <= _EPS_ABS):
+            self._cert = self._certificate(pinned, np.column_stack([fixed, np.eye(fixed.size)[:, rows]]))
         if enter is None:
             return sol[:n], sol[n:size], sol[size:], None
         step = -enter[1] * self._pin(pinned, self._unit_columns(enter[:1]), 0.0)[:, 0].astype(float)

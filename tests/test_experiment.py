@@ -213,10 +213,13 @@ class TestCompareAndSweep:
         assert all(r["status"] == "ok" for r in rows[1:])
         assert (tmp_path / "sweep.csv").exists()
 
-    def test_sweep_csv_reads_back_with_csv_reader(self, tmp_path):
+    def test_sweep_csv_reads_back_with_csv_reader(self, tmp_path, monkeypatch):
         # the failure message holds double quotes and commas
-        rows = experiment.sweep(fast_config(controller="it's"), "v_bar", [1e-4],
-                                output_dir=str(tmp_path))
+        def failing_run(config):
+            raise RuntimeError(f'cell "v_bar={config.v_bar}" failed, twice')
+
+        monkeypatch.setattr(experiment, "run_experiment", failing_run)
+        rows = experiment.sweep(fast_config(), "v_bar", [1e-4], output_dir=str(tmp_path))
         with open(tmp_path / "sweep.csv", newline="") as fh:
             table = list(csv.reader(fh))
         assert [len(row) for row in table] == [7, 7]
@@ -229,6 +232,14 @@ class TestCompareAndSweep:
         rows = experiment.sweep(fast_config(n_samples=40), "L", [8, 12],
                                 repetitions=1)
         assert all(r["status"].startswith("error") for r in rows)
+
+    def test_configuration_error_propagates(self, tmp_path):
+        # an unknown controller fails every cell alike: the sweep stops
+        # before writing anything
+        with pytest.raises(ConfigError, match="unknown controller"):
+            experiment.sweep(fast_config(controller="it's"), "v_bar", [1e-4],
+                             output_dir=str(tmp_path / "out"))
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_axis(self):
         with pytest.raises(ConfigError):
@@ -352,11 +363,13 @@ class TestCli:
         (None, ["run", "--t-sim", "-5"]),
         (None, ["attack-check", "--t-sim", "-5"]),
         ({"blow_up": -1}, ["run"]),
+        ({"t_sim": "200"}, ["sweep", "--axis", "v_bar", "--values", "1e-4"]),
+        ({"dt": -0.1}, ["sweep", "--axis", "v_bar", "--values", "1e-4"]),
     ], ids=["attack-unknown-key", "ratio-extra-keys", "ratio-config", "ratio-flag",
             "nu_f-config", "nu_f-flag", "malformed-json", "json-array", "x0-length",
             "missing-file", "sweep-ratio", "x0-number", "t_sim-string", "v_bar-string",
             "dt-negative", "lambda_h-zero", "lambda_g-flag", "t_sim-flag",
-            "attack-check-t_sim", "blow_up-negative"])
+            "attack-check-t_sim", "blow_up-negative", "sweep-t_sim-string", "sweep-dt-negative"])
     def test_configuration_errors_exit_3_without_output(self, tmp_path, monkeypatch,
                                                         capsys, config, argv):
         monkeypatch.chdir(tmp_path)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dosmpc import dos, experiment, qp
 from dosmpc.errors import DimensionError
@@ -343,6 +343,107 @@ class TestAffinePiece:
                                       warm_z=warm_z)
                 assert np.max(np.abs(sol.z - undeclared.z)) <= 256 * eps * np.max(np.abs(sol.z))
             warm = sol.z
+
+
+class CertificateRecorder(qp.Solver):
+    """A Solver that keeps the certificate's (primal, dual) bounds of its
+    last solve, or None when that solve did not consult a certificate."""
+
+    bounds = None
+
+    def solve(self, problem, warm_z=None):
+        self.bounds = None
+        return super().solve(problem, warm_z=warm_z)
+
+    def _bounds(self, problem, z, free_viol):
+        self.bounds = super()._bounds(problem, z, free_viol)
+        return self.bounds
+
+
+class TestResidualCertificate:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(1, 4), m=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+           scale=st.sampled_from([1.0, 1e3]), singular=st.just(False),
+           steps=st.lists(st.tuples(st.sampled_from(["params", "params", "bounds", "q", "new_p",
+                                                     "new_aeq", "mutate_p"]), st.booleans()),
+                          min_size=1, max_size=6))
+    @example(n=3, m=1, seed=0, scale=1.0, singular=True, steps=[("params", False)] * 4)
+    def test_certified_solves_pass_the_full_check(self, n, m, seed, scale, singular, steps):
+        # TestAffinePiece's draws, each step solved twice with new param
+        # values, so that pieces are reused and certificates built. Every
+        # solve the certificate accepts must also pass the full check on the
+        # same z, y_eq and mu, and its bounds must dominate kkt_residuals
+        # there. The example is the singular base KKT matrix of
+        # test_singular_base_kkt_is_never_wrongly_optimal with z_2 and z_3
+        # unbounded and q scaled by 1e-3, which keeps z near 1e6, small
+        # enough for the certificate to be built: the QP is unbounded below,
+        # its empty working set has no KKT point, and the certificate,
+        # consulted, must decline.
+        m = min(m, n)
+        rng = np.random.default_rng(seed)
+
+        def new_p():
+            g = rng.standard_normal((n, n))
+            return g.T @ g + 0.1 * np.eye(n)
+
+        def new_aeq():
+            return rng.standard_normal((m, n)) * np.r_[scale, np.ones(n - 1)]
+
+        p, aeq, q = new_p(), new_aeq(), 3 * rng.standard_normal(n)
+        rows = np.sort(rng.choice(m, rng.integers(1, m + 1), replace=False))
+        beq = aeq @ rng.uniform(-1.0, 1.0, n)
+        half = rng.choice([0.5, 2.0, 10.0])
+        lb, ub = -half * rng.uniform(0.5, 1.0, n), half * rng.uniform(0.5, 1.0, n)
+        if singular:
+            p, q = np.diag([1.0, 0.0, 0.0]), np.array([0.0, -1e-3, 5e-4])
+            aeq, beq = np.array([[0.0, 1.0, 1.0]]), np.array([0.3])
+            lb, ub = np.array([-1.0, -np.inf, -np.inf]), np.array([1.0, np.inf, np.inf])
+        solver, warm, consulted = CertificateRecorder(), None, 0
+        for kind, use_warm in steps:
+            if kind == "bounds":
+                lb, ub = rng.uniform(0.7, 1.0) * lb, rng.uniform(0.7, 1.0) * ub
+            elif kind == "q":
+                q = 3 * rng.standard_normal(n)
+            elif kind == "new_p":
+                p = new_p()
+            elif kind == "new_aeq":
+                aeq = new_aeq()
+                beq = aeq @ rng.uniform(-1.0, 1.0, n)
+            elif kind == "mutate_p":
+                p += rng.uniform(0.1, 1.0) * np.eye(n)
+            for _ in range(2):
+                beq = beq.copy()
+                beq[rows] = (aeq @ rng.uniform(-1.0, 1.0, n))[rows]
+                problem = qp.QpProblem(p=p, q=q, aeq=aeq, beq=beq, lb=lb, ub=ub, param_rows=rows)
+                sol = solver.solve(problem, warm_z=warm if use_warm else None)
+                consulted += solver.bounds is not None
+                assert sol.certified == (solver.bounds is not None and max(solver.bounds) <= 1e-8)
+                if sol.certified:
+                    assert sol.status == "optimal"
+                    assert solver._full_check(problem, sol.z, sol.y_eq, sol.mu)
+                    primal, dual, _ = qp.kkt_residuals(problem, sol.z, sol.y_eq, sol.mu)
+                    assert solver.bounds[0] >= primal and solver.bounds[1] >= dual
+                if singular:
+                    assert not sol.certified and sol.status != "optimal"
+                warm = sol.z
+        if singular:
+            assert consulted > 0
+
+    def test_fast_path_covers_the_default_run(self, monkeypatch):
+        # The default 200-step fixture run keeps one working set over its
+        # 162 solves: all but the first, which builds the piece, may end on
+        # the certificate, and at least 95% must.
+        solutions, solve = [], qp.Solver.solve
+
+        def recording_solve(self, problem, warm_z=None):
+            solutions.append(solve(self, problem, warm_z=warm_z))
+            return solutions[-1]
+
+        monkeypatch.setattr(qp.Solver, "solve", recording_solve)
+        experiment.run_experiment(experiment.ExperimentConfig(attack=dos.params_for_ratio(0.8841)))
+        assert len(solutions) == 162
+        assert all(sol.status == "optimal" for sol in solutions)
+        assert sum(sol.certified for sol in solutions) >= 0.95 * len(solutions)
 
 
 class TestSchurComplement:
