@@ -18,16 +18,15 @@ from pathlib import Path
 import numpy as np
 
 from . import dos
-from .data import collect_offline
 from .errors import ConfigError
 from .experiment import (CONTROLLERS, ExperimentConfig, attack_params, compare, prepare,
                          run_experiment, sweep)
 
 
 def _load_config(args) -> ExperimentConfig:
-    """The config file (or the defaults) with the command-line overrides. The
-    output directory is ``--out``, else the config's ``output_dir``, else
-    ``out``."""
+    """The config file (or the defaults), overridden by each flag given whose
+    destination names a config field. The output directory is ``--out``,
+    else the config's ``output_dir``, else ``out``."""
     if args.config:
         try:
             text = Path(args.config).read_text()
@@ -36,13 +35,8 @@ def _load_config(args) -> ExperimentConfig:
         config = ExperimentConfig.from_json(text)
     else:
         config = ExperimentConfig()
-    overrides = {}
-    for name in ("model", "t_sim", "v_bar", "horizon", "n_samples", "u_max",
-                 "controller", "data_seed", "noise_seed", "attack_seed",
-                 "lambda_g", "lambda_h"):
-        value = getattr(args, name, None)
-        if value is not None:
-            overrides[name] = value
+    overrides = {name: value for name, value in vars(args).items()
+                 if name in ExperimentConfig.__dataclass_fields__ and value is not None}
     if args.ratio is not None:
         overrides["attack"] = attack_params({"ratio": args.ratio})
     if args.no_attack:
@@ -71,10 +65,7 @@ def _add_common(p: argparse.ArgumentParser):
 
 def _cmd_collect(args) -> int:
     config = _load_config(args)
-    prepared = prepare(config)
-    traj = collect_offline(prepared.model, config.n_samples, prepared.pe_order,
-                           amplitude=config.amplitude(),
-                           noise_bound=config.v_bar, seed=config.data_seed)
+    traj = prepare(config).offline_record()
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     traj.save_csv(out / "offline_data.csv")
@@ -97,9 +88,12 @@ def _cmd_attack_check(args) -> int:
         return 0 if report.passed else 1
     if args.t_sim < 0:
         raise ConfigError(f"t_sim must be nonnegative, got {args.t_sim}")
-    params = attack_params({"ratio": args.ratio} if args.ratio is not None else
-                           {"kappa_f": args.kappa_f, "nu_f": args.nu_f,
-                            "kappa_d": args.kappa_d, "nu_d": args.nu_d})
+    # The flags given form one attack object; the default budget needs no --ratio.
+    given = {key: getattr(args, key) for key in ("ratio", *dos.AttackParams.__dataclass_fields__)
+             if getattr(args, key) is not None}
+    if args.ratio is None:
+        given = {"kappa_f": 1.0, "nu_f": 4.0, "kappa_d": 1.0, "nu_d": 2.0, **given}
+    params = attack_params(given)
     if args.worst_case:
         schedule = dos.generate_worst_case(params, args.t_sim)
     else:
@@ -156,10 +150,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("attack-check", help="validate or generate DoS schedules")
     p.add_argument("--schedule", help="existing schedule file to validate")
     p.add_argument("--ratio", type=float)
-    p.add_argument("--kappa-f", dest="kappa_f", type=float, default=1.0)
-    p.add_argument("--nu-f", dest="nu_f", type=float, default=4.0)
-    p.add_argument("--kappa-d", dest="kappa_d", type=float, default=1.0)
-    p.add_argument("--nu-d", dest="nu_d", type=float, default=2.0)
+    p.add_argument("--kappa-f", dest="kappa_f", type=float, help="default 1; not with --ratio")
+    p.add_argument("--nu-f", dest="nu_f", type=float, help="default 4")
+    p.add_argument("--kappa-d", dest="kappa_d", type=float, help="default 1; not with --ratio")
+    p.add_argument("--nu-d", dest="nu_d", type=float, help="default 2; not with --ratio")
     p.add_argument("--t-sim", dest="t_sim", type=int, default=500)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--worst-case", action="store_true")

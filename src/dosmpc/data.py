@@ -20,6 +20,7 @@ __all__ = [
     "PeReport",
     "build_hankel",
     "is_persistently_exciting",
+    "pe_samples",
     "collect_offline",
     "fundamental_lemma_residual",
 ]
@@ -219,6 +220,13 @@ class HankelPair:
         return self.hy.shape[0] // self.depth
 
 
+def pe_samples(n_u: int, order: int) -> int:
+    """Fewest samples of an n_u-input record that can be persistently
+    exciting of ``order``: its depth-``order`` Hankel matrix has n_u * order
+    rows, and needs at least as many columns for full row rank."""
+    return (n_u + 1) * order - 1
+
+
 def is_persistently_exciting(inputs, order: int) -> PeReport:
     """Rank check of the order-L input Hankel matrix (Hanke rank = n_u * L).
 
@@ -231,7 +239,7 @@ def is_persistently_exciting(inputs, order: int) -> PeReport:
         u = u.T
     n, n_u = u.shape
     required = n_u * order
-    if n < order or n - order + 1 < required:
+    if n < order or n < pe_samples(n_u, order):
         return PeReport(False, order, 0, required, 0.0, 0.0)
     h = build_hankel(u, order)
     s = np.linalg.svd(h, compute_uv=False)
@@ -253,10 +261,10 @@ def collect_offline(model, n_samples: int, pe_order: int, amplitude: float = 1.0
     """
     from .lti import simulate
 
-    if n_samples < model.n_u * pe_order:
+    if n_samples < pe_samples(model.n_u, pe_order):
         raise DimensionError(
             f"n_samples = {n_samples} cannot be persistently exciting of order {pe_order} "
-            f"(need at least {model.n_u * pe_order})"
+            f"(need at least {pe_samples(model.n_u, pe_order)})"
         )
     report = None
     for attempt in range(8):

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import numbers
 import time
 from dataclasses import dataclass, field, replace
@@ -24,10 +25,10 @@ import numpy as np
 
 from . import dos
 from .controllers import DataDrivenController, ModelBasedController
-from .data import (HankelPair, _columns, _format_row, _read_table, _write_table,
-                   collect_offline)
+from .data import (HankelPair, Trajectory, _columns, _format_row, _read_table,
+                   _write_table, collect_offline, pe_samples)
 from .errors import ConfigError
-from .lti import SystemModel, check_structure, observability_index, synthesize_gains
+from .lti import SystemModel, check_structure, synthesize_gains
 from .mpc import MpcConfig
 from .plants import batch_reactor
 
@@ -39,6 +40,20 @@ logger = logging.getLogger(__name__)
 
 CONTROLLERS = ("data-driven", "data-driven-periodic", "model-based")
 
+# The model-free rule of each numeric field: its type, its lower bound,
+# whether that bound is strict, and whether +inf is accepted (u_max = inf
+# means no input box, blow_up = inf no divergence guard). NaN and -inf never
+# pass. excitation_amplitude may also be None, the default policy.
+_FIELD_RULES = {
+    **dict.fromkeys(("n_samples", "t_sim", "data_seed", "noise_seed", "attack_seed"),
+                    (numbers.Integral, 0, False, False)),
+    "horizon": (numbers.Integral, 1, False, False),
+    **dict.fromkeys(("dt", "lambda_g", "lambda_h", "r1", "r2", "excitation_amplitude"),
+                    (numbers.Real, 0, True, False)),
+    "v_bar": (numbers.Real, 0, False, False),
+    **dict.fromkeys(("u_max", "blow_up"), (numbers.Real, 0, True, True)),
+}
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -47,6 +62,8 @@ class ExperimentConfig:
     ``model`` is either the built-in name "batch-reactor" or a path to a model
     JSON file. ``attack`` is None for an attack-free run. ``x0`` of None means
     the documented default: the normalized all-ones direction (norm 1).
+    Construction, and so ``dataclasses.replace``, raises ``ConfigError`` on
+    the first broken rule that needs no model; ``prepare`` checks the rest.
     """
 
     model: str = "batch-reactor"
@@ -70,6 +87,36 @@ class ExperimentConfig:
     output_dir: Optional[str] = None
     blow_up: float = 1e6
 
+    def __post_init__(self):
+        for name, (kind, low, strict, inf_ok) in _FIELD_RULES.items():
+            value = getattr(self, name)
+            # NaN fails both comparisons with the bound.
+            if not (value is None and name == "excitation_amplitude"
+                    or isinstance(value, kind) and not isinstance(value, bool)
+                    and (value > low if strict else value >= low)
+                    and (inf_ok or value < math.inf)):
+                what = "an integer" if kind is numbers.Integral else "a finite number"
+                raise ConfigError(f"{name} must be {what} {'>' if strict else '>='} {low}"
+                                  f"{' or +inf' if inf_ok else ''}, got {value!r}")
+        if not isinstance(self.model, str):
+            raise ConfigError(f"model must be a name or a path, got {self.model!r}")
+        if self.controller not in CONTROLLERS:
+            raise ConfigError(f"unknown controller {self.controller!r}; pick from {CONTROLLERS}")
+        if self.x0 is not None:
+            if not (isinstance(self.x0, (tuple, list))
+                    and all(isinstance(v, numbers.Real) and not isinstance(v, bool)
+                            and -math.inf < v < math.inf for v in self.x0)):
+                raise ConfigError(f"x0 must be a list of finite numbers or null, got {self.x0!r}")
+            object.__setattr__(self, "x0", tuple(self.x0))
+        if self.attack is not None and self.attack.ratio >= 1.0:
+            raise ConfigError(
+                f"maximum-resilience condition violated: 1/nu_f + 1/nu_d = "
+                f"{self.attack.ratio:.6g} >= 1")
+        if self.amplitude() > self.u_max:
+            raise ConfigError(
+                f"excitation amplitude {self.amplitude():.4g} exceeds the input box "
+                f"u_max = {self.u_max:.4g}; offline inputs must be feasible")
+
     def amplitude(self) -> float:
         """Offline excitation amplitude.
 
@@ -83,31 +130,29 @@ class ExperimentConfig:
 
     @staticmethod
     def from_json(text: str) -> "ExperimentConfig":
+        """Config from JSON: fields by name, absent ones at their defaults;
+        a seed either at the top level or in ``seeds`` (data, noise, attack)."""
         try:
             obj = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"malformed config JSON: {exc}") from exc
         if not isinstance(obj, dict):
             raise ConfigError("config must be a JSON object")
-        seeds = {} if obj.get("seeds") is None else obj["seeds"]
+        seeds = obj.pop("seeds", None)
+        seeds = {} if seeds is None else seeds
         if not isinstance(seeds, dict):
             raise ConfigError("seeds must be a JSON object or null")
-        unknown = sorted(set(obj) - set(ExperimentConfig.__dataclass_fields__) - {"seeds"})
+        unknown = sorted(set(obj) - set(ExperimentConfig.__dataclass_fields__))
         unknown += [f"seeds.{k}" for k in sorted(set(seeds) - {"data", "noise", "attack"})]
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-        attack = obj.get("attack")
-        kwargs = {k: v for k, v in obj.items() if k not in
-                  ("attack", "x0", "seeds", "data_seed", "noise_seed", "attack_seed")}
-        x0 = obj.get("x0")
-        return ExperimentConfig(
-            attack=attack_params(attack) if attack is not None else None,
-            x0=tuple(x0) if isinstance(x0, list) else x0,
-            data_seed=seeds.get("data", obj.get("data_seed", 1)),
-            noise_seed=seeds.get("noise", obj.get("noise_seed", 2)),
-            attack_seed=seeds.get("attack", obj.get("attack_seed", 3)),
-            **kwargs,
-        )
+        twice = [f"{k}_seed" for k in sorted(seeds) if f"{k}_seed" in obj]
+        if twice:
+            raise ConfigError(f"seeds given twice, in seeds and as {', '.join(twice)}")
+        obj.update({f"{k}_seed": v for k, v in seeds.items()})
+        if obj.get("attack") is not None:
+            obj["attack"] = attack_params(obj["attack"])
+        return ExperimentConfig(**obj)
 
     def to_json(self) -> str:
         obj = {k: getattr(self, k) for k in self.__dataclass_fields__
@@ -156,6 +201,13 @@ class Prepared:
         n = self.model.n_x
         return np.ones(n) / np.sqrt(n)
 
+    def offline_record(self) -> Trajectory:
+        """The certified offline experiment the config describes."""
+        config = self.config
+        return collect_offline(self.model, config.n_samples, self.pe_order,
+                               amplitude=config.amplitude(), noise_bound=config.v_bar,
+                               seed=config.data_seed)
+
 
 def _load_model(config: ExperimentConfig) -> SystemModel:
     if config.model == "batch-reactor":
@@ -163,63 +215,25 @@ def _load_model(config: ExperimentConfig) -> SystemModel:
     return SystemModel.from_json(Path(config.model).read_text())
 
 
-_INTEGER_FIELDS = ("n_samples", "horizon", "t_sim", "data_seed", "noise_seed", "attack_seed")
-_REAL_FIELDS = ("dt", "lambda_g", "lambda_h", "v_bar", "r1", "r2", "u_max", "blow_up")
-
-
-def _check_fields(config: ExperimentConfig) -> None:
-    """Types of the numeric fields, and the ranges no other check covers."""
-    def real(value) -> bool:
-        return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-    for name in _INTEGER_FIELDS:
-        value = getattr(config, name)
-        if not (isinstance(value, numbers.Integral) and real(value) and value >= 0):
-            raise ConfigError(f"{name} must be a nonnegative integer, got {value!r}")
-    for name in _REAL_FIELDS:
-        value = getattr(config, name)
-        if not real(value):
-            raise ConfigError(f"{name} must be a number, got {value!r}")
-    if config.excitation_amplitude is not None and not real(config.excitation_amplitude):
-        raise ConfigError("excitation_amplitude must be a number or null")
-    if config.x0 is not None and not (isinstance(config.x0, (tuple, list))
-                                      and all(real(v) for v in config.x0)):
-        raise ConfigError(f"x0 must be a list of numbers or null, got {config.x0!r}")
-    if not config.blow_up > 0:
-        raise ConfigError(f"blow_up must be positive, got {config.blow_up}")
-
-
 def prepare(config: ExperimentConfig) -> Prepared:
-    """Resolve the model and validate every module-level precondition,
-    reporting violations by assumption number."""
-    _check_fields(config)
-    if config.controller not in CONTROLLERS:
-        raise ConfigError(f"unknown controller {config.controller!r}; pick from {CONTROLLERS}")
+    """Resolve the model and check the preconditions that need it, reporting
+    violations by assumption number. The rules that need no model hold
+    already: ``ExperimentConfig`` checks them on construction."""
     try:
         model = _load_model(config)
-    except (OSError, KeyError, ValueError) as exc:
+    except (OSError, KeyError, IndexError, TypeError, ValueError) as exc:
         raise ConfigError(f"cannot load model {config.model!r}: {exc!r}") from exc
     try:
-        check_structure(model)
+        eta = check_structure(model)["observability_index"]
     except Exception as exc:
         raise ConfigError(f"Assumption 1 violated: {exc}") from exc
-    eta = observability_index(model)
     if config.x0 is not None and len(config.x0) != model.n_x:
         raise ConfigError(f"x0 has {len(config.x0)} entries; the model has n_x = {model.n_x}")
-    if config.v_bar < 0:
-        raise ConfigError("Assumption 3 violated: noise bound must be nonnegative")
-    if config.attack is not None:
-        if config.attack.ratio >= 1.0:
-            raise ConfigError(
-                f"maximum-resilience condition violated: 1/nu_f + 1/nu_d = "
-                f"{config.attack.ratio:.6g} >= 1")
-        if config.controller == "data-driven-periodic":
-            n_x = model.n_x
-            if config.attack.ratio >= 1.0 - (n_x - 1) / config.attack.nu_f:
-                logger.warning(
-                    "periodic variant resilience condition not met: "
-                    "1/nu_f + 1/nu_d = %.4g >= 1 - (n_x-1)/nu_f = %.4g",
-                    config.attack.ratio, 1.0 - (n_x - 1) / config.attack.nu_f)
+    if (config.attack is not None and config.controller == "data-driven-periodic"
+            and config.attack.ratio >= 1.0 - (model.n_x - 1) / config.attack.nu_f):
+        logger.warning("periodic variant resilience condition not met: "
+                       "1/nu_f + 1/nu_d = %.4g >= 1 - (n_x-1)/nu_f = %.4g",
+                       config.attack.ratio, 1.0 - (model.n_x - 1) / config.attack.nu_f)
     if config.horizon < eta + model.n_x:
         raise ConfigError(
             f"Assumption 7 violated: horizon {config.horizon} < eta + n_x = {eta + model.n_x}")
@@ -228,20 +242,13 @@ def prepare(config: ExperimentConfig) -> Prepared:
                        "stricter experimental bound does not", config.horizon,
                        model.n_x + 2 * eta)
     pe_order = max(config.horizon + model.n_x + eta, config.horizon + 2 * eta)
-    if config.n_samples < model.n_u * pe_order:
+    if config.n_samples < pe_samples(model.n_u, pe_order):
         raise ConfigError(
             f"Assumption 6 violated: n_samples {config.n_samples} cannot be persistently "
-            f"exciting of order {pe_order} (need >= {model.n_u * pe_order})")
-    if config.amplitude() > config.u_max:
-        raise ConfigError(
-            f"excitation amplitude {config.amplitude():.4g} exceeds the input box "
-            f"u_max = {config.u_max:.4g}; offline inputs must be feasible")
-    try:
-        mpc_config = MpcConfig(horizon=config.horizon, eta=eta, lambda_g=config.lambda_g,
-                               lambda_h=config.lambda_h, v_bar=config.v_bar,
-                               r1=config.r1, r2=config.r2, u_max=config.u_max)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+            f"exciting of order {pe_order} (need >= {pe_samples(model.n_u, pe_order)})")
+    mpc_config = MpcConfig(horizon=config.horizon, eta=eta, lambda_g=config.lambda_g,
+                           lambda_h=config.lambda_h, v_bar=config.v_bar,
+                           r1=config.r1, r2=config.r2, u_max=config.u_max)
     return Prepared(model=model, eta=eta, pe_order=pe_order,
                     mpc_config=mpc_config, config=config)
 
@@ -459,10 +466,8 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
         schedule = dos.generate_random(config.attack, config.t_sim, config.attack_seed)
     data = None
     if config.controller != "model-based":
-        traj = collect_offline(model, config.n_samples, prepared.pe_order,
-                               amplitude=config.amplitude(),
-                               noise_bound=config.v_bar, seed=config.data_seed)
-        data = HankelPair.from_trajectory(traj, config.horizon + prepared.eta)
+        data = HankelPair.from_trajectory(prepared.offline_record(),
+                                          config.horizon + prepared.eta)
     controller = _build_controller(prepared, data)
     seeds = {"data": config.data_seed, "noise": config.noise_seed,
              "attack": config.attack_seed}

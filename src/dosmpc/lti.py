@@ -27,6 +27,9 @@ __all__ = [
 ]
 
 _RANK_RTOL = 1e-12
+# Riccati weights of the model-based baseline's state feedback.
+_Q_WEIGHT = 1.0
+_R_WEIGHT = 1.0
 
 
 def _frozen(a) -> np.ndarray:
@@ -152,25 +155,19 @@ def _rank(m: np.ndarray, rtol: float = _RANK_RTOL) -> tuple[int, float]:
 def check_structure(model: SystemModel) -> dict:
     """Certify Assumption-level structure: (A,B) stabilizable, (C,A) observable.
 
-    Returns a report dict; raises StructureError if either check fails.
+    Returns a report dict with the observability index; raises StructureError
+    if either check fails.
     """
+    eta = observability_index(model)
     n = model.n_x
-    obs_rank, _ = _rank(np.vstack([model.c @ np.linalg.matrix_power(model.a, i) for i in range(n)]))
-    observable = obs_rank == n
     # PBH test on every eigenvalue outside the open unit disk
-    stabilizable = True
     for lam in np.linalg.eigvals(model.a):
         if abs(lam) >= 1.0 - 1e-12:
             pbh = np.hstack([model.a - lam * np.eye(n), model.b])
             r, _ = _rank(pbh)
             if r < n:
-                stabilizable = False
-                break
-    if not observable:
-        raise StructureError("(C, A) is not observable (Assumption 1)")
-    if not stabilizable:
-        raise StructureError("(A, B) is not stabilizable (Assumption 1)")
-    return {"observable": True, "stabilizable": True, "observability_rank": obs_rank}
+                raise StructureError("(A, B) is not stabilizable (Assumption 1)")
+    return {"observable": True, "stabilizable": True, "observability_index": eta}
 
 
 def _expm(m: np.ndarray) -> np.ndarray:
@@ -284,11 +281,11 @@ def structural_matrices(model: SystemModel, n: int) -> StructuralMatrices:
     return StructuralMatrices(theta_n=theta, upsilon_i=ups_i, upsilon_b=ups_b, psi=psi, n=n)
 
 
-def _riccati_gain(model: SystemModel, q_weight: float, r_weight: float) -> np.ndarray:
+def _riccati_gain(model: SystemModel) -> np.ndarray:
     """Stabilizing feedback from the discrete Riccati iteration (fixed point)."""
     a, b = model.a, model.b
-    q = q_weight * np.eye(model.n_x)
-    r = r_weight * np.eye(model.n_u)
+    q = _Q_WEIGHT * np.eye(model.n_x)
+    r = _R_WEIGHT * np.eye(model.n_u)
     p = q.copy()
     for _ in range(10_000):
         btp = b.T @ p
@@ -337,16 +334,16 @@ def _deadbeat_observer_gain(model: SystemModel, eta: int) -> np.ndarray:
     return -basis @ inputs.T
 
 
-def synthesize_gains(model: SystemModel, q_weight: float = 1.0, r_weight: float = 1.0) -> GainSet:
-    """Feedback gain via Riccati iteration and deadbeat observer gain.
+def synthesize_gains(model: SystemModel) -> GainSet:
+    """Feedback gain via Riccati iteration (state and input weights
+    ``_Q_WEIGHT`` I and ``_R_WEIGHT`` I) and deadbeat observer gain.
 
     Both gains are post-verified: spectral radius of A + BK < 1 and
     ||(A - LC)^eta|| <= 1e-8. Raises SynthesisError with the achieved values
     otherwise.
     """
-    check_structure(model)
-    eta = observability_index(model)
-    k = _riccati_gain(model, q_weight, r_weight)
+    eta = check_structure(model)["observability_index"]
+    k = _riccati_gain(model)
     radius = max(abs(np.linalg.eigvals(model.a + model.b @ k)))
     if radius >= 1.0:
         raise SynthesisError(f"closed loop not Schur stable: spectral radius {radius:.6g}")

@@ -1,11 +1,13 @@
 import csv
 import json
+import numbers
 from dataclasses import replace
 from pathlib import Path
 
 import dos_oracle
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from dosmpc import cli, dos, experiment, lti
 from dosmpc.controllers import ModelBasedController
@@ -75,13 +77,54 @@ class TestConfig:
     def test_unloadable_model_reported(self, tmp_path):
         path = tmp_path / "model.json"
         path.write_text(json.dumps({"a": [[1.0]], "b": [[1.0]]}))  # no "c"
-        for model in (str(path), str(tmp_path / "missing.json")):
+        scalar_b = tmp_path / "scalar_b.json"
+        scalar_b.write_text(json.dumps({"a": [[1.0]], "b": 5, "c": [[1.0]]}))
+        for model in (str(path), str(scalar_b), str(tmp_path / "missing.json")):
             with pytest.raises(ConfigError, match="cannot load model"):
                 experiment.prepare(fast_config(model=model))
 
     def test_excitation_must_fit_input_box(self):
         with pytest.raises(ConfigError, match="excitation amplitude"):
             experiment.prepare(fast_config(excitation_amplitude=2.0, u_max=1.0))
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_field_rules_round_trip_and_reject(self, data):
+        # a config drawn inside every field's rule survives to_json/from_json;
+        # NaN, a bool or a string in any numeric field is refused on construction
+        def number(kind, low, strict, inf_ok):
+            if kind is numbers.Integral:
+                return st.integers(min_value=low + strict, max_value=2**40)
+            return st.floats(min_value=low, exclude_min=strict, allow_nan=False,
+                             allow_infinity=inf_ok)
+
+        fields = {name: data.draw(number(*rule), label=name)
+                  for name, rule in experiment._FIELD_RULES.items()}
+        fields["excitation_amplitude"] = data.draw(st.none() | st.floats(
+            min_value=0, exclude_min=True, max_value=fields["u_max"]), label="amplitude")
+        assume(fields["excitation_amplitude"] is not None
+               or max(0.005, 0.6 * np.sqrt(fields["v_bar"])) <= fields["u_max"])
+        attack = data.draw(st.none() | st.builds(
+            dos.AttackParams, kappa_f=st.floats(0, 1e6), nu_f=st.floats(2, 1e6),
+            kappa_d=st.floats(0, 1e6), nu_d=st.floats(1, 1e6)), label="attack")
+        assume(attack is None or attack.ratio < 1)
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        cfg = experiment.ExperimentConfig(
+            model=data.draw(st.text(max_size=8), label="model"),
+            controller=data.draw(st.sampled_from(experiment.CONTROLLERS), label="controller"),
+            x0=data.draw(st.none() | st.lists(finite, max_size=5).map(tuple), label="x0"),
+            output_dir=data.draw(st.none() | st.text(max_size=8), label="output_dir"),
+            attack=attack, **fields)
+        assert experiment.ExperimentConfig.from_json(cfg.to_json()) == cfg
+        for name in experiment._FIELD_RULES:
+            for bad in (float("nan"), True, "1"):
+                with pytest.raises(ConfigError, match=name):
+                    replace(cfg, **{name: bad})
+
+    def test_infinite_input_box_and_guard_run(self):
+        # u_max = inf is no input box, blow_up = inf no divergence guard
+        cfg = fast_config(u_max=float("inf"), blow_up=float("inf"), t_sim=20)
+        assert experiment.run_experiment(cfg).summary["status"] == "ok"
 
     def test_default_amplitude_policy(self):
         assert fast_config(v_bar=1e-4).amplitude() == pytest.approx(0.006)
@@ -204,9 +247,16 @@ class TestCompareAndSweep:
         assert rows[0]["tail_norm"] == single.summary["tail_norm"]
         assert rows[0]["status"] == "ok"
 
-    def test_sweep_records_cell_failures_and_continues(self, tmp_path):
-        # N = 40 cannot be persistently exciting of the required order 16
-        # (needs N >= 47); the cell records its failure and the sweep goes on
+    def test_sweep_records_cell_failures_and_continues(self, tmp_path, monkeypatch):
+        # a cell that fails at run time records its failure and the sweep goes on
+        run = experiment.run_experiment
+
+        def failing_at_40(config):
+            if config.n_samples == 40:
+                raise RuntimeError("cell failed")
+            return run(config)
+
+        monkeypatch.setattr(experiment, "run_experiment", failing_at_40)
         rows = experiment.sweep(fast_config(), "N", [40, 60, 80, 100],
                                 repetitions=1, output_dir=str(tmp_path))
         assert rows[0]["status"].startswith("error")
@@ -228,10 +278,9 @@ class TestCompareAndSweep:
 
     def test_horizon_sweep_at_small_n_is_order_limited(self):
         # with N = 40 every horizon in the nominal range needs more samples
-        # than the stricter-of-two excitation order allows
-        rows = experiment.sweep(fast_config(n_samples=40), "L", [8, 12],
-                                repetitions=1)
-        assert all(r["status"].startswith("error") for r in rows)
+        # than the stricter-of-two excitation order allows (L = 8 needs 41)
+        with pytest.raises(ConfigError, match="Assumption 6"):
+            experiment.sweep(fast_config(n_samples=40), "L", [8, 12], repetitions=1)
 
     def test_configuration_error_propagates(self, tmp_path):
         # an unknown controller fails every cell alike: the sweep stops
@@ -309,6 +358,13 @@ class TestCli:
         report = json.loads(capsys.readouterr().out)
         assert report["passed"]
 
+    def test_attack_check_ratio_keeps_nu_f_flag(self, tmp_path):
+        out = tmp_path / "atk"
+        assert cli.main(["attack-check", "--ratio", "0.8", "--nu-f", "6", "--t-sim", "50",
+                         "--out", str(out)]) == 0
+        params = dos.load_schedule(out / "schedule.txt").params
+        assert params == dos.params_for_ratio(0.8, nu_f=6.0)
+
     def test_attack_check_report_matches_oracle(self, tmp_path, capsys):
         # a passing T = 2000 worst-case schedule and a failing hand-made one
         out = tmp_path / "atk"
@@ -365,11 +421,22 @@ class TestCli:
         ({"blow_up": -1}, ["run"]),
         ({"t_sim": "200"}, ["sweep", "--axis", "v_bar", "--values", "1e-4"]),
         ({"dt": -0.1}, ["sweep", "--axis", "v_bar", "--values", "1e-4"]),
+        ({"v_bar": float("nan")}, ["run"]),
+        ({"lambda_g": float("inf")}, ["run"]),
+        ({"model": 5}, ["run"]),
+        ({"excitation_amplitude": 0}, ["run"]),
+        ({"seeds": {"data": 5}, "data_seed": 7}, ["run"]),
+        (None, ["run", "--n-samples", "40"]),
+        (None, ["collect", "--n-samples", "46"]),
+        (None, ["sweep", "--axis", "N", "--values", "40,60"]),
+        (None, ["attack-check", "--ratio", "0.8", "--kappa-d", "3"]),
     ], ids=["attack-unknown-key", "ratio-extra-keys", "ratio-config", "ratio-flag",
             "nu_f-config", "nu_f-flag", "malformed-json", "json-array", "x0-length",
             "missing-file", "sweep-ratio", "x0-number", "t_sim-string", "v_bar-string",
             "dt-negative", "lambda_h-zero", "lambda_g-flag", "t_sim-flag",
-            "attack-check-t_sim", "blow_up-negative", "sweep-t_sim-string", "sweep-dt-negative"])
+            "attack-check-t_sim", "blow_up-negative", "sweep-t_sim-string", "sweep-dt-negative",
+            "v_bar-nan", "lambda_g-inf", "model-number", "amplitude-zero", "seed-twice",
+            "run-N40", "collect-N46", "sweep-N40", "ratio-with-kappa_d-flag"])
     def test_configuration_errors_exit_3_without_output(self, tmp_path, monkeypatch,
                                                         capsys, config, argv):
         monkeypatch.chdir(tmp_path)

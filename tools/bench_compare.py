@@ -23,15 +23,20 @@ with its own ``src`` and ``perfbench``, BLAS pinned to one thread:
   controller kind at v_bar 1e-4, 3e-4 and 1e-3 on three seed triples, one
   attack-free run, one periodic run at ratio 0.2 and one T = 5000
   model-based run at ratio 0.9142; ``dosmpc collect`` at v_bar 1e-4 and
-  1e-3; a sweep with a failing cell; a ``compare`` directory; ``dosmpc
-  attack-check`` schedules at ratios 0.6, 0.8841 and 0.9142 with T 500 and
-  5000, random at seeds 0-2 and ``--worst-case``. Every file written must
-  match byte for byte, apart from the ``wall_time_s`` line of each summary
-  and the ``output_dir`` line of ``config.json``. For a CSV table or a JSON
-  object that differs only in numbers, the report gives each differing
-  column's (or key's) largest relative difference by perfbench's rule: the
-  largest absolute difference over the largest absolute parent value. A file
-  whose shape, status or other text differs is reported as changed;
+  1e-3; a sweep over N = 40, 60, where a configuration error (N = 40
+  failing Assumption 6 up front) writes its message in place of
+  ``sweep.csv``; a ``compare`` directory; ``dosmpc attack-check`` schedules
+  at ratios 0.6, 0.8841 and 0.9142 with T 500 and 5000, random at seeds 0-2
+  and ``--worst-case``; and ``dosmpc run --config`` on one grid entry's
+  saved ``config.json``, whose record and summary must equal that entry's
+  on the same side, or the tool exits 1 after writing its report. Every
+  file written must match byte for byte, apart from the ``wall_time_s``
+  line of each summary and the ``output_dir`` line of ``config.json``. For
+  a CSV table or a JSON object that differs only in numbers, the report
+  gives each differing column's (or key's) largest relative difference by
+  perfbench's rule: the largest absolute difference over the largest
+  absolute parent value. A file whose shape, status or other text differs
+  is reported as changed;
 - the Tier-1 suite, two runs per side in alternating order.
 
 Metric directions come from the change checkout's BENCHMARK.json.
@@ -129,14 +134,18 @@ for name, call in calls.items():
 print(json.dumps(result))
 """
 
+# The grid entry whose saved config.json is run again through ``dosmpc run``.
+RERUN = "data-driven-v0.0001-triple0"
+
 # Run inside a checkout: the records identity grid, one output directory per
 # entry under the directory given as the first argument.
-RECORDS = """
+RECORDS = f"RERUN = {RERUN!r}\n" + """
 import logging, sys
 from dataclasses import replace
 from pathlib import Path
 sys.path.insert(0, "src")
 from dosmpc import cli, dos, experiment
+from dosmpc.errors import ConfigError
 logging.disable(logging.WARNING)
 out = Path(sys.argv[1])
 base = experiment.ExperimentConfig(attack=dos.params_for_ratio(0.8841))
@@ -154,7 +163,12 @@ for name, config in grid.items():
     experiment.run_experiment(replace(config, output_dir=str(out / name)))
 for v_bar in ("1e-4", "1e-3"):
     cli.main(["collect", "--v-bar", v_bar, "--out", str(out / f"collect-v{v_bar}")])
-experiment.sweep(replace(base, t_sim=60), "N", [40, 60], output_dir=out / "sweep-N40-fails")
+try:
+    experiment.sweep(replace(base, t_sim=60), "N", [40, 60], output_dir=out / "sweep-N40-fails")
+except ConfigError as exc:
+    (out / "sweep-N40-fails").mkdir()
+    (out / "sweep-N40-fails" / "config_error.txt").write_text(str(exc))
+cli.main(["run", "--config", str(out / RERUN / "config.json"), "--out", str(out / "rerun-config")])
 experiment.compare(replace(base, output_dir=str(out / "compare")))
 for ratio in ("0.6", "0.8841", "0.9142"):
     for t_sim in ("500", "5000"):
@@ -243,7 +257,11 @@ def records_identity(roots: dict) -> dict:
         moved = {f: _relative_differences(dirs["parent"] / f, dirs["change"] / f)
                  for f in differing}
         relative = {f: m for f, m in moved.items() if m is not None}
-        return {"runs": len({f.split("/")[0] for f in files}), "files": len(files),
+        rerun = {side: all(_same_file(dirs[side] / RERUN / f, dirs[side] / "rerun-config" / f)
+                           for f in ("record.csv", "record_summary.json"))
+                 for side in SIDES}
+        return {"config_rerun_identical": rerun,
+                "runs": len({f.split("/")[0] for f in files}), "files": len(files),
                 "identical": len(files) - len(differing), "differing": differing,
                 "changed": [f for f, m in moved.items() if m is None],
                 "relative_difference": relative,
@@ -371,6 +389,9 @@ def main(argv=None) -> int:
         for side in order:
             report["tier1"][side].append(tier1(roots[side]))
     args.out.write_text(json.dumps(report, indent=1) + "\n")
+    if not all(report["records_identity"]["config_rerun_identical"].values()):
+        print(f"a rerun of {RERUN}/config.json wrote a different record", file=sys.stderr)
+        return 1
     return 0
 
 
