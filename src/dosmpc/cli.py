@@ -5,7 +5,8 @@ schedules), run (single closed-loop experiment), sweep (one-axis grid),
 compare (data-driven vs model-based on shared randomness). All outputs are
 CSV/JSON in the chosen output directory. Exit codes: 0 ok, 1 schedule
 validation failure, 2 divergence, 3 configuration error (nothing written),
-4 numerical failure.
+4 numerical failure (a singular matrix, a ``SynthesisError``,
+``PersistencyError`` or ``SolverError``; nothing written).
 """
 from __future__ import annotations
 
@@ -18,9 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from . import dos
-from .errors import ConfigError
-from .experiment import (CONTROLLERS, ExperimentConfig, attack_params, compare, prepare,
-                         run_experiment, sweep)
+from .errors import ConfigError, PersistencyError, SolverError, SynthesisError
+from .experiment import (_SWEEP_AXES, CONTROLLERS, ExperimentConfig, attack_params, compare,
+                         prepare, run_experiment, sweep)
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -117,8 +118,6 @@ def _cmd_run(args) -> int:
 def _cmd_sweep(args) -> int:
     config = _load_config(args)
     values = [float(v) for v in args.values.split(",")]
-    if args.axis in ("N", "L"):
-        values = [int(v) for v in values]
     rows = sweep(config, args.axis, values, repetitions=args.repetitions,
                  output_dir=config.output_dir)
     bad = [r for r in rows if r["status"] != "ok"]
@@ -166,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="grid of runs along one axis")
     _add_common(p)
-    p.add_argument("--axis", required=True, choices=["N", "L", "ratio", "v_bar"])
+    p.add_argument("--axis", required=True, choices=_SWEEP_AXES)
     p.add_argument("--values", required=True, help="comma-separated values")
     p.add_argument("--repetitions", type=int, default=1)
     p.set_defaults(func=_cmd_sweep)
@@ -185,7 +184,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 3
-    except np.linalg.LinAlgError as exc:
+    except (np.linalg.LinAlgError, SynthesisError, SolverError, PersistencyError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
 

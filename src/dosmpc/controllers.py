@@ -29,12 +29,12 @@ __all__ = ["StepResult", "DataDrivenController", "ModelBasedController"]
 
 @dataclass
 class StepResult:
-    """Applied input plus solve diagnostics for the step (if one happened)."""
+    """Applied input and, on a solve step, the solution it came from."""
 
     u: np.ndarray
-    solved: bool = False
-    cost: Optional[float] = None
-    qp_iterations: Optional[int] = None
+    solution: Optional[MpcSolution] = None
+
+    solved = property(lambda self: self.solution is not None)
 
 
 def _shift_in(window: np.ndarray, row) -> np.ndarray:
@@ -70,8 +70,7 @@ class DataDrivenController:
             solution = solve_mpc(self.assembler, self.input_window, self.output_window,
                                  warm=self.cached, solver=self.solver)
             self.cached, self.last_solve = solution, t
-            return StepResult(u=solution.u_pred[0], solved=True, cost=solution.cost,
-                              qp_iterations=solution.qp_iterations)
+            return StepResult(u=solution.u_pred[0], solution=solution)
         if self.cached is not None and 1 <= t - self.last_solve <= self.config.horizon - 1:
             return StepResult(u=self.cached.u_pred[t - self.last_solve])
         return StepResult(u=np.zeros(self.assembler.vmap.n_u))

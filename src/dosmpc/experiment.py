@@ -16,8 +16,9 @@ import json
 import logging
 import math
 import numbers
+import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -60,8 +61,9 @@ class ExperimentConfig:
     """Validated description of one closed-loop scenario.
 
     ``model`` is either the built-in name "batch-reactor" or a path to a model
-    JSON file. ``attack`` is None for an attack-free run. ``x0`` of None means
-    the documented default: the normalized all-ones direction (norm 1).
+    JSON file. ``output_dir`` is None or a path, kept as a str. ``attack`` is
+    None for an attack-free run. ``x0`` of None means the documented
+    default: the normalized all-ones direction (norm 1).
     Construction, and so ``dataclasses.replace``, raises ``ConfigError`` on
     the first broken rule that needs no model; ``prepare`` checks the rest.
     """
@@ -100,6 +102,10 @@ class ExperimentConfig:
                                   f"{' or +inf' if inf_ok else ''}, got {value!r}")
         if not isinstance(self.model, str):
             raise ConfigError(f"model must be a name or a path, got {self.model!r}")
+        if isinstance(self.output_dir, os.PathLike):
+            object.__setattr__(self, "output_dir", os.fspath(self.output_dir))
+        if not (self.output_dir is None or isinstance(self.output_dir, str)):
+            raise ConfigError(f"output_dir must be a path or null, got {self.output_dir!r}")
         if self.controller not in CONTROLLERS:
             raise ConfigError(f"unknown controller {self.controller!r}; pick from {CONTROLLERS}")
         if self.x0 is not None:
@@ -255,7 +261,10 @@ def prepare(config: ExperimentConfig) -> Prepared:
 
 @dataclass
 class RunRecord:
-    """Per-step closed-loop trace plus a summary recomputable from it."""
+    """Per-step closed-loop trace plus a summary recomputable from it. Each
+    field before ``summary`` is a per-step array, saved in field order as one
+    column (``cost``) or, if 2-D, one per entry (``u_0``, ``u_1``, ...);
+    the leading ``t`` and ``attack`` are saved as integers."""
 
     t: np.ndarray
     attack: np.ndarray
@@ -274,14 +283,10 @@ class RunRecord:
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         csv_path = directory / f"{stem}.csv"
-        n_u = self.u.shape[1]
-        n_y = self.y.shape[1]
-        names = (["t", "attack"] + [f"u_{i}" for i in range(n_u)]
-                 + [f"y_{i}" for i in range(n_y)] + [f"zeta_{i}" for i in range(n_y)]
-                 + ["y_norm", "cost", "qp_iterations"])
-        table = np.column_stack([self.t, self.attack, self.u, self.y, self.zeta,
-                                 self.y_norm, self.cost, self.qp_iterations])
-        _write_table(csv_path, names, table, int_cols=2)
+        names, arrays = [], [getattr(self, name) for name in _RECORD_ARRAYS]
+        for name, array in zip(_RECORD_ARRAYS, arrays):
+            names += [name] if array.ndim == 1 else [f"{name}_{i}" for i in range(array.shape[1])]
+        _write_table(csv_path, names, np.column_stack(arrays), int_cols=2)
         summary = {k: (None if isinstance(v, float) and np.isnan(v) else v)
                    for k, v in self.summary.items()}
         (directory / f"{stem}_summary.json").write_text(json.dumps(summary, indent=2))
@@ -293,17 +298,14 @@ class RunRecord:
         names, table = _read_table(directory / f"{stem}.csv")
         summary = json.loads((directory / f"{stem}_summary.json").read_text())
         summary = {k: (np.nan if v is None else v) for k, v in summary.items()}
-        return RunRecord(
-            t=table[:, names.index("t")].astype(int),
-            attack=table[:, names.index("attack")].astype(int),
-            u=table[:, _columns(names, "u_")],
-            y=table[:, _columns(names, "y_")],
-            zeta=table[:, _columns(names, "zeta_")],
-            y_norm=table[:, names.index("y_norm")],
-            cost=table[:, names.index("cost")],
-            qp_iterations=table[:, names.index("qp_iterations")],
-            summary=summary,
-        )
+        arrays = {name: table[:, names.index(name)] if name in names
+                  else table[:, _columns(names, f"{name}_")] for name in _RECORD_ARRAYS}
+        for name in _RECORD_ARRAYS[:2]:
+            arrays[name] = arrays[name].astype(int)
+        return RunRecord(**arrays, summary=summary)
+
+
+_RECORD_ARRAYS = tuple(f.name for f in fields(RunRecord) if f.name != "summary")
 
 
 def iss_metrics(record: RunRecord) -> dict:
@@ -423,8 +425,8 @@ def run_closed_loop(model: SystemModel, controller, t_sim: int,
         zeta = y + noise[t]
         controller.finish(zeta, u)
         if result.solved:
-            cost_log[t] = result.cost
-            iter_log[t] = result.qp_iterations
+            cost_log[t] = result.solution.cost
+            iter_log[t] = result.solution.qp_solution.iterations
         u_log[t] = u
         y_log[t] = y
         if not attack:
@@ -494,16 +496,22 @@ def _cell_config(config: ExperimentConfig, axis: str, value, offset: int) -> Exp
         "output_dir": None,
     }
     if axis == "N":
-        updates["n_samples"] = int(value)
+        updates["n_samples"] = value
     elif axis == "L":
-        updates["horizon"] = int(value)
+        updates["horizon"] = value
     elif axis == "v_bar":
         updates["v_bar"] = float(value)
-    elif axis == "ratio":
-        updates["attack"] = attack_params({"ratio": float(value)})
     else:
-        raise ConfigError(f"unknown sweep axis {axis!r}; pick from {_SWEEP_AXES}")
+        updates["attack"] = attack_params({"ratio": float(value)})
     return replace(config, **updates)
+
+
+def _integer(axis: str, value) -> int:
+    """An N or L axis value as an int: 60 and 60.0 pass, 60.7 does not."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Integral)
+                                       or isinstance(value, float) and value.is_integer()):
+        raise ConfigError(f"sweep axis {axis} takes integers, got {value!r}")
+    return int(value)
 
 
 def sweep(config: ExperimentConfig, axis: str, values, repetitions: int = 1,
@@ -511,9 +519,14 @@ def sweep(config: ExperimentConfig, axis: str, values, repetitions: int = 1,
     """Grid of runs along one axis with per-cell derived seeds.
 
     Per-cell failures are recorded (status column) and the sweep continues;
-    a configuration error propagates, and nothing is written. Returns one
-    summary row per (value, repetition).
+    a configuration error propagates, and nothing is written. An N or L
+    value that is not integral is one, raised before any cell runs. Returns
+    one summary row per (value, repetition).
     """
+    if axis not in _SWEEP_AXES:
+        raise ConfigError(f"unknown sweep axis {axis!r}; pick from {_SWEEP_AXES}")
+    if axis in ("N", "L"):
+        values = [_integer(axis, value) for value in values]
     rows = []
     for i, value in enumerate(values):
         for rep in range(repetitions):

@@ -102,8 +102,8 @@ class VariableMap:
 class MpcSolution:
     """Extracted optimizer. ``u_pred`` / ``y_pred`` cover offsets [0, L-1];
     ``h`` covers the full window [-eta, L-1]. ``cost`` is the program
-    objective recomputed from the extracted blocks. The QP residuals read
-    through to ``qp_solution``, which computes them on first read."""
+    objective recomputed from the extracted blocks. The QP's own facts, its
+    ``z``, iterations, status and residuals, are read from ``qp_solution``."""
 
     u_pred: np.ndarray
     y_pred: np.ndarray
@@ -111,11 +111,6 @@ class MpcSolution:
     h: np.ndarray
     cost: float
     qp_solution: QpSolution = field(repr=False)
-    qp_iterations: int = 0
-    z: np.ndarray = field(default_factory=lambda: np.zeros(0), repr=False)
-
-    qp_primal_residual = property(lambda self: self.qp_solution.primal_residual)
-    qp_dual_residual = property(lambda self: self.qp_solution.dual_residual)
 
 
 class MpcAssembler:
@@ -135,7 +130,6 @@ class MpcAssembler:
             )
         if config.v_bar < _V_BAR_FLOOR:
             logger.warning("v_bar=%g clamped to %g in cost scaling", config.v_bar, _V_BAR_FLOOR)
-        self.hankel = hankel
         self.config = config
         w = config.window
         n_u, n_y = hankel.n_u, hankel.n_y
@@ -163,8 +157,6 @@ class MpcAssembler:
             p[su, su] = 2.0 * r1
             p[sy, sy] = 2.0 * r2
         p += _RIDGE * np.eye(n)
-        self.p = p
-        self.q = np.zeros(n)
 
         m = w * (n_u + n_y) + 2 * eta * (n_u + n_y)
         a = np.zeros((m, n))
@@ -185,21 +177,19 @@ class MpcAssembler:
         r += eta * n_u
         a[np.arange(r, r + eta * n_y), off_y + (w - eta) * n_y + np.arange(eta * n_y)] = 1.0
         self.aeq = a
-        self.m = m
 
         lb = np.full(n, -np.inf)
         ub = np.full(n, np.inf)
         lb[off_u + eta * n_u: off_u + w * n_u] = -config.u_max
         ub[off_u + eta * n_u: off_u + w * n_u] = config.u_max
-        self.lb, self.ub = lb, ub
         init_rows = np.arange(self._init_rows, self._init_rows + eta * (n_u + n_y))
-        self._problem = QpProblem(p=p, q=self.q, aeq=a, beq=np.zeros(m), lb=lb, ub=ub,
+        self._problem = QpProblem(p=p, q=np.zeros(n), aeq=a, beq=np.zeros(m), lb=lb, ub=ub,
                                   param_rows=init_rows)
 
     def qp(self, init_u, init_zeta) -> QpProblem:
         """The instance whose initial window holds ``init_u`` and ``init_zeta``,
         eta samples each."""
-        beq = np.zeros(self.m)
+        beq = np.zeros_like(self._problem.beq)
         r = self._init_rows
         for name, arr, dim in (("init_u", init_u, self.vmap.n_u),
                                ("init_zeta", init_zeta, self.vmap.n_y)):
@@ -243,10 +233,8 @@ class MpcAssembler:
         )
         for arr in (u_pred, y_pred, g, h):
             arr.setflags(write=False)
-        return MpcSolution(
-            u_pred=u_pred, y_pred=y_pred, g=g, h=h, cost=cost, qp_solution=qp_solution,
-            qp_iterations=qp_solution.iterations, z=z,
-        )
+        return MpcSolution(u_pred=u_pred, y_pred=y_pred, g=g, h=h, cost=cost,
+                           qp_solution=qp_solution)
 
 
 def solve_mpc(assembler: MpcAssembler, init_u, init_zeta,
@@ -261,7 +249,7 @@ def solve_mpc(assembler: MpcAssembler, init_u, init_zeta,
     """
     qp_problem = assembler.qp(init_u, init_zeta)
     slv = solver or Solver()
-    sol = slv.solve(qp_problem, warm_z=warm.z if warm is not None else None)
+    sol = slv.solve(qp_problem, warm_z=warm.qp_solution.z if warm is not None else None)
     if sol.status != "optimal":
         raise SolverError(
             f"QP terminated with status '{sol.status}' "

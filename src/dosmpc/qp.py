@@ -100,11 +100,11 @@ class QpProblem:
 
 @dataclass
 class QpSolution:
-    """``iterations`` counts working-set changes; ``polished`` is true when
-    ``z`` passed the certificate (then ``certified``) or the full check, which
-    is what ``"optimal"`` means. ``objective`` and the residuals are those
-    of ``problem`` by ``kkt_residuals``, computed from its arrays as they
-    are at the first read."""
+    """``iterations`` counts working-set changes; status ``"optimal"`` means
+    that ``z`` passed the certificate (then ``certified``) or the full check,
+    and ``polished`` reads it. ``objective`` and the residuals are those of
+    ``problem`` by ``kkt_residuals``, computed from its arrays as they are at
+    the first read."""
 
     z: np.ndarray
     iterations: int
@@ -112,9 +112,9 @@ class QpSolution:
     problem: QpProblem = field(repr=False)
     y_eq: np.ndarray = field(default_factory=lambda: np.zeros(0))
     mu: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    polished: bool = False
     certified: bool = False
 
+    polished = property(lambda self: self.status == "optimal")
     _kkt = cached_property(lambda self: kkt_residuals(self.problem, self.z, self.y_eq, self.mu))
     primal_residual = property(lambda self: self._kkt[0])
     dual_residual = property(lambda self: self._kkt[1])
@@ -294,13 +294,13 @@ class Solver:
                 drop = rows[np.argmin(tau)]
                 lo, hi = lo[lo != drop], hi[hi != drop]
 
-        certified = polished = False
+        certified = False
         if status == "optimal":
             certified = self._cert is not None and max(self._bounds(problem, z, viol[p])) <= _EPS_ABS
-            polished = bool(certified or self._full_check(problem, z, y_eq, mu))
-            status = "optimal" if polished else "inaccurate"
+            if not (certified or self._full_check(problem, z, y_eq, mu)):
+                status = "inaccurate"
         return QpSolution(z=z, iterations=changes, status=status, problem=problem,
-                          y_eq=y_eq, mu=mu, polished=polished, certified=bool(certified))
+                          y_eq=y_eq, mu=mu, certified=bool(certified))
 
     def _bounds(self, problem, z, free_viol):
         """The certificate's (primal, dual) bounds on the full check's residuals

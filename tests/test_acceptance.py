@@ -121,9 +121,10 @@ def test_criterion_3b_fixture_solve_residuals(reactor):
             solution = mpc.solve_mpc(asm, u_applied[t - eta:t], zeta[t - eta:t],
                                      warm=solution, solver=solver)
             solved_at.append(t)
-            residuals.append(max(solution.qp_primal_residual, solution.qp_dual_residual))
-            floors.append(eps * float(np.max(abs_aeq @ np.abs(solution.z))))
-            iterations.append(solution.qp_iterations)
+            residuals.append(max(solution.qp_solution.primal_residual,
+                                 solution.qp_solution.dual_residual))
+            floors.append(eps * float(np.max(abs_aeq @ np.abs(solution.qp_solution.z))))
+            iterations.append(solution.qp_solution.iterations)
         u = baseline.step(t, attack).u
         y = reactor.c @ x + reactor.d @ u
         zeta[t] = y + nn[t]

@@ -177,13 +177,15 @@ class TestGenerators:
         greedy = dos.generate_worst_case(p, 10)
         assert int(np.sum(greedy.indicators)) == best
 
-    # the first two explicit examples have margins in the tie band that only
-    # the direct sums decide; the last two reject a burst after recording part
-    # of it, so they need the running minima rolled back
+    # the first two explicit examples have margins in the tie band that the
+    # direct sums accept; the third, nu_d just above 1.5, has margins in the
+    # band that the direct sums reject; the last two reject a burst after
+    # recording part of it, so they need the running minima rolled back
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(p=budget_params(), t_sim=st.integers(0, 300), seed=st.integers(0, 2**32 - 1))
     @example(p=dos.AttackParams(1.0, 4.0, 1.0, 1.5), t_sim=60, seed=0)
     @example(p=dos.AttackParams(1.0, 2.0, 1.0, 1.5), t_sim=15, seed=0)
+    @example(p=dos.AttackParams(1.0, 4.0, 1.0, 1.5 + 1e-12), t_sim=40, seed=0)
     @example(p=dos.AttackParams(1.0, 4.0, 2.0, 1.5), t_sim=40, seed=36959)
     @example(p=dos.AttackParams(1.0, 3.0, 3.0, 1.5), t_sim=129, seed=82045)
     def test_match_all_intervals_oracle(self, p, t_sim, seed):

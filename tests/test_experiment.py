@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from dosmpc import cli, dos, experiment, lti
+from dosmpc import cli, controllers, dos, experiment, lti
 from dosmpc.controllers import ModelBasedController
-from dosmpc.errors import ConfigError
+from dosmpc.errors import ConfigError, PersistencyError, SolverError, SynthesisError
 
 
 def fast_config(**kwargs):
@@ -150,6 +150,13 @@ class TestRunExperiment:
         sched_a = (tmp_path / "a" / "schedule.txt").read_bytes()
         sched_b = (tmp_path / "b" / "schedule.txt").read_bytes()
         assert sched_a == sched_b
+
+    def test_path_output_dir_writes_config(self, tmp_path):
+        out = tmp_path / "run"
+        cfg = fast_config(t_sim=20, output_dir=out)
+        assert cfg.output_dir == str(out)
+        experiment.run_experiment(cfg)
+        assert json.loads((out / "config.json").read_text())["output_dir"] == str(out)
 
     def test_channel_semantics(self):
         cfg = fast_config(attack=dos.params_for_ratio(0.8841))
@@ -430,13 +437,17 @@ class TestCli:
         (None, ["collect", "--n-samples", "46"]),
         (None, ["sweep", "--axis", "N", "--values", "40,60"]),
         (None, ["attack-check", "--ratio", "0.8", "--kappa-d", "3"]),
+        ({"output_dir": 5}, ["run"]),
+        (None, ["sweep", "--axis", "N", "--values", "60.7"]),
+        (None, ["sweep", "--axis", "L", "--values", "10,10.5"]),
     ], ids=["attack-unknown-key", "ratio-extra-keys", "ratio-config", "ratio-flag",
             "nu_f-config", "nu_f-flag", "malformed-json", "json-array", "x0-length",
             "missing-file", "sweep-ratio", "x0-number", "t_sim-string", "v_bar-string",
             "dt-negative", "lambda_h-zero", "lambda_g-flag", "t_sim-flag",
             "attack-check-t_sim", "blow_up-negative", "sweep-t_sim-string", "sweep-dt-negative",
             "v_bar-nan", "lambda_g-inf", "model-number", "amplitude-zero", "seed-twice",
-            "run-N40", "collect-N46", "sweep-N40", "ratio-with-kappa_d-flag"])
+            "run-N40", "collect-N46", "sweep-N40", "ratio-with-kappa_d-flag",
+            "output_dir-number", "sweep-N-fraction", "sweep-L-fraction"])
     def test_configuration_errors_exit_3_without_output(self, tmp_path, monkeypatch,
                                                         capsys, config, argv):
         monkeypatch.chdir(tmp_path)
@@ -447,6 +458,22 @@ class TestCli:
         assert cli.main(argv + ["--out", "written"]) == 3
         assert capsys.readouterr().err.startswith("configuration error: ")
         assert not (tmp_path / "written").exists()
+
+    @pytest.mark.parametrize("module, name, error, argv", [
+        (experiment, "synthesize_gains", SynthesisError, ["--controller", "model-based"]),
+        (experiment, "collect_offline", PersistencyError, []),
+        (controllers, "solve_mpc", SolverError, []),
+    ], ids=["synthesis", "persistency", "solver"])
+    def test_numerical_failures_exit_4_without_output(self, tmp_path, monkeypatch, capsys,
+                                                      module, name, error, argv):
+        def fail(*args, **kwargs):
+            raise error("forced")
+
+        monkeypatch.setattr(module, name, fail)
+        out = tmp_path / "written"
+        assert cli.main(["run", "--t-sim", "20", "--out", str(out)] + argv) == 4
+        assert capsys.readouterr().err == "numerical failure: forced\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, written", [
         (["collect"], "offline_data.csv"),

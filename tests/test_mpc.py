@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dosmpc import data, lti, mpc, qp
-from dosmpc.errors import DimensionError
+from dosmpc.errors import DimensionError, SolverError
 
 
 def solve(hankel, config, init_u, init_zeta, solver=None):
@@ -168,3 +168,26 @@ class TestSolveMpc:
         # deviation is limited by the slack budget sqrt(J v/lh) ~ 1e-4,
         # amplified by the open-loop growth over the horizon
         assert np.max(np.abs(replay.outputs - sol.y_pred)) <= 2e-3
+
+
+class TestSolverErrors:
+    def test_inaccurate_solve_names_status_and_residuals(self, reactor, clean_hankel,
+                                                         study_config, monkeypatch):
+        monkeypatch.setattr(qp.Solver, "_full_check", lambda *args: False)
+        init_u, init_zeta = seeded_init(reactor, 5)
+        with pytest.raises(SolverError, match=r"status 'inaccurate' \(primal \S+, dual \S+,"):
+            solve(clean_hankel, study_config, init_u, init_zeta)
+
+    @pytest.mark.parametrize("offset, value, message", [
+        (9, 1e-3, "terminal anchor violated"),
+        (0, 10.0 + 1e-6, "input box violated"),
+    ], ids=["terminal-anchor", "input-box"])
+    def test_extract_rejects_violated_constraints(self, clean_hankel, study_config,
+                                                  offset, value, message):
+        # one predicted input, at an offset in [0, L-1], set to value
+        asm = mpc.MpcAssembler(clean_hankel, study_config)
+        problem, vm = asm.qp(np.zeros((2, 2)), np.zeros((2, 2))), asm.vmap
+        z = np.zeros(vm.n)
+        z[vm.u.start + (study_config.eta + offset) * vm.n_u] = value
+        with pytest.raises(SolverError, match=message):
+            asm.extract(qp.QpSolution(z=z, iterations=0, status="optimal", problem=problem))
