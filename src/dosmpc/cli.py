@@ -4,8 +4,9 @@ Subcommands: collect (offline data), attack-check (validate or generate DoS
 schedules), run (single closed-loop experiment), sweep (one-axis grid),
 compare (data-driven vs model-based on shared randomness). All outputs are
 CSV/JSON in the chosen output directory. Exit codes: 0 ok, 1 schedule
-validation failure, 2 divergence, 3 configuration error (nothing written),
-4 numerical failure (a singular matrix, a ``SynthesisError``,
+validation failure, 2 divergence, 3 configuration error (a rejected number,
+config file, command line or schedule file; nothing written), 4 numerical
+failure (a singular matrix, a ``SynthesisError``,
 ``PersistencyError`` or ``SolverError``; nothing written).
 """
 from __future__ import annotations
@@ -19,9 +20,22 @@ from pathlib import Path
 import numpy as np
 
 from . import dos
-from .errors import ConfigError, PersistencyError, SolverError, SynthesisError
-from .experiment import (_SWEEP_AXES, CONTROLLERS, ExperimentConfig, attack_params, compare,
-                         prepare, run_experiment, sweep)
+from .errors import ConfigError, PersistencyError, SolverError, SynthesisError, check_numbers
+from .experiment import (_FIELD_RULES, _SWEEP_AXES, CONTROLLERS, ExperimentConfig,
+                         attack_params, compare, prepare, run_experiment, sweep)
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors are configuration errors, not exit 2
+    (divergence); its subparsers are of the same class."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
+def float_list(text: str) -> list:
+    """``--values``: comma-separated numbers."""
+    return [float(v) for v in text.split(",")]
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -77,7 +91,11 @@ def _cmd_collect(args) -> int:
 
 def _cmd_attack_check(args) -> int:
     if args.schedule:
-        schedule = dos.load_schedule(args.schedule)
+        try:
+            schedule = dos.load_schedule(args.schedule)
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            raise ConfigError(f"cannot read schedule {args.schedule}: "
+                              f"{type(exc).__name__}: {exc}") from exc
         report = dos.validate_schedule(schedule.indicators, schedule.params)
         print(json.dumps({
             "passed": report.passed,
@@ -87,8 +105,8 @@ def _cmd_attack_check(args) -> int:
             "attack_fraction": schedule.attack_fraction,
         }, indent=2))
         return 0 if report.passed else 1
-    if args.t_sim < 0:
-        raise ConfigError(f"t_sim must be nonnegative, got {args.t_sim}")
+    check_numbers(vars(args), {"t_sim": _FIELD_RULES["t_sim"],
+                               "seed": _FIELD_RULES["attack_seed"]})
     # The flags given form one attack object; the default budget needs no --ratio.
     given = {key: getattr(args, key) for key in ("ratio", *dos.AttackParams.__dataclass_fields__)
              if getattr(args, key) is not None}
@@ -117,8 +135,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = _load_config(args)
-    values = [float(v) for v in args.values.split(",")]
-    rows = sweep(config, args.axis, values, repetitions=args.repetitions,
+    rows = sweep(config, args.axis, args.values, repetitions=args.repetitions,
                  output_dir=config.output_dir)
     bad = [r for r in rows if r["status"] != "ok"]
     for row in rows:
@@ -136,7 +153,7 @@ def _cmd_compare(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dosmpc",
         description="Data-driven resilient MPC simulator for LTI plants under DoS attacks",
     )
@@ -166,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="grid of runs along one axis")
     _add_common(p)
     p.add_argument("--axis", required=True, choices=_SWEEP_AXES)
-    p.add_argument("--values", required=True, help="comma-separated values")
+    p.add_argument("--values", required=True, type=float_list, help="comma-separated values")
     p.add_argument("--repetitions", type=int, default=1)
     p.set_defaults(func=_cmd_sweep)
 
@@ -178,8 +195,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

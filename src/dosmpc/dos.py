@@ -28,14 +28,14 @@ validation costs the number of intervals evaluated.
 from __future__ import annotations
 
 import json
-import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
 
 import numpy as np
 
-from .errors import ResilienceError
+from .errors import ResilienceError, check_numbers
 
 __all__ = [
     "AttackParams",
@@ -53,6 +53,10 @@ __all__ = [
     "load_schedule",
 ]
 
+# Parameter rules for errors.check_numbers; +inf is accepted.
+_FIELD_RULES = {**dict.fromkeys(("kappa_f", "kappa_d"), (numbers.Real, 0, False, True)),
+                "nu_f": (numbers.Real, 2, False, True), "nu_d": (numbers.Real, 1, False, True)}
+
 
 @dataclass(frozen=True)
 class AttackParams:
@@ -66,14 +70,7 @@ class AttackParams:
     nu_d: float
 
     def __post_init__(self):
-        if any(math.isnan(v) for v in (self.kappa_f, self.nu_f, self.kappa_d, self.nu_d)):
-            raise ValueError("attack parameters must not be NaN")
-        if self.kappa_f < 0 or self.kappa_d < 0:
-            raise ValueError("chatter bounds must be nonnegative")
-        if self.nu_f < 2:
-            raise ValueError("average dwell-time nu_f must be >= 2")
-        if self.nu_d < 1:
-            raise ValueError("average duration ratio nu_d must be >= 1")
+        check_numbers(vars(self), _FIELD_RULES)
 
     @property
     def ratio(self) -> float:

@@ -28,9 +28,9 @@ from . import dos
 from .controllers import DataDrivenController, ModelBasedController
 from .data import (HankelPair, Trajectory, _columns, _format_row, _read_table,
                    _write_table, collect_offline, pe_samples)
-from .errors import ConfigError
+from .errors import ConfigError, check_numbers
 from .lti import SystemModel, check_structure, synthesize_gains
-from .mpc import MpcConfig
+from .mpc import _FIELD_RULES as _MPC_RULES, MpcConfig
 from .plants import batch_reactor
 
 __all__ = ["ExperimentConfig", "RunRecord", "prepare", "run_experiment",
@@ -41,18 +41,16 @@ logger = logging.getLogger(__name__)
 
 CONTROLLERS = ("data-driven", "data-driven-periodic", "model-based")
 
-# The model-free rule of each numeric field: its type, its lower bound,
-# whether that bound is strict, and whether +inf is accepted (u_max = inf
-# means no input box, blow_up = inf no divergence guard). NaN and -inf never
-# pass. excitation_amplitude may also be None, the default policy.
+# The model-free rule of each numeric field for errors.check_numbers, those
+# shared with MpcConfig taken from mpc's table (blow_up = inf means no
+# divergence guard). excitation_amplitude may also be None, the default policy.
 _FIELD_RULES = {
     **dict.fromkeys(("n_samples", "t_sim", "data_seed", "noise_seed", "attack_seed"),
                     (numbers.Integral, 0, False, False)),
-    "horizon": (numbers.Integral, 1, False, False),
-    **dict.fromkeys(("dt", "lambda_g", "lambda_h", "r1", "r2", "excitation_amplitude"),
+    **{name: rule for name, rule in _MPC_RULES.items() if name != "eta"},
+    **dict.fromkeys(("dt", "r1", "r2", "excitation_amplitude"),
                     (numbers.Real, 0, True, False)),
-    "v_bar": (numbers.Real, 0, False, False),
-    **dict.fromkeys(("u_max", "blow_up"), (numbers.Real, 0, True, True)),
+    "blow_up": (numbers.Real, 0, True, True),
 }
 
 
@@ -90,16 +88,10 @@ class ExperimentConfig:
     blow_up: float = 1e6
 
     def __post_init__(self):
-        for name, (kind, low, strict, inf_ok) in _FIELD_RULES.items():
-            value = getattr(self, name)
-            # NaN fails both comparisons with the bound.
-            if not (value is None and name == "excitation_amplitude"
-                    or isinstance(value, kind) and not isinstance(value, bool)
-                    and (value > low if strict else value >= low)
-                    and (inf_ok or value < math.inf)):
-                what = "an integer" if kind is numbers.Integral else "a finite number"
-                raise ConfigError(f"{name} must be {what} {'>' if strict else '>='} {low}"
-                                  f"{' or +inf' if inf_ok else ''}, got {value!r}")
+        rules = _FIELD_RULES
+        if self.excitation_amplitude is None:  # the default policy, see amplitude()
+            rules = {name: rule for name, rule in rules.items() if name != "excitation_amplitude"}
+        check_numbers(vars(self), rules)
         if not isinstance(self.model, str):
             raise ConfigError(f"model must be a name or a path, got {self.model!r}")
         if isinstance(self.output_dir, os.PathLike):
@@ -520,11 +512,13 @@ def sweep(config: ExperimentConfig, axis: str, values, repetitions: int = 1,
 
     Per-cell failures are recorded (status column) and the sweep continues;
     a configuration error propagates, and nothing is written. An N or L
-    value that is not integral is one, raised before any cell runs. Returns
-    one summary row per (value, repetition).
+    value that is not integral is one, as is ``repetitions`` < 1; both are
+    raised before any cell runs. Returns one summary row per (value, repetition).
     """
     if axis not in _SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {axis!r}; pick from {_SWEEP_AXES}")
+    check_numbers({"repetitions": repetitions},
+                  {"repetitions": (numbers.Integral, 1, False, False)})
     if axis in ("N", "L"):
         values = [_integer(axis, value) for value in values]
     rows = []

@@ -16,13 +16,14 @@ any received noisy window.
 from __future__ import annotations
 
 import logging
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .data import HankelPair
-from .errors import DimensionError, SolverError
+from .errors import DimensionError, SolverError, check_numbers
 from .qp import QpProblem, QpSolution, Solver
 
 __all__ = ["MpcConfig", "MpcSolution", "VariableMap", "MpcAssembler", "solve_mpc"]
@@ -31,6 +32,11 @@ logger = logging.getLogger(__name__)
 
 _V_BAR_FLOOR = 1e-9
 _RIDGE = 1e-8
+# Numeric field rules for errors.check_numbers (u_max = inf: no input box).
+# ExperimentConfig reads the rules of the fields it shares from here.
+_FIELD_RULES = {**dict.fromkeys(("horizon", "eta"), (numbers.Integral, 1, False, False)),
+                **dict.fromkeys(("lambda_g", "lambda_h"), (numbers.Real, 0, True, False)),
+                "v_bar": (numbers.Real, 0, False, False), "u_max": (numbers.Real, 0, True, True)}
 
 
 def _weight_matrix(value, dim: int, name: str) -> np.ndarray:
@@ -67,14 +73,7 @@ class MpcConfig:
     u_max: float = 10.0
 
     def __post_init__(self):
-        if self.horizon < 1 or self.eta < 1:
-            raise ValueError("horizon and eta must be positive")
-        if self.lambda_g <= 0 or self.lambda_h <= 0:
-            raise ValueError("lambda_g and lambda_h must be positive")
-        if self.v_bar < 0:
-            raise ValueError("v_bar must be nonnegative")
-        if self.u_max <= 0:
-            raise ValueError("u_max must be positive (the input box must contain 0)")
+        check_numbers(vars(self), _FIELD_RULES)
 
     @property
     def window(self) -> int:

@@ -232,6 +232,11 @@ class TestScheduleUtilities:
             fields[field] = nan
             with pytest.raises(ValueError):
                 dos.AttackParams(**fields)
+        # a bool or a string is not a number
+        with pytest.raises(ValueError, match="kappa_f"):
+            dos.AttackParams(kappa_f=True, nu_f=4, kappa_d=1, nu_d=2)
+        with pytest.raises(ValueError, match="nu_f"):
+            dos.AttackParams(kappa_f=1, nu_f="4", kappa_d=1, nu_d=2)
 
     def test_max_success_gap_conventions(self):
         assert dos.max_success_gap(np.zeros(5, dtype=int)) == 1

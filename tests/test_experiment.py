@@ -440,6 +440,14 @@ class TestCli:
         ({"output_dir": 5}, ["run"]),
         (None, ["sweep", "--axis", "N", "--values", "60.7"]),
         (None, ["sweep", "--axis", "L", "--values", "10,10.5"]),
+        (None, ["run", "--t-sim", "abc"]),
+        (None, ["run", "--bogus"]),
+        (None, ["sweep", "--axis", "v_bar"]),
+        (None, ["sweep", "--axis", "v_bar", "--values", "abc"]),
+        (None, ["sweep", "--axis", "v_bar", "--values", "1e-4", "--repetitions", "0"]),
+        (None, ["sweep", "--axis", "v_bar", "--values", "1e-4", "--repetitions", "-2"]),
+        (None, ["attack-check", "--seed", "-1", "--t-sim", "10"]),
+        (None, ["attack-check", "--schedule", "missing.txt"]),
     ], ids=["attack-unknown-key", "ratio-extra-keys", "ratio-config", "ratio-flag",
             "nu_f-config", "nu_f-flag", "malformed-json", "json-array", "x0-length",
             "missing-file", "sweep-ratio", "x0-number", "t_sim-string", "v_bar-string",
@@ -447,7 +455,9 @@ class TestCli:
             "attack-check-t_sim", "blow_up-negative", "sweep-t_sim-string", "sweep-dt-negative",
             "v_bar-nan", "lambda_g-inf", "model-number", "amplitude-zero", "seed-twice",
             "run-N40", "collect-N46", "sweep-N40", "ratio-with-kappa_d-flag",
-            "output_dir-number", "sweep-N-fraction", "sweep-L-fraction"])
+            "output_dir-number", "sweep-N-fraction", "sweep-L-fraction", "t_sim-not-int",
+            "unknown-flag", "sweep-no-values", "sweep-values-text", "sweep-repetitions-0",
+            "sweep-repetitions-negative", "attack-check-seed", "attack-check-missing-schedule"])
     def test_configuration_errors_exit_3_without_output(self, tmp_path, monkeypatch,
                                                         capsys, config, argv):
         monkeypatch.chdir(tmp_path)
@@ -458,6 +468,26 @@ class TestCli:
         assert cli.main(argv + ["--out", "written"]) == 3
         assert capsys.readouterr().err.startswith("configuration error: ")
         assert not (tmp_path / "written").exists()
+
+    @pytest.mark.parametrize("line, sidecar", [
+        (None, True), ("1021", True), ("1010", False),
+    ], ids=["missing-file", "malformed-line", "missing-sidecar"])
+    def test_unreadable_schedule_exits_3(self, tmp_path, capsys, line, sidecar):
+        # a schedule that cannot be read is a configuration error, not a
+        # failed validation (exit 1)
+        path = tmp_path / "schedule.txt"
+        if line is not None:
+            path.write_text(line + "\n")
+        if sidecar:
+            Path(str(path) + ".json").write_text(json.dumps(dict(self.BUDGET, seed=0)))
+        assert cli.main(["attack-check", "--schedule", str(path)]) == 3
+        assert capsys.readouterr().err.startswith("configuration error: cannot read schedule")
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["run", "--help"])
+        assert exc.value.code == 0
+        assert "--t-sim" in capsys.readouterr().out
 
     @pytest.mark.parametrize("module, name, error, argv", [
         (experiment, "synthesize_gains", SynthesisError, ["--controller", "model-based"]),

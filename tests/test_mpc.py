@@ -27,6 +27,13 @@ class TestConfig:
         with pytest.raises(ValueError):
             mpc.MpcConfig(horizon=10, eta=2, lambda_g=1.0, lambda_h=1.0, v_bar=0.1,
                           u_max=0.0)
+        # NaN, an infinite weight, a fractional horizon and a bool are refused
+        # on construction, not at the first solve
+        good = dict(horizon=10, eta=2, lambda_g=1.0, lambda_h=1.0, v_bar=0.1)
+        for bad in (dict(lambda_g=float("nan")), dict(v_bar=float("nan")),
+                    dict(lambda_h=float("inf")), dict(horizon=10.5), dict(eta=True)):
+            with pytest.raises(ValueError, match=next(iter(bad))):
+                mpc.MpcConfig(**{**good, **bad})
 
     def test_zero_noise_bound_is_clamped_in_cost_only(self):
         config = mpc.MpcConfig(horizon=10, eta=2, lambda_g=0.1, lambda_h=100.0, v_bar=0.0)

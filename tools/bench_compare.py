@@ -29,7 +29,14 @@ with its own ``src`` and ``perfbench``, BLAS pinned to one thread:
   at ratios 0.6, 0.8841 and 0.9142 with T 500 and 5000, random at seeds 0-2
   and ``--worst-case``; and ``dosmpc run --config`` on one grid entry's
   saved ``config.json``, whose record and summary must equal that entry's
-  on the same side, or the tool exits 1 after writing its report. Every
+  on the same side, or the tool exits 1 after writing its report. Each
+  ``cli.main`` call writes its exit code, or the type name of the exception
+  it raised, to ``exit_code.txt`` in its directory. The grid also runs each
+  rejected input in ``FAULTS`` once (a malformed command line, bad ``sweep``
+  values or repetitions, a negative ``attack-check`` seed, unreadable
+  schedules) with its output directory outside the compared tree, so only
+  its ``fault-<name>/exit_code.txt`` is compared; the report lists both
+  sides' codes wherever they differ. Every
   file written must match byte for byte, apart from the ``wall_time_s``
   line of each summary and the ``output_dir`` line of ``config.json``. For
   a CSV table or a JSON object that differs only in numbers, the report
@@ -137,10 +144,29 @@ print(json.dumps(result))
 # The grid entry whose saved config.json is run again through ``dosmpc run``.
 RERUN = "data-driven-v0.0001-triple0"
 
+# Rejected inputs, run once each in the records grid. "{tmp}" in an argument
+# is a scratch directory outside the compared tree, holding bad-line.txt (a
+# schedule line "1021" with a valid sidecar) and no-sidecar.txt (a schedule
+# without one).
+FAULTS = {
+    "run-t_sim-text": ["run", "--t-sim", "abc"],
+    "run-unknown-flag": ["run", "--bogus"],
+    "sweep-no-values": ["sweep", "--axis", "v_bar"],
+    "sweep-values-text": ["sweep", "--axis", "v_bar", "--values", "abc"],
+    "sweep-repetitions-0": ["sweep", "--axis", "v_bar", "--values", "1e-4",
+                            "--repetitions", "0"],
+    "sweep-repetitions-negative": ["sweep", "--axis", "v_bar", "--values", "1e-4",
+                                   "--repetitions", "-2"],
+    "attack-check-seed-negative": ["attack-check", "--seed", "-1", "--t-sim", "10"],
+    "attack-check-missing-schedule": ["attack-check", "--schedule", "{tmp}/missing.txt"],
+    "attack-check-bad-line": ["attack-check", "--schedule", "{tmp}/bad-line.txt"],
+    "attack-check-missing-sidecar": ["attack-check", "--schedule", "{tmp}/no-sidecar.txt"],
+}
+
 # Run inside a checkout: the records identity grid, one output directory per
 # entry under the directory given as the first argument.
-RECORDS = f"RERUN = {RERUN!r}\n" + """
-import logging, sys
+RECORDS = f"RERUN = {RERUN!r}\nFAULTS = {FAULTS!r}\n" + """
+import json, logging, sys, tempfile
 from dataclasses import replace
 from pathlib import Path
 sys.path.insert(0, "src")
@@ -148,6 +174,16 @@ from dosmpc import cli, dos, experiment
 from dosmpc.errors import ConfigError
 logging.disable(logging.WARNING)
 out = Path(sys.argv[1])
+def run_cli(argv, directory):
+    # cli.main's exit code, or the type name of what it raised, in directory
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    except Exception as exc:
+        code = type(exc).__name__
+    directory.mkdir(parents=True, exist_ok=True)
+    (directory / "exit_code.txt").write_text(f"{code}\\n")
 base = experiment.ExperimentConfig(attack=dos.params_for_ratio(0.8841))
 grid = {f"{kind}-v{v_bar:g}-triple{k}": replace(
             base, controller=kind, v_bar=v_bar,
@@ -162,19 +198,30 @@ grid["model-based-T5000-ratio0.9142"] = replace(
 for name, config in grid.items():
     experiment.run_experiment(replace(config, output_dir=str(out / name)))
 for v_bar in ("1e-4", "1e-3"):
-    cli.main(["collect", "--v-bar", v_bar, "--out", str(out / f"collect-v{v_bar}")])
+    run_cli(["collect", "--v-bar", v_bar, "--out", str(out / f"collect-v{v_bar}")],
+         out / f"collect-v{v_bar}")
 try:
     experiment.sweep(replace(base, t_sim=60), "N", [40, 60], output_dir=out / "sweep-N40-fails")
 except ConfigError as exc:
     (out / "sweep-N40-fails").mkdir()
     (out / "sweep-N40-fails" / "config_error.txt").write_text(str(exc))
-cli.main(["run", "--config", str(out / RERUN / "config.json"), "--out", str(out / "rerun-config")])
+run_cli(["run", "--config", str(out / RERUN / "config.json"),
+         "--out", str(out / "rerun-config")], out / "rerun-config")
 experiment.compare(replace(base, output_dir=str(out / "compare")))
 for ratio in ("0.6", "0.8841", "0.9142"):
     for t_sim in ("500", "5000"):
         for kind in ("--seed=0", "--seed=1", "--seed=2", "--worst-case"):
-            cli.main(["attack-check", "--ratio", ratio, "--t-sim", t_sim, kind, "--out",
-                      str(out / f"attack-check-r{ratio}-T{t_sim}{kind}")])
+            name = f"attack-check-r{ratio}-T{t_sim}{kind}"
+            run_cli(["attack-check", "--ratio", ratio, "--t-sim", t_sim, kind, "--out",
+                     str(out / name)], out / name)
+with tempfile.TemporaryDirectory() as tmp:
+    budget = {"kappa_f": 1.0, "nu_f": 4.0, "kappa_d": 1.0, "nu_d": 2.0, "seed": 0}
+    Path(tmp, "bad-line.txt").write_text("1021\\n")
+    Path(tmp, "bad-line.txt.json").write_text(json.dumps(budget))
+    Path(tmp, "no-sidecar.txt").write_text("1010\\n")
+    for name, argv in FAULTS.items():
+        argv = [arg.replace("{tmp}", tmp) for arg in argv]
+        run_cli(argv + ["--out", str(Path(tmp, "out", name))], out / f"fault-{name}")
 """
 
 
@@ -257,6 +304,8 @@ def records_identity(roots: dict) -> dict:
         moved = {f: _relative_differences(dirs["parent"] / f, dirs["change"] / f)
                  for f in differing}
         relative = {f: m for f, m in moved.items() if m is not None}
+        codes = {f: {side: (dirs[side] / f).read_text().strip() for side in SIDES}
+                 for f in differing if Path(f).name == "exit_code.txt"}
         rerun = {side: all(_same_file(dirs[side] / RERUN / f, dirs[side] / "rerun-config" / f)
                            for f in ("record.csv", "record_summary.json"))
                  for side in SIDES}
@@ -264,6 +313,7 @@ def records_identity(roots: dict) -> dict:
                 "runs": len({f.split("/")[0] for f in files}), "files": len(files),
                 "identical": len(files) - len(differing), "differing": differing,
                 "changed": [f for f, m in moved.items() if m is None],
+                "exit_codes_moved": codes,
                 "relative_difference": relative,
                 "max_relative_difference": max((v for m in relative.values()
                                                 for v in m.values()), default=0.0),
