@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -101,7 +102,8 @@ def _cmd_attack_check(args) -> int:
             "passed": report.passed,
             "worst_interval": [report.worst_t1, report.worst_t2],
             "worst_kind": report.worst_kind,
-            "worst_excess": report.worst_excess,
+            # An empty schedule has no interval: its excess -inf is not JSON.
+            "worst_excess": report.worst_excess if math.isfinite(report.worst_excess) else None,
             "attack_fraction": schedule.attack_fraction,
         }, indent=2))
         return 0 if report.passed else 1

@@ -20,6 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .data import HankelPair
+from .errors import DimensionError
 from .lti import GainSet, SystemModel
 from .mpc import MpcAssembler, MpcConfig, MpcSolution, solve_mpc
 from .qp import Solver
@@ -91,20 +92,23 @@ class ModelBasedController:
     def __init__(self, model: SystemModel, gains: GainSet):
         self.model = model
         self.gains = gains
-        self.xbar = np.zeros(model.n_x)
-        self.xhat = np.zeros(model.n_x)
+        n, l_obs = model.n_x, gains.l_obs
+        # s = [xbar; xhat] advances as s+ = M [s; u; zeta], with
+        # M = [[A - LC, 0, B - LD, L], [0, A, B, 0]].
+        self._map = np.block([[model.a - l_obs @ model.c, np.zeros((n, n)),
+                               model.b - l_obs @ model.d, l_obs],
+                              [np.zeros((n, n)), model.a, model.b, np.zeros((n, model.n_y))]])
+        self._s = np.zeros(2 * n)
+        self.xbar, self.xhat = self._s[:n], self._s[n:]
 
     def step(self, t: int, attack: bool) -> StepResult:
         """Reset the predictor on successful transmission, emit the input."""
         if not attack:
-            self.xhat = self.xbar.copy()
+            self.xhat[:] = self.xbar
         return StepResult(u=self.gains.k @ self.xhat)
 
     def finish(self, zeta, u) -> None:
         """Advance observer and predictor once the measurement exists."""
-        m, g = self.model, self.gains
-        u = np.asarray(u, dtype=float).reshape(m.n_u)
-        zeta = np.asarray(zeta, dtype=float).reshape(m.n_y)
-        innovation = zeta - (m.c @ self.xbar + m.d @ u)
-        self.xbar = m.a @ self.xbar + g.l_obs @ innovation + m.b @ u
-        self.xhat = m.a @ self.xhat + m.b @ u
+        if len(u) != self.model.n_u or len(zeta) != self.model.n_y:
+            raise DimensionError("u and zeta must have the model's n_u and n_y entries")
+        np.dot(self._map, np.concatenate((self._s, u, zeta)), out=self._s)

@@ -400,6 +400,8 @@ def run_closed_loop(model: SystemModel, controller, t_sim: int,
         raise ConfigError("attack schedule shorter than the simulation horizon")
 
     x = np.asarray(x0, dtype=float).reshape(model.n_x)
+    # [y; x+ - w] = [[C, D], [A, B]] [x; u]
+    plant, n_y = np.block([[model.c, model.d], [model.a, model.b]]), model.n_y
     u_log = np.zeros((t_sim, model.n_u))
     y_log = np.zeros((t_sim, model.n_y))
     zeta_log = np.full((t_sim, model.n_y), np.nan)
@@ -413,7 +415,8 @@ def run_closed_loop(model: SystemModel, controller, t_sim: int,
         attack = bool(indicators[t])
         result = controller.step(t, attack)
         u = result.u
-        y = model.c @ x + model.d @ u
+        yx = plant @ np.concatenate((x, u))
+        y = yx[:n_y]
         zeta = y + noise[t]
         controller.finish(zeta, u)
         if result.solved:
@@ -423,8 +426,8 @@ def run_closed_loop(model: SystemModel, controller, t_sim: int,
         y_log[t] = y
         if not attack:
             zeta_log[t] = zeta
-        x = model.a @ x + model.b @ u + w[t]
-        if np.linalg.norm(y) >= blow_up:
+        x = yx[n_y:] + w[t]
+        if math.sqrt(y.dot(y)) >= blow_up:
             status = "diverged"
             steps = t + 1
             break

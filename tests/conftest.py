@@ -10,6 +10,13 @@ def reactor():
 
 
 @pytest.fixture(scope="session")
+def feedthrough_reactor(reactor):
+    """The reactor with a nonzero D, so the terms in D u are exercised."""
+    return lti.SystemModel(reactor.a, reactor.b, reactor.c,
+                           np.array([[0.5, -1.0], [0.25, 2.0]]), dt=reactor.dt)
+
+
+@pytest.fixture(scope="session")
 def clean_record(reactor):
     """Noise-free offline record, certified PE of order 16."""
     return data.collect_offline(reactor, 100, pe_order=16, amplitude=1.0,

@@ -200,6 +200,26 @@ class TestModelBasedController:
             ctrl2.finish(y, u)
             x = reactor.a @ x + reactor.b @ u
 
+    def test_noise_free_deadbeat_reset_with_feedthrough(self, feedthrough_reactor):
+        # with D != 0 the observer subtracts D u from the measurement; after
+        # eta attack-free steps the estimate is exact all the same
+        model = feedthrough_reactor
+        gains = lti.synthesize_gains(model)
+        ctrl = controllers.ModelBasedController(model, gains)
+        x = np.ones(4) / 2
+        for t in range(8):
+            u = ctrl.step(t, False).u
+            if t >= gains.eta:
+                assert np.linalg.norm(ctrl.xhat - x) <= 1e-8
+            ctrl.finish(model.c @ x + model.d @ u, u)
+            x = model.a @ x + model.b @ u
+
+    @pytest.mark.parametrize("zeta_len, u_len", [(2, 3), (1, 2), (1, 3), (3, 1)])
+    def test_finish_rejects_wrong_lengths(self, reactor, zeta_len, u_len):
+        ctrl = controllers.ModelBasedController(reactor, lti.synthesize_gains(reactor))
+        with pytest.raises(ValueError):
+            ctrl.finish(np.zeros(zeta_len), np.zeros(u_len))
+
     def test_bounded_under_fixture_attacks(self, reactor):
         gains = lti.synthesize_gains(reactor)
         ctrl = controllers.ModelBasedController(reactor, gains)

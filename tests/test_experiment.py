@@ -395,6 +395,22 @@ class TestCli:
             assert report["worst_kind"] == expected.worst_kind
             assert report["worst_excess"] == expected.worst_excess
 
+    def test_attack_check_empty_schedule_reports_json(self, tmp_path, capsys):
+        # an empty schedule passes; its excess has no finite value and is
+        # reported as null, never as the non-JSON token -Infinity
+        path = tmp_path / "schedule.txt"
+        path.write_text("\n")
+        Path(str(path) + ".json").write_text(json.dumps(dict(self.BUDGET, seed=0)))
+        capsys.readouterr()
+        assert cli.main(["attack-check", "--schedule", str(path)]) == 0
+
+        def reject(token):
+            raise ValueError(f"not JSON: {token}")
+
+        report = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert report["passed"] is True
+        assert report["worst_excess"] is None
+
     def test_attack_check_rejects_invalid_schedule(self, tmp_path, capsys):
         path = tmp_path / "schedule.txt"
         path.write_text("1" * 40 + "\n")
