@@ -45,6 +45,8 @@ def _weight_matrix(value, dim: int, name: str) -> np.ndarray:
         w = float(w) * np.eye(dim)
     if w.shape != (dim, dim):
         raise DimensionError(f"{name} must be scalar or {dim}x{dim}, got {w.shape}")
+    if not np.all(np.isfinite(w)):
+        raise ValueError(f"{name} must be finite")
     if np.linalg.norm(w - w.T) > 1e-12 * max(1.0, np.linalg.norm(w)):
         raise ValueError(f"{name} must be symmetric")
     if np.any(np.linalg.eigvalsh(0.5 * (w + w.T)) <= 0):

@@ -9,14 +9,16 @@ optimizer sits, as in qpOASES (Ferreau et al., Math. Prog. Comp. 2014). The
 base KKT matrix K = [[P, Aeq'], [Aeq, 0]] is inverted once per (P, Aeq), and
 every working set is reached from it by the Schur complement of its box rows
 (Gill, Murray, Saunders and Wright, SIAM J. Sci. Stat. Comput. 1990), refined
-in extended precision. So K must be nonsingular: Aeq of full row rank and P
-positive definite on its null space. Outside that domain a solve may end
-"inaccurate" even where an optimizer exists. On a working set the optimizer
-is affine in the beq rows named by ``QpProblem.param_rows``, the only ones
-that change in closed loop (Bemporad et al., Automatica 2002): a ``Solver``
-keeps that piece, so a solve that keeps its working set costs one matvec
-plus, from the piece's second use, a residual certificate in place of the
-full termination check. Residuals and objective are computed when read.
+in extended precision. A box row i joins a working set W only if its pivot
+e_i' K_W^-1 e_i, zero exactly when the row depends on the rows of W and Aeq,
+exceeds _DEPENDENT max|K^-1|. So K must be nonsingular: Aeq of full row rank
+and P positive definite on its null space. Outside that domain a solve may end
+"inaccurate" even where an optimizer exists. On a working set the optimizer is
+affine in the beq rows named by ``QpProblem.param_rows``, the only ones that
+change in closed loop (Bemporad et al., Automatica 2002): a ``Solver`` keeps
+that piece, so a solve that keeps its working set costs one matvec plus, from
+the piece's second use, a residual certificate in place of the full
+termination check. Residuals and objective are computed when read.
 """
 from __future__ import annotations
 
@@ -33,9 +35,8 @@ __all__ = ["QpProblem", "QpSolution", "Solver", "solve", "kkt_residuals"]
 
 # Bound violations and wrong-sign box multipliers up to this size are ignored.
 _TOL = 1e-9
-# A unit box row closer than this to the span of the working set's rows
-# counts as linearly dependent on them (the rows themselves have norm one).
-_DEPENDENT = 1e-9
+# A box row's KKT pivot at or below this times max|K^-1| means dependence.
+_DEPENDENT = 1e-13
 
 
 @dataclass(frozen=True)
@@ -173,32 +174,19 @@ def _residuals(problem: QpProblem, z, mu, aeq_z, aeqt_y):
     return float(primal), dual, comp
 
 
-def _span_distances(problem: QpProblem, lo, hi, idx) -> np.ndarray:
-    """Distance of each unit row e_i, i in ``idx``, from the span of the
-    active rows of (lo, hi) and of the rows of ``idx`` before it: the
-    diagonal of R in a QR factorization of the stacked rows."""
-    if not len(idx):
-        return np.zeros(0)
-    a = np.vstack([problem.aeq, np.eye(problem.n)[np.concatenate([lo, hi, idx])]])
-    diag = np.abs(np.diagonal(np.linalg.qr(a.T, mode="r")))[a.shape[0] - len(idx):]
-    dist = np.zeros(len(idx))
-    dist[:diag.size] = diag
-    return dist
-
-
 class Solver:
     """Warm-started dual active-set QP solver.
 
     The working set starts from the box rows at which ``warm_z`` sits at a
-    bound, keeping only rows linearly independent of the equalities and of
-    each other. Rows whose multipliers have the wrong sign leave it; then
+    bound, keeping each row whose pivot on the rows kept before it exceeds
+    the tolerance. Rows whose multipliers have the wrong sign leave it; then
     violated bounds enter it one at a time, Goldfarb-Idnani style: the
     entering row's multiplier grows from zero while a ratio test drops any
     working-set row whose multiplier reaches zero first. When the entering
-    row depends linearly on the working set, the step changes multipliers
-    only, and no blocking row means the constraints are infeasible. The
-    returned ``z`` is the refined KKT solution on the final working set and
-    counts as optimal only after it passes a termination test.
+    row's pivot is within the tolerance, the step changes multipliers only,
+    and no blocking row means the constraints are infeasible. The returned
+    ``z`` is the refined KKT solution on the final working set and counts as
+    optimal only after it passes a termination test.
 
     Across calls too, per P and Aeq (compared by value), the solver keeps
     the inverse of the delta-regularized K and refined long-double solutions
@@ -227,16 +215,17 @@ class Solver:
             n, m_eq, delta = self._p.shape[0], self._aeq.shape[0], 1e-9
             self._kkt_inv = np.linalg.inv(np.block([[self._p + delta * np.eye(n), self._aeq.T],
                                                     [self._aeq, -delta * np.eye(m_eq)]]))
+            self._pivot_tol = _DEPENDENT * np.max(np.abs(self._kkt_inv))
             self._columns, self._base, self._key, self._piece, self._cert = {}, None, None, None, None
 
     def solve(self, problem: QpProblem, warm_z=None) -> QpSolution:
         n, lb, ub = problem.n, problem.lb, problem.ub
         self._adopt(problem)
-        lo = hi = empty = np.zeros(0, dtype=int)
+        lo = hi = np.zeros(0, dtype=int)
         if warm_z is not None:
             warm = np.asarray(warm_z, float).reshape(n)
             lo, hi = np.flatnonzero(warm <= lb + _TOL), np.flatnonzero(warm >= ub - _TOL)
-            keep = _span_distances(problem, empty, empty, np.concatenate([lo, hi])) > _DEPENDENT
+            keep = self._pivots(np.concatenate([lo, hi])) > self._pivot_tol
             lo, hi = lo[keep[:lo.size]], hi[keep[lo.size:]]
 
         changes, status = 0, "optimal"
@@ -272,10 +261,10 @@ class Solver:
             tau = np.full(rows.size, np.inf)
             tau[blocking] = np.maximum(lam[blocking], 0.0) / -dlam[blocking]
             tau_drop = np.min(tau, initial=np.inf)
-            tau_add = np.inf
-            if _span_distances(problem, lo, hi, [p])[0] > _DEPENDENT:
+            tau_add, pivot = np.inf, -sign * dz[p]  # pivot = e_p' K_W^-1 e_p
+            if pivot > self._pivot_tol:
                 zp = z[p] + t * dz[p]
-                tau_add = (zp - ub[p] if sign > 0 else lb[p] - zp) / -(sign * dz[p])
+                tau_add = (zp - ub[p] if sign > 0 else lb[p] - zp) / pivot
             if tau_add == np.inf and tau_drop == np.inf:
                 status = "infeasible"
                 break
@@ -406,6 +395,16 @@ class Solver:
             resid = (rhs - np.dot(s, mu[pinned])).astype(float)
             mu[pinned] += np.linalg.solve(s.astype(float), resid)
         return np.vstack([base - np.dot(g, mu[pinned]), mu])
+
+    def _pivots(self, rows):
+        """Squared diagonal of a long-double Cholesky of S = G[rows] in the
+        rows' order, skipping each row whose pivot is within the tolerance."""
+        s, pivots = self._unit_columns(rows)[rows], np.zeros(len(rows), np.longdouble)
+        for k in range(len(rows)):
+            pivots[k] = s[k, k]
+            if pivots[k] > self._pivot_tol:
+                s = s - np.outer(s[:, k], s[k]) / s[k, k]
+        return pivots
 
     def _unit_columns(self, idx):
         """The columns K^-1 e_i, i in ``idx``, each refined once and alone,

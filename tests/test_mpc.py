@@ -46,6 +46,16 @@ class TestConfig:
         with pytest.raises(ValueError):
             mpc.MpcAssembler(clean_hankel, config)
 
+    def test_weight_matrix_must_be_finite(self, clean_hankel):
+        # A NaN or infinite weight is refused when the cost is assembled,
+        # not at the controller's first solve.
+        for name, weight in (("r1", float("nan")), ("r2", np.diag([np.inf, 1.0])),
+                             ("r1", np.array([[1.0, np.nan], [np.nan, 1.0]]))):
+            config = mpc.MpcConfig(horizon=10, eta=2, lambda_g=0.1, lambda_h=100.0,
+                                   v_bar=1e-4, **{name: weight})
+            with pytest.raises(ValueError, match=f"{name.upper()} must be finite"):
+                mpc.MpcAssembler(clean_hankel, config)
+
 
 class TestAssembly:
     def test_decision_vector_length(self, clean_hankel, study_config):

@@ -102,6 +102,31 @@ class TestSolve:
         sol = qp.solve(upper_bound_problem())
         assert sol.status == "max_iter"
 
+    def test_max_iter_status_inside_an_entering_step(self, monkeypatch):
+        # The warm start pins z_0 at its upper bound, where z_1 = 2.9 violates
+        # its own, so row 1 enters; its multiplier drives z_0's to zero before
+        # z_1 comes down to 1, and that drop is the first change. The optimum
+        # (0.4, 1) takes a second, so a cap of one stops the solve inside the
+        # entering step: its last KKT solve still carries the entering row.
+        problem = qp.QpProblem(p=np.array([[1.0, -0.9], [-0.9, 1.0]]), q=np.array([0.5, -2.0]),
+                               aeq=np.zeros((0, 2)), beq=np.zeros(0),
+                               lb=-np.ones(2), ub=np.ones(2))
+        warm = np.array([1.0, 0.0])
+        sol = qp.solve(problem, warm_z=warm)
+        assert (sol.status, sol.iterations) == ("optimal", 2)
+        np.testing.assert_allclose(sol.z, [0.4, 1.0], rtol=0, atol=1e-12)
+        entering, solve_active = [], qp.Solver._solve_active
+
+        def recording_solve_active(self, problem, lo_act, hi_act, enter=None):
+            entering.append(enter)
+            return solve_active(self, problem, lo_act, hi_act, enter)
+
+        monkeypatch.setattr(qp.Solver, "_solve_active", recording_solve_active)
+        monkeypatch.setattr(qp, "_MAX_ITER", 1)
+        sol = qp.solve(problem, warm_z=warm)
+        assert (sol.status, sol.iterations) == ("max_iter", 1)
+        assert entering[-1] == (1, 1.0)
+
 
 def enumeration_oracle(problem):
     """Exhaustive active-set search: every (inactive, lower, upper) labeling.
@@ -510,6 +535,147 @@ class TestSchurComplement:
             assert np.array_equal(sol.z, fresh.z)
             assert (sol.status, sol.iterations) == (fresh.status, fresh.iterations)
             warm = sol.z
+
+
+def qr_span_distances(aeq, rows, idx):
+    """The dependence test that the solver's KKT pivots replaced, kept as
+    their reference: the distance of each unit row e_i, i in ``idx``, from
+    the span of the rows of Aeq, the unit rows of ``rows`` and the rows of
+    ``idx`` before it, read off the diagonal of R in a QR factorization of
+    the stacked rows (each row of norm one)."""
+    stacked = np.vstack([aeq, np.eye(aeq.shape[1])[np.concatenate([rows, idx]).astype(int)]])
+    diag = np.abs(np.diagonal(np.linalg.qr(stacked.T, mode="r")))[stacked.shape[0] - len(idx):]
+    return np.concatenate([diag, np.zeros(len(idx) - diag.size)])
+
+
+def param_row_qps(n, m, seed, scale, steps):
+    """TestAffinePiece's sequence of QPs, each with whether to warm-start it
+    from the previous answer. That test, like TestResidualCertificate, keeps
+    its recipe inline: a derandomized test draws its examples from a hash of
+    its own source, so moving the recipe out would change them."""
+    m = min(m, n)
+    rng = np.random.default_rng(seed)
+
+    def new_p():
+        g = rng.standard_normal((n, n))
+        return g.T @ g + 0.1 * np.eye(n)
+
+    def new_aeq():
+        return rng.standard_normal((m, n)) * np.r_[scale, np.ones(n - 1)]
+
+    p, aeq, q = new_p(), new_aeq(), 3 * rng.standard_normal(n)
+    rows = np.sort(rng.choice(m, rng.integers(1, m + 1), replace=False))
+    beq = aeq @ rng.uniform(-1.0, 1.0, n)
+    # Finite bounds: the oracle pins every bound it labels.
+    half = rng.choice([0.5, 2.0, 10.0])
+    lb, ub = -half * rng.uniform(0.5, 1.0, n), half * rng.uniform(0.5, 1.0, n)
+    for kind, use_warm in steps:
+        if kind == "params":
+            beq = beq.copy()
+            beq[rows] = (aeq @ rng.uniform(-1.0, 1.0, n))[rows]
+        elif kind == "bounds":
+            lb, ub = rng.uniform(0.7, 1.0) * lb, rng.uniform(0.7, 1.0) * ub
+        elif kind == "q":
+            q = 3 * rng.standard_normal(n)
+        elif kind == "new_p":
+            p = new_p()
+        elif kind == "new_aeq":
+            aeq = new_aeq()
+            beq = aeq @ rng.uniform(-1.0, 1.0, n)
+        elif kind == "mutate_p":
+            p += rng.uniform(0.1, 1.0) * np.eye(n)
+        yield qp.QpProblem(p=p, q=q, aeq=aeq, beq=beq, lb=lb, ub=ub, param_rows=rows), use_warm
+
+
+def large_working_set_qps(seed):
+    """The two QPs of TestSchurComplement.test_large_working_sets, whose
+    recipe stays inline for the same reason as param_row_qps's."""
+    rng = np.random.default_rng(seed)
+    n, m = int(rng.integers(20, 41)), int(rng.integers(0, 9))
+    pinned = int(rng.integers(5, min(26, n - m - 2) + 1))
+    ridge = (1e-3, 1e-8)[int(rng.integers(2))]
+    g = rng.standard_normal((n // 2, n))
+    p, aeq = g.T @ g + ridge * np.eye(n), rng.standard_normal((m, n))
+    for _ in range(2):
+        idx, side = rng.choice(n, pinned, replace=False), rng.choice([-1.0, 1.0], pinned)
+        z, mu = rng.uniform(-0.9, 0.9, n), np.zeros(n)
+        z[idx], mu[idx] = side, side * rng.uniform(0.5, 3.0, pinned)
+        yield qp.QpProblem(p=p, q=-(p @ z + aeq.T @ rng.standard_normal(m) + mu),
+                           aeq=aeq, beq=aeq @ z, lb=-np.ones(n), ub=np.ones(n))
+
+
+class DependenceRecorder(qp.Solver):
+    """A Solver that logs each of its dependence decisions next to the QR
+    reference's at 1e-9, as (pivot / max|K^-1|, QR distance, row kept,
+    row kept by the QR): the warm start's rows from ``_pivots``, and each
+    entering row p from the pivot -sign * dz_p of its step."""
+
+    def __init__(self, log):
+        super().__init__()
+        self.log = log
+
+    def _pivots(self, rows):
+        pivots = super()._pivots(rows)
+        self._record(pivots, qr_span_distances(self._aeq, [], rows))
+        return pivots
+
+    def _solve_active(self, problem, lo_act, hi_act, enter=None):
+        z, y_eq, mu, step = super()._solve_active(problem, lo_act, hi_act, enter)
+        if enter is not None:
+            p, sign = enter
+            self._record([-sign * step[0][p]],
+                         qr_span_distances(self._aeq, np.concatenate([lo_act, hi_act]), [p]))
+        return z, y_eq, mu, step
+
+    def _record(self, pivots, distances):
+        scale = np.max(np.abs(self._kkt_inv))
+        self.log += [(float(pivot) / scale, dist, bool(pivot > self._pivot_tol), dist > 1e-9)
+                     for pivot, dist in zip(pivots, distances)]
+
+
+class TestDependenceDecisions:
+    def test_pivot_decisions_match_qr(self):
+        # Every warm-row and entering-row decision must equal the QR's, over
+        # the draws of small_box_qps (each QP solved cold, then warm),
+        # param_row_qps and large_working_set_qps (each sequence solved by
+        # one reused solver), with their tests' example counts. The smallest
+        # margin on each side is printed (pytest -s).
+        log, derandomized = [], dict(deadline=None, derandomize=True, database=None)
+
+        @settings(max_examples=300, **derandomized)
+        @given(small_box_qps())
+        def small_boxes(case):
+            problem, warm = case
+            solver = DependenceRecorder(log)
+            solver.solve(problem)
+            solver.solve(problem, warm_z=warm)
+
+        @settings(max_examples=150, **derandomized)
+        @given(n=st.integers(1, 4), m=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+               scale=st.sampled_from([1.0, 1e3]),
+               steps=st.lists(st.tuples(st.sampled_from(["params", "params", "bounds", "q",
+                                                         "new_p", "new_aeq", "mutate_p"]),
+                                        st.booleans()), min_size=1, max_size=6))
+        def param_rows(n, m, seed, scale, steps):
+            solver, warm = DependenceRecorder(log), None
+            for problem, use_warm in param_row_qps(n, m, seed, scale, steps):
+                warm = solver.solve(problem, warm_z=warm if use_warm else None).z
+
+        @settings(max_examples=50, **derandomized)
+        @given(seed=st.integers(0, 2**32 - 1))
+        def large_sets(seed):
+            solver, warm = DependenceRecorder(log), None
+            for problem in large_working_set_qps(seed):
+                warm = solver.solve(problem, warm_z=warm).z
+
+        for draws in (small_boxes, param_rows, large_sets):
+            draws()
+        pivot, dist, kept, qr_kept = (np.array(column) for column in zip(*log))
+        assert np.array_equal(kept, qr_kept), f"{np.sum(kept != qr_kept)} of {kept.size} differ"
+        assert kept.any() and not kept.all()
+        print(f"{kept.size} decisions, {np.sum(~kept)} dependent: relative pivot "
+              f"<= {pivot[~kept].max():.2g} and QR distance <= {dist[~kept].max():.2g} "
+              f"if dependent, >= {pivot[kept].min():.2g} and >= {dist[kept].min():.2g} if not")
 
 
 class TestKktResiduals:

@@ -11,8 +11,9 @@ with its own ``src`` and ``perfbench``, BLAS pinned to one thread:
   parent first on even pairs and both sides of a pair on the same seed,
   summarised by median, quartiles and the pairs the change wins;
 - one traced run per side and workload, on the seed after the last pair;
-- KKT inverses (``np.linalg.inv`` calls), refined columns (columns
-  passed to ``qp.Solver._refine``), full termination checks (calls of
+- KKT inverses (``np.linalg.inv`` calls), QR factorizations
+  (``np.linalg.qr`` calls), refined columns (columns passed to
+  ``qp.Solver._refine``), full termination checks (calls of
   ``qp._residuals``) and, where ``QpSolution`` has the field, certified
   solves over noise-sweep indices 0-8, with every record checked by
   ``workloads.check_op``;
@@ -65,9 +66,9 @@ import numpy as np
 ENV = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
 SIDES = ("parent", "change")
 
-# Run inside a checkout: counts KKT inverses, refined columns, full
-# termination checks and certified solves over noise-sweep indices 0-8 and
-# checks every record against the references.
+# Run inside a checkout: counts KKT inverses, QR factorizations, refined
+# columns, full termination checks and certified solves over noise-sweep
+# indices 0-8 and checks every record against the references.
 COUNTS = """
 import json, sys, tempfile
 from pathlib import Path
@@ -75,12 +76,16 @@ sys.path[:0] = ["src", "perfbench"]
 import numpy as np
 from dosmpc import qp
 import workloads
-counts = {"inverses": 0, "refine_calls": 0, "refined_columns": 0, "solves": 0,
-          "full_checks": 0}
-inv, refine, solve, residuals = np.linalg.inv, qp.Solver._refine, qp.Solver.solve, qp._residuals
+counts = {"inverses": 0, "qr_calls": 0, "refine_calls": 0, "refined_columns": 0,
+          "solves": 0, "full_checks": 0}
+inv, qr, refine, solve = np.linalg.inv, np.linalg.qr, qp.Solver._refine, qp.Solver.solve
+residuals = qp._residuals
 def counting_inv(a):
     counts["inverses"] += 1
     return inv(a)
+def counting_qr(*args, **kwargs):
+    counts["qr_calls"] += 1
+    return qr(*args, **kwargs)
 def counting_refine(self, *args):
     counts["refine_calls"] += 1
     counts["refined_columns"] += args[-1].shape[1]
@@ -94,7 +99,8 @@ def counting_solve(self, *args, **kwargs):
 def counting_residuals(*args):
     counts["full_checks"] += 1
     return residuals(*args)
-np.linalg.inv, qp.Solver._refine, qp.Solver.solve = counting_inv, counting_refine, counting_solve
+np.linalg.inv, np.linalg.qr = counting_inv, counting_qr
+qp.Solver._refine, qp.Solver.solve = counting_refine, counting_solve
 qp._residuals = counting_residuals
 w = workloads.WORKLOADS["noise-sweep"]
 refs, problems = workloads.load_references(w), []
