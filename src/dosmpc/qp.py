@@ -11,14 +11,14 @@ every working set is reached from it by the Schur complement of its box rows
 (Gill, Murray, Saunders and Wright, SIAM J. Sci. Stat. Comput. 1990), refined
 in extended precision. A box row i joins a working set W only if its pivot
 e_i' K_W^-1 e_i, zero exactly when the row depends on the rows of W and Aeq,
-exceeds _DEPENDENT max|K^-1|. So K must be nonsingular: Aeq of full row rank
-and P positive definite on its null space. Outside that domain a solve may end
-"inaccurate" even where an optimizer exists. On a working set the optimizer is
-affine in the beq rows named by ``QpProblem.param_rows``, the only ones that
-change in closed loop (Bemporad et al., Automatica 2002): a ``Solver`` keeps
-that piece, so a solve that keeps its working set costs one matvec plus, from
-the piece's second use, a residual certificate in place of the full
-termination check. Residuals and objective are computed when read.
+exceeds _DEPENDENT max_{i<n} (K^-1)_ii. So K must be nonsingular: Aeq of full
+row rank and P positive definite on its null space. Outside that domain a
+solve may end "inaccurate" even where an optimizer exists. On a working set
+the optimizer is affine in the beq rows named by ``QpProblem.param_rows``, the
+only ones that change in closed loop (Bemporad et al., Automatica 2002): a
+``Solver`` keeps that piece, so a solve that keeps its working set costs one
+matvec plus, from the piece's second use, a residual certificate in place of
+the full termination check. Residuals and objective are computed when read.
 """
 from __future__ import annotations
 
@@ -35,7 +35,7 @@ __all__ = ["QpProblem", "QpSolution", "Solver", "solve", "kkt_residuals"]
 
 # Bound violations and wrong-sign box multipliers up to this size are ignored.
 _TOL = 1e-9
-# A box row's KKT pivot at or below this times max|K^-1| means dependence.
+# Dependence: a box row's KKT pivot <= this times max_{i<n} (K^-1)_ii, scaled as pivots are.
 _DEPENDENT = 1e-13
 
 
@@ -179,14 +179,14 @@ class Solver:
 
     The working set starts from the box rows at which ``warm_z`` sits at a
     bound, keeping each row whose pivot on the rows kept before it exceeds
-    the tolerance. Rows whose multipliers have the wrong sign leave it; then
-    violated bounds enter it one at a time, Goldfarb-Idnani style: the
-    entering row's multiplier grows from zero while a ratio test drops any
-    working-set row whose multiplier reaches zero first. When the entering
-    row's pivot is within the tolerance, the step changes multipliers only,
-    and no blocking row means the constraints are infeasible. The returned
-    ``z`` is the refined KKT solution on the final working set and counts as
-    optimal only after it passes a termination test.
+    the tolerance, _DEPENDENT max_{i<n} (K^-1)_ii. Rows whose multipliers
+    have the wrong sign leave it; then violated bounds enter it one at a
+    time, Goldfarb-Idnani style: the entering row's multiplier grows from
+    zero while a ratio test drops any working-set row whose multiplier
+    reaches zero first. An entering row whose pivot is within the tolerance
+    changes multipliers only, and no blocking row means infeasibility. The
+    returned ``z`` is the refined KKT solution on the final working set and
+    counts as optimal only after it passes a termination test.
 
     Across calls too, per P and Aeq (compared by value), the solver keeps
     the inverse of the delta-regularized K and refined long-double solutions
@@ -215,7 +215,7 @@ class Solver:
             n, m_eq, delta = self._p.shape[0], self._aeq.shape[0], 1e-9
             self._kkt_inv = np.linalg.inv(np.block([[self._p + delta * np.eye(n), self._aeq.T],
                                                     [self._aeq, -delta * np.eye(m_eq)]]))
-            self._pivot_tol = _DEPENDENT * np.max(np.abs(self._kkt_inv))
+            self._pivot_tol = _DEPENDENT * np.max(np.diagonal(self._kkt_inv)[:n])
             self._columns, self._base, self._key, self._piece, self._cert = {}, None, None, None, None
 
     def solve(self, problem: QpProblem, warm_z=None) -> QpSolution:

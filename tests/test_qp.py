@@ -127,6 +127,20 @@ class TestSolve:
         assert (sol.status, sol.iterations) == ("max_iter", 1)
         assert entering[-1] == (1, 1.0)
 
+    @pytest.mark.parametrize("p, aeq, q, optimum", [
+        (1e8 * np.eye(2), [[1.0, 1.0]], [-3e8, 3e8], [1.0, -1.0]),
+        (1e5 * np.eye(2), [[1e-5, 0.0]], [0.0, -3e5], [0.0, 1.0])])
+    def test_dependence_tolerance_ignores_cost_and_row_scale(self, p, aeq, q, optimum):
+        # Row 0 of the first problem and row 1 of the second are independent
+        # of Aeq. A tolerance scaled by all of K^-1, whose multiplier block
+        # reaches 4.8e7 and 1e9 here, counted them dependent: infeasible.
+        problem = qp.QpProblem(p=p, q=np.array(q), aeq=np.array(aeq), beq=np.zeros(1),
+                               lb=-np.ones(2), ub=np.ones(2))
+        for warm in (None, np.array(optimum)):
+            sol = qp.solve(problem, warm_z=warm)
+            assert sol.status == "optimal"
+            np.testing.assert_allclose(sol.z, optimum, rtol=0, atol=1e-12)
+
 
 def enumeration_oracle(problem):
     """Exhaustive active-set search: every (inactive, lower, upper) labeling.
@@ -542,73 +556,48 @@ def qr_span_distances(aeq, rows, idx):
     their reference: the distance of each unit row e_i, i in ``idx``, from
     the span of the rows of Aeq, the unit rows of ``rows`` and the rows of
     ``idx`` before it, read off the diagonal of R in a QR factorization of
-    the stacked rows (each row of norm one)."""
+    the stacked rows."""
     stacked = np.vstack([aeq, np.eye(aeq.shape[1])[np.concatenate([rows, idx]).astype(int)]])
     diag = np.abs(np.diagonal(np.linalg.qr(stacked.T, mode="r")))[stacked.shape[0] - len(idx):]
     return np.concatenate([diag, np.zeros(len(idx) - diag.size)])
 
 
-def param_row_qps(n, m, seed, scale, steps):
-    """TestAffinePiece's sequence of QPs, each with whether to warm-start it
-    from the previous answer. That test, like TestResidualCertificate, keeps
-    its recipe inline: a derandomized test draws its examples from a hash of
-    its own source, so moving the recipe out would change them."""
-    m = min(m, n)
-    rng = np.random.default_rng(seed)
-
-    def new_p():
-        g = rng.standard_normal((n, n))
-        return g.T @ g + 0.1 * np.eye(n)
-
-    def new_aeq():
-        return rng.standard_normal((m, n)) * np.r_[scale, np.ones(n - 1)]
-
-    p, aeq, q = new_p(), new_aeq(), 3 * rng.standard_normal(n)
-    rows = np.sort(rng.choice(m, rng.integers(1, m + 1), replace=False))
-    beq = aeq @ rng.uniform(-1.0, 1.0, n)
-    # Finite bounds: the oracle pins every bound it labels.
-    half = rng.choice([0.5, 2.0, 10.0])
-    lb, ub = -half * rng.uniform(0.5, 1.0, n), half * rng.uniform(0.5, 1.0, n)
-    for kind, use_warm in steps:
-        if kind == "params":
-            beq = beq.copy()
-            beq[rows] = (aeq @ rng.uniform(-1.0, 1.0, n))[rows]
-        elif kind == "bounds":
-            lb, ub = rng.uniform(0.7, 1.0) * lb, rng.uniform(0.7, 1.0) * ub
-        elif kind == "q":
-            q = 3 * rng.standard_normal(n)
-        elif kind == "new_p":
-            p = new_p()
-        elif kind == "new_aeq":
-            aeq = new_aeq()
-            beq = aeq @ rng.uniform(-1.0, 1.0, n)
-        elif kind == "mutate_p":
-            p += rng.uniform(0.1, 1.0) * np.eye(n)
-        yield qp.QpProblem(p=p, q=q, aeq=aeq, beq=beq, lb=lb, ub=ub, param_rows=rows), use_warm
-
-
-def large_working_set_qps(seed):
-    """The two QPs of TestSchurComplement.test_large_working_sets, whose
-    recipe stays inline for the same reason as param_row_qps's."""
-    rng = np.random.default_rng(seed)
-    n, m = int(rng.integers(20, 41)), int(rng.integers(0, 9))
-    pinned = int(rng.integers(5, min(26, n - m - 2) + 1))
-    ridge = (1e-3, 1e-8)[int(rng.integers(2))]
-    g = rng.standard_normal((n // 2, n))
-    p, aeq = g.T @ g + ridge * np.eye(n), rng.standard_normal((m, n))
-    for _ in range(2):
-        idx, side = rng.choice(n, pinned, replace=False), rng.choice([-1.0, 1.0], pinned)
-        z, mu = rng.uniform(-0.9, 0.9, n), np.zeros(n)
-        z[idx], mu[idx] = side, side * rng.uniform(0.5, 3.0, pinned)
-        yield qp.QpProblem(p=p, q=-(p @ z + aeq.T @ rng.standard_normal(m) + mu),
-                           aeq=aeq, beq=aeq @ z, lb=-np.ones(n), ub=np.ones(n))
+@st.composite
+def scaled_box_qps(draw):
+    """A small_box_qps instance, on half the draws with the lower half of P's
+    eigenvalues set to 1e-6 times its largest, with its cost scaled by 10^k,
+    k in {-8, 0, 8, 12}, and each equality row with its beq entry by
+    10^(k/2 + j), j in {0, 3}, which leaves the feasible set alone. Rows
+    scaled less than 10^(k/2) leave the solver's refinement against the
+    delta-regularized K, and so its pivots, short of converged. A random
+    subset of the equality rows are its param_rows; also returned are a
+    second beq that moves them to another anchor point, and the warm start."""
+    problem, warm = draw(small_box_qps())
+    n, m = problem.n, problem.aeq.shape[0]
+    p = problem.p
+    if draw(st.booleans()):
+        w, v = np.linalg.eigh(p)
+        w[:n // 2] = 1e-6 * w[-1]
+        p = (v * w) @ v.T
+    k = draw(st.sampled_from([-8, 0, 8, 12]))
+    j = np.array(draw(st.lists(st.sampled_from([0, 3]), min_size=m, max_size=m)))
+    aeq, beq = 10.0 ** (k / 2 + j)[:, None] * problem.aeq, 10.0 ** (k / 2 + j) * problem.beq
+    rows = np.flatnonzero(draw(st.lists(st.booleans(), min_size=m, max_size=m)))
+    anchor = np.array(draw(st.lists(st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]),
+                                    min_size=n, max_size=n)))
+    beq_moved = beq.copy()
+    beq_moved[rows] = (aeq @ anchor)[rows]
+    scaled = qp.QpProblem(p=10.0 ** k * p, q=10.0 ** k * problem.q, aeq=aeq, beq=beq,
+                          lb=problem.lb, ub=problem.ub, param_rows=rows)
+    return scaled, beq_moved, warm
 
 
 class DependenceRecorder(qp.Solver):
     """A Solver that logs each of its dependence decisions next to the QR
-    reference's at 1e-9, as (pivot / max|K^-1|, QR distance, row kept,
-    row kept by the QR): the warm start's rows from ``_pivots``, and each
-    entering row p from the pivot -sign * dz_p of its step."""
+    reference's at 1e-9, as (pivot relative to the tolerance's scale, QR
+    distance, row kept, row kept by the QR): the warm start's rows from
+    ``_pivots``, and each entering row p from the pivot -sign * dz_p of its
+    step."""
 
     def __init__(self, log):
         super().__init__()
@@ -628,48 +617,29 @@ class DependenceRecorder(qp.Solver):
         return z, y_eq, mu, step
 
     def _record(self, pivots, distances):
-        scale = np.max(np.abs(self._kkt_inv))
-        self.log += [(float(pivot) / scale, dist, bool(pivot > self._pivot_tol), dist > 1e-9)
+        self.log += [(float(pivot) * qp._DEPENDENT / self._pivot_tol, dist,
+                      bool(pivot > self._pivot_tol), dist > 1e-9)
                      for pivot, dist in zip(pivots, distances)]
 
 
 class TestDependenceDecisions:
     def test_pivot_decisions_match_qr(self):
         # Every warm-row and entering-row decision must equal the QR's, over
-        # the draws of small_box_qps (each QP solved cold, then warm),
-        # param_row_qps and large_working_set_qps (each sequence solved by
-        # one reused solver), with their tests' example counts. The smallest
-        # margin on each side is printed (pytest -s).
-        log, derandomized = [], dict(deadline=None, derandomize=True, database=None)
+        # scaled_box_qps: each QP solved cold, then warm, then with its
+        # param rows moved by the same solver from the warm answer. The
+        # smallest margin on each side is printed (pytest -s).
+        log = []
 
-        @settings(max_examples=300, **derandomized)
-        @given(small_box_qps())
-        def small_boxes(case):
-            problem, warm = case
+        @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+        @given(scaled_box_qps())
+        def draws(case):
+            problem, beq_moved, warm = case
             solver = DependenceRecorder(log)
             solver.solve(problem)
-            solver.solve(problem, warm_z=warm)
+            warm = solver.solve(problem, warm_z=warm).z
+            solver.solve(problem.with_beq(beq_moved), warm_z=warm)
 
-        @settings(max_examples=150, **derandomized)
-        @given(n=st.integers(1, 4), m=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
-               scale=st.sampled_from([1.0, 1e3]),
-               steps=st.lists(st.tuples(st.sampled_from(["params", "params", "bounds", "q",
-                                                         "new_p", "new_aeq", "mutate_p"]),
-                                        st.booleans()), min_size=1, max_size=6))
-        def param_rows(n, m, seed, scale, steps):
-            solver, warm = DependenceRecorder(log), None
-            for problem, use_warm in param_row_qps(n, m, seed, scale, steps):
-                warm = solver.solve(problem, warm_z=warm if use_warm else None).z
-
-        @settings(max_examples=50, **derandomized)
-        @given(seed=st.integers(0, 2**32 - 1))
-        def large_sets(seed):
-            solver, warm = DependenceRecorder(log), None
-            for problem in large_working_set_qps(seed):
-                warm = solver.solve(problem, warm_z=warm).z
-
-        for draws in (small_boxes, param_rows, large_sets):
-            draws()
+        draws()
         pivot, dist, kept, qr_kept = (np.array(column) for column in zip(*log))
         assert np.array_equal(kept, qr_kept), f"{np.sum(kept != qr_kept)} of {kept.size} differ"
         assert kept.any() and not kept.all()
