@@ -132,8 +132,8 @@ class TestSolve:
         (1e5 * np.eye(2), [[1e-5, 0.0]], [0.0, -3e5], [0.0, 1.0])])
     def test_dependence_tolerance_ignores_cost_and_row_scale(self, p, aeq, q, optimum):
         # Row 0 of the first problem and row 1 of the second are independent
-        # of Aeq. A tolerance scaled by all of K^-1, whose multiplier block
-        # reaches 4.8e7 and 1e9 here, counted them dependent: infeasible.
+        # of Aeq, while K^-1's multiplier block reaches 4.8e7 and 1e9 here: a
+        # tolerance that took it in would count them dependent, infeasible.
         problem = qp.QpProblem(p=p, q=np.array(q), aeq=np.array(aeq), beq=np.zeros(1),
                                lb=-np.ones(2), ub=np.ones(2))
         for warm in (None, np.array(optimum)):
