@@ -14,13 +14,14 @@ resilience for an enlarged feasibility region.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .data import HankelPair
-from .errors import DimensionError
+from .errors import DimensionError, check_numbers
 from .lti import GainSet, SystemModel
 from .mpc import MpcAssembler, MpcConfig, MpcSolution, solve_mpc
 from .qp import Solver
@@ -51,8 +52,7 @@ class DataDrivenController:
     measurements, attacked instants included; a solve starts from both."""
 
     def __init__(self, data: HankelPair, config: MpcConfig, period: int = 1):
-        if period < 1:
-            raise ValueError("period must be >= 1")
+        check_numbers({"period": period}, {"period": (numbers.Integral, 1, False, False)})
         self.config = config
         self.period = period
         self.assembler = MpcAssembler(data, config)

@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .data import HankelPair
-from .errors import DimensionError, SolverError, check_numbers
+from .errors import ConfigError, DimensionError, SolverError, check_numbers
 from .qp import QpProblem, QpSolution, Solver
 
 __all__ = ["MpcConfig", "MpcSolution", "VariableMap", "MpcAssembler", "solve_mpc"]
@@ -76,6 +76,8 @@ class MpcConfig:
 
     def __post_init__(self):
         check_numbers(vars(self), _FIELD_RULES)
+        if self.horizon < self.eta:  # the terminal anchor would overlap the initial window
+            raise ConfigError(f"horizon must be >= eta = {self.eta}, got {self.horizon}")
 
     @property
     def window(self) -> int:
@@ -102,9 +104,11 @@ class VariableMap:
 @dataclass
 class MpcSolution:
     """Extracted optimizer. ``u_pred`` / ``y_pred`` cover offsets [0, L-1];
-    ``h`` covers the full window [-eta, L-1]. ``cost`` is the program
-    objective recomputed from the extracted blocks. The QP's own facts, its
-    ``z``, iterations, status and residuals, are read from ``qp_solution``."""
+    ``h`` covers the full window [-eta, L-1]. The four arrays are read-only
+    views of one projected copy of z, and ``cost`` is the program objective
+    z'Wz on that copy, with W = P without its ridge, halved. The QP's own
+    facts, its ``z``, iterations, status and residuals, are read from
+    ``qp_solution``."""
 
     u_pred: np.ndarray
     y_pred: np.ndarray
@@ -147,17 +151,18 @@ class MpcAssembler:
         )
 
         vc = config.cost_noise_scale()
-        r1 = self.r1 = _weight_matrix(config.r1, n_u, "R1")
-        r2 = self.r2 = _weight_matrix(config.r2, n_y, "R2")
-        p = np.zeros((n, n))
-        p[self.vmap.g, self.vmap.g] = 2.0 * config.lambda_g * vc * np.eye(n_g)
-        p[self.vmap.h, self.vmap.h] = 2.0 * (config.lambda_h / vc) * np.eye(w * n_y)
+        r1 = _weight_matrix(config.r1, n_u, "R1")
+        r2 = _weight_matrix(config.r2, n_y, "R2")
+        # The objective is z'Wz; P is 2W plus the ridge.
+        weight = self._weight = np.zeros((n, n))
+        weight[self.vmap.g, self.vmap.g] = config.lambda_g * vc * np.eye(n_g)
+        weight[self.vmap.h, self.vmap.h] = (config.lambda_h / vc) * np.eye(w * n_y)
         for i in range(eta, w):
             su = slice(off_u + i * n_u, off_u + (i + 1) * n_u)
             sy = slice(off_y + i * n_y, off_y + (i + 1) * n_y)
-            p[su, su] = 2.0 * r1
-            p[sy, sy] = 2.0 * r2
-        p += _RIDGE * np.eye(n)
+            weight[su, su] = r1
+            weight[sy, sy] = r2
+        p = 2.0 * weight + _RIDGE * np.eye(n)
 
         m = w * (n_u + n_y) + 2 * eta * (n_u + n_y)
         a = np.zeros((m, n))
@@ -205,36 +210,29 @@ class MpcAssembler:
         return self._problem.with_beq(beq)
 
     def extract(self, qp_solution) -> MpcSolution:
-        cfg = self.config
-        vm = self.vmap
-        z = qp_solution.z
-        u_stack = z[vm.u].reshape(vm.window, vm.n_u).copy()
-        y_stack = z[vm.y].reshape(vm.window, vm.n_y).copy()
-        u_pred = u_stack[cfg.eta:]
-        y_pred = y_stack[cfg.eta:]
-        tail_u = np.max(np.abs(u_pred[cfg.horizon - cfg.eta:]), initial=0.0)
-        tail_y = np.max(np.abs(y_pred[cfg.horizon - cfg.eta:]), initial=0.0)
-        if max(tail_u, tail_y) > 1e-6:
-            raise SolverError(f"terminal anchor violated: {max(tail_u, tail_y):.3g}")
-        if np.max(np.abs(u_pred), initial=0.0) > cfg.u_max + 1e-8:
+        """The plan in one read-only copy of z, with its terminal anchor set
+        to zero and its inputs clipped to the box, after checking that z
+        misses neither by more than the solver's tolerance."""
+        cfg, vm = self.config, self.vmap
+        z = qp_solution.z.copy()
+        # The (u, y) plans as views of z, taken again after z.setflags below:
+        # views taken before it stay writeable.
+        plan = lambda: [z[s].reshape(vm.window, -1)[cfg.eta:] for s in (vm.u, vm.y)]
+        u_pred, y_pred = plan()
+        anchor = cfg.horizon - cfg.eta
+        tail = max(np.abs(u_pred[anchor:]).max(), np.abs(y_pred[anchor:]).max())
+        if tail > 1e-6:
+            raise SolverError(f"terminal anchor violated: {tail:.3g}")
+        if np.abs(u_pred).max() > cfg.u_max + 1e-8:
             raise SolverError("input box violated beyond tolerance")
         # Project onto the constraints the replay logic relies on exactly.
-        u_pred[cfg.horizon - cfg.eta:] = 0.0
-        y_pred[cfg.horizon - cfg.eta:] = 0.0
+        u_pred[anchor:] = 0.0
+        y_pred[anchor:] = 0.0
         np.clip(u_pred, -cfg.u_max, cfg.u_max, out=u_pred)
-        g = z[vm.g].copy()
-        h = z[vm.h].reshape(vm.window, vm.n_y).copy()
-
-        vc = cfg.cost_noise_scale()
-        cost = float(
-            np.sum(np.einsum("ij,jk,ik->i", u_pred, self.r1, u_pred))
-            + np.sum(np.einsum("ij,jk,ik->i", y_pred, self.r2, y_pred))
-            + cfg.lambda_g * vc * float(g @ g)
-            + (cfg.lambda_h / vc) * float(np.sum(h * h))
-        )
-        for arr in (u_pred, y_pred, g, h):
-            arr.setflags(write=False)
-        return MpcSolution(u_pred=u_pred, y_pred=y_pred, g=g, h=h, cost=cost,
+        z.setflags(write=False)
+        u_pred, y_pred = plan()
+        return MpcSolution(u_pred=u_pred, y_pred=y_pred, g=z[vm.g],
+                           h=z[vm.h].reshape(vm.window, vm.n_y), cost=float(z @ self._weight @ z),
                            qp_solution=qp_solution)
 
 

@@ -138,8 +138,10 @@ class TestDataDrivenController:
 
 class TestPeriodicController:
     def test_period_must_be_positive(self, noisy_hankel, study_config):
-        with pytest.raises(ValueError):
-            controllers.DataDrivenController(noisy_hankel, study_config, period=0)
+        # A fractional period or a bool is refused, not run as another period.
+        for period in (0, 1.5, True):
+            with pytest.raises(ValueError, match="period"):
+                controllers.DataDrivenController(noisy_hankel, study_config, period=period)
 
     def test_solve_count_without_attacks(self, reactor, noisy_hankel, study_config):
         t_sim = 200

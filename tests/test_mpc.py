@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dosmpc import data, lti, mpc, qp
 from dosmpc.errors import DimensionError, SolverError
@@ -8,6 +9,16 @@ from dosmpc.errors import DimensionError, SolverError
 def solve(hankel, config, init_u, init_zeta, solver=None):
     return mpc.solve_mpc(mpc.MpcAssembler(hankel, config), init_u, init_zeta,
                          solver=solver)
+
+
+@st.composite
+def weights(draw):
+    """A scalar weight, or a full symmetric positive definite 2x2 one."""
+    a, c = draw(st.floats(1e-4, 10.0)), draw(st.floats(1e-4, 10.0))
+    if draw(st.booleans()):
+        return a
+    b = draw(st.floats(-0.9, 0.9)) * np.sqrt(a * c)
+    return np.array([[a, b], [b, c]])
 
 
 def seeded_init(reactor, seed, steps=2, scale=1.0):
@@ -31,7 +42,8 @@ class TestConfig:
         # on construction, not at the first solve
         good = dict(horizon=10, eta=2, lambda_g=1.0, lambda_h=1.0, v_bar=0.1)
         for bad in (dict(lambda_g=float("nan")), dict(v_bar=float("nan")),
-                    dict(lambda_h=float("inf")), dict(horizon=10.5), dict(eta=True)):
+                    dict(lambda_h=float("inf")), dict(horizon=10.5), dict(eta=True),
+                    dict(horizon=1)):
             with pytest.raises(ValueError, match=next(iter(bad))):
                 mpc.MpcConfig(**{**good, **bad})
 
@@ -166,6 +178,29 @@ class TestSolveMpc:
             init_zeta = rng.uniform(-2, 2, (2, 2))
             sol = mpc.solve_mpc(asm, init_u, init_zeta, solver=solver)
             assert sol.cost >= 0.0
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(window=st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8),
+           lambda_g=st.floats(1e-3, 10.0), lambda_h=st.floats(1.0, 1e3),
+           v_bar=st.sampled_from([0.0, 1e-4, 1e-3]), r1=weights(), r2=weights())
+    def test_cost_matches_program_objective(self, noisy_hankel, window, lambda_g,
+                                            lambda_h, v_bar, r1, r2):
+        # The objective written term by term, in long double, from the
+        # solution's own blocks. A cost below float64's smallest normal
+        # number (windows near 1e-280 draw one) underflows in any float64 form.
+        config = mpc.MpcConfig(horizon=10, eta=2, lambda_g=lambda_g, lambda_h=lambda_h,
+                               v_bar=v_bar, r1=r1, r2=r2)
+        init = np.reshape(window, (2, 2, 2))
+        sol = solve(noisy_hankel, config, init[0], init[1])
+        ld = np.longdouble
+        u, y, g, h = (np.asarray(a, dtype=ld) for a in (sol.u_pred, sol.y_pred, sol.g, sol.h))
+        r1, r2 = (np.asarray(r * np.eye(2) if np.ndim(r) == 0 else r, dtype=ld) for r in (r1, r2))
+        vc = ld(config.cost_noise_scale())
+        reference = (np.sum((u @ r1) * u) + np.sum((y @ r2) * y)
+                     + ld(lambda_g) * vc * np.sum(g * g) + ld(lambda_h) / vc * np.sum(h * h))
+        assert abs(ld(sol.cost) - reference) <= 1e-14 * reference + np.finfo(float).tiny
+        for arr in (sol.u_pred, sol.y_pred, sol.g, sol.h):
+            assert not arr.flags.writeable
 
     def test_determinism_across_fresh_solvers(self, reactor, noisy_hankel, study_config):
         init_u, init_zeta = seeded_init(reactor, 13)

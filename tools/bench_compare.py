@@ -11,12 +11,10 @@ with its own ``src`` and ``perfbench``, BLAS pinned to one thread:
   parent first on even pairs and both sides of a pair on the same seed,
   summarised by median, quartiles and the pairs the change wins;
 - one traced run per side and workload, on the seed after the last pair;
-- KKT inverses (``np.linalg.inv`` calls), QR factorizations
-  (``np.linalg.qr`` calls), refined columns (columns passed to
-  ``qp.Solver._refine``), full termination checks (calls of
-  ``qp._residuals``) and, where ``QpSolution`` has the field, certified
-  solves over noise-sweep indices 0-8, with every record checked by
-  ``workloads.check_op``;
+- KKT inverses (``np.linalg.inv`` calls), refined columns (columns passed
+  to ``qp.Solver._refine``), full termination checks (calls of
+  ``qp._residuals``) and certified solves over noise-sweep indices 0-8,
+  with every record checked by ``workloads.check_op``;
 - the default 200-step fixture run, min of 7 after one warm-up, two rounds;
 - both DoS generators at T = 5000 on attack-long's parameters (ratio 0.9142,
   random seed 3), min of 9 after one warm-up, three alternating rounds;
@@ -66,9 +64,9 @@ import numpy as np
 ENV = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
 SIDES = ("parent", "change")
 
-# Run inside a checkout: counts KKT inverses, QR factorizations, refined
-# columns, full termination checks and certified solves over noise-sweep
-# indices 0-8 and checks every record against the references.
+# Run inside a checkout: counts KKT inverses, refined columns, full
+# termination checks and certified solves over noise-sweep indices 0-8 and
+# checks every record against the references.
 COUNTS = """
 import json, sys, tempfile
 from pathlib import Path
@@ -76,16 +74,13 @@ sys.path[:0] = ["src", "perfbench"]
 import numpy as np
 from dosmpc import qp
 import workloads
-counts = {"inverses": 0, "qr_calls": 0, "refine_calls": 0, "refined_columns": 0,
-          "solves": 0, "full_checks": 0}
-inv, qr, refine, solve = np.linalg.inv, np.linalg.qr, qp.Solver._refine, qp.Solver.solve
+counts = {"inverses": 0, "refine_calls": 0, "refined_columns": 0, "solves": 0,
+          "certified": 0, "full_checks": 0}
+inv, refine, solve = np.linalg.inv, qp.Solver._refine, qp.Solver.solve
 residuals = qp._residuals
 def counting_inv(a):
     counts["inverses"] += 1
     return inv(a)
-def counting_qr(*args, **kwargs):
-    counts["qr_calls"] += 1
-    return qr(*args, **kwargs)
 def counting_refine(self, *args):
     counts["refine_calls"] += 1
     counts["refined_columns"] += args[-1].shape[1]
@@ -93,13 +88,12 @@ def counting_refine(self, *args):
 def counting_solve(self, *args, **kwargs):
     counts["solves"] += 1
     result = solve(self, *args, **kwargs)
-    if hasattr(result, "certified"):
-        counts["certified"] = counts.get("certified", 0) + bool(result.certified)
+    counts["certified"] += bool(result.certified)
     return result
 def counting_residuals(*args):
     counts["full_checks"] += 1
     return residuals(*args)
-np.linalg.inv, np.linalg.qr = counting_inv, counting_qr
+np.linalg.inv = counting_inv
 qp.Solver._refine, qp.Solver.solve = counting_refine, counting_solve
 qp._residuals = counting_residuals
 w = workloads.WORKLOADS["noise-sweep"]
