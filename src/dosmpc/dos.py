@@ -14,16 +14,15 @@ before t and D(t) = pd[t] - t/nu_d, the duration excess of [t1, t2) is
 D(t2) - D(t1) - kappa_d, so the budget holds on every interval iff
 D(t2) - min_{t1 < t2} D(t1) <= kappa_d for every t2; the frequency budget is
 the same with onset counts pf and F(t) = pf[t] - t/nu_f. A running minimum
-makes validation O(T) and each step of the generators O(1) outside the tie
-band.
+makes validation O(T) and a generator step O(1) outside the tie band.
 
 A margin from the extrema decides only outside a tie band of about 1e-9
 around its threshold. Exact ties are common (with nu_f = 4 every t/4 is
 exact), and there the extrema and the direct comparison count > kappa + m/nu
 may round apart; inside the band the direct comparison over the intervals
 concerned decides, so every verdict and report is the one an all-intervals
-scan gives. Inside the band a generator step ending at t costs O(t), and
-validation costs the number of intervals evaluated.
+scan gives. There a generator step costs O(1) unless a level returns exactly
+to its minimum again and again; validation costs the intervals evaluated.
 """
 from __future__ import annotations
 
@@ -38,18 +37,9 @@ import numpy as np
 from .errors import ResilienceError, check_numbers
 
 __all__ = [
-    "AttackParams",
-    "DosSchedule",
-    "ScheduleValidation",
-    "params_for_ratio",
-    "duration_count",
-    "frequency_count",
-    "validate_schedule",
-    "inter_success_bound",
-    "generate_random",
-    "generate_worst_case",
-    "max_success_gap",
-    "save_schedule",
+    "AttackParams", "DosSchedule", "ScheduleValidation", "params_for_ratio",
+    "duration_count", "frequency_count", "validate_schedule", "inter_success_bound",
+    "generate_random", "generate_worst_case", "max_success_gap", "save_schedule",
     "load_schedule",
 ]
 
@@ -224,82 +214,103 @@ def inter_success_bound(params: AttackParams) -> float:
     """Guaranteed maximum spacing between successful transmissions."""
     slack = 1.0 - 1.0 / params.nu_d - 1.0 / params.nu_f
     if slack <= 0:
-        raise ResilienceError(
-            f"1/nu_f + 1/nu_d = {params.ratio:.6g} >= 1: no bound exists"
-        )
+        raise ResilienceError(f"1/nu_f + 1/nu_d = {params.ratio:.6g} >= 1: no bound exists")
     return (params.kappa_d + params.kappa_f) / slack + 1.0
 
 
-class _PrefixMinima:
-    """Prefix counts of a schedule being built left to right, with the running
-    minima of D(t) = pd[t] - t/nu_d and F(t) = pf[t] - t/nu_f over the ends
-    recorded so far (t = 0 included)."""
+_SMALL = 32  # near-start sets up to this size are scanned in Python
 
-    def __init__(self, params: AttackParams, t_sim: int):
-        self.params = params
-        self.pd = np.zeros(t_sim + 1, dtype=int)
-        self.pf = np.zeros(t_sim + 1, dtype=int)
-        self.low = (0.0, 0.0)
-        self.band = _tie_band(t_sim)  # the margins it decides lie near zero
-        lengths = np.arange(1, t_sim + 1)
-        # budget of an interval of length m, at index m - 1
-        self.cap_d = params.kappa_d + lengths / params.nu_d
-        self.cap_f = params.kappa_f + lengths / params.nu_f
 
-    def admits(self, end: int, dur: int, frq: int) -> bool:
-        """Whether counts pd[end] = dur, pf[end] = frq keep both budgets on every
-        interval [t1, end), given the counts recorded before end."""
-        p = self.params
-        self.pd[end] = dur
-        self.pf[end] = frq
-        for count, counts, low, kappa, nu, cap in (
-                (dur, self.pd, self.low[0], p.kappa_d, p.nu_d, self.cap_d),
-                (frq, self.pf, self.low[1], p.kappa_f, p.nu_f, self.cap_f)):
-            margin = count - end / nu - low - kappa
-            if margin > self.band:
-                return False
-            if margin >= -self.band and np.any(counts[end] - counts[:end] > cap[end - 1::-1]):
-                return False
-        return True
+def _breaks(starts, counts, n: int, count: int, end: int, caps) -> bool:
+    """Whether one of the first n near starts s, with count c at s, gives
+    count - c > kappa + (end - s)/nu, the budget caps[end - 1 - s]."""
+    if n > _SMALL:
+        return bool(np.any(count - counts[:n] > caps[end - 1 - starts[:n]]))
+    return any(count - c > caps[end - 1 - s]
+               for s, c in zip(starts[:n].tolist(), counts[:n].tolist()))
 
-    def record(self, end: int, dur: int, frq: int) -> None:
-        """Fix the counts at end and fold D(end), F(end) into the minima."""
-        self.pd[end] = dur
-        self.pf[end] = frq
-        d = dur - end / self.params.nu_d
-        f = frq - end / self.params.nu_f
-        low_d, low_f = self.low
-        # conditional expressions: two builtin min() calls cost more per step
-        self.low = (d if d < low_d else low_d, f if f < low_f else low_f)
+
+def _prune(starts, counts, n: int, nu: float, top: float):
+    """Keep, in order, the near starts whose level counts - starts/nu is at
+    most top; returns their number and the size that triggers the next prune."""
+    keep = np.flatnonzero(counts[:n] - starts[:n] / nu <= top)
+    starts[:len(keep)], counts[:len(keep)] = starts[keep], counts[keep]
+    return len(keep), max(_SMALL, 2 * len(keep))
 
 
 def _greedy(params: AttackParams, t_sim: int, propose, seed) -> DosSchedule:
     """Build a schedule left to right. At every step t outside an accepted
     burst, propose() gives a burst length (0 for no attack), cut at the
     horizon. The burst is kept whole if every interval ending inside it keeps
-    both budgets; otherwise the minima are restored and step t stays free."""
-    minima = _PrefixMinima(params, t_sim)
+    both budgets; otherwise the minima are restored and step t stays free.
+
+    Inside the tie band (margin <= band) only the near starts are compared
+    directly: those whose level (D or F) lay within 2 * band of the running
+    minimum when recorded. Any other start lies more than 2 * band above the
+    minimum, which only falls, so its exact excess is below -band, and the
+    direct comparison's rounding (<= 1e-15 * scale) cannot flip that verdict.
+    Far starts are dropped at free steps only, so a rejected burst restores
+    two minima and two sizes. A step costs O(1) unless the level returns to
+    its minimum exactly again and again; such sets are scanned by numpy."""
+    check_numbers({"t_sim": t_sim}, {"t_sim": (numbers.Integral, 0, False, False)})
+    kappa_d, nu_d, kappa_f, nu_f = params.kappa_d, params.nu_d, params.kappa_f, params.nu_f
+    band, wide = _tie_band(t_sim), 2 * _tie_band(t_sim)  # the margins decided lie near 0
+    lengths = np.arange(1, t_sim + 1)  # the budget of length m at index m - 1
+    caps_d, caps_f = kappa_d + lengths / nu_d, kappa_f + lengths / nu_f
+    # per budget, the near starts and their counts: start 0 (count 0) first
+    starts_d, counts_d, starts_f, counts_f = (np.zeros(t_sim + 1, dtype=int) for _ in range(4))
+    n_d, n_f, grow_d, grow_f = 1, 1, _SMALL, _SMALL  # sizes, and sizes that prune
+    low_d = low_f = 0.0
+    pd = [0] * (t_sim + 1)  # attacked steps before each end, last written by a kept step
     dur = frq = t = 0
-    onset = 1  # a burst at t is an onset: the step before (or time zero) is free
+    frq_e = 1  # onsets through a burst at t: frq + 1 after a free step (or at t = 0)
     while t < t_sim:
         burst = propose()
-        if burst > t_sim - t:
-            burst = t_sim - t
-        low = minima.low
-        for j in range(1, burst + 1):
-            if not minima.admits(t + j, dur + j, frq + onset):
-                minima.low = low
-                burst = 0
-                break
-            minima.record(t + j, dur + j, frq + onset)
         if burst:
-            dur, frq, t, onset = dur + burst, frq + onset, t + burst, 0
-        else:
-            t += 1
-            minima.record(t, dur, frq)
-            onset = 1
-    # every end 1..T was last written by a kept step, so pd holds the schedule
-    schedule = DosSchedule(indicators=np.diff(minima.pd) > 0, params=params, seed=seed)
+            if burst > t_sim - t:
+                burst = t_sim - t
+            low_d0, low_f0 = low_d, low_f
+            n_d0, n_f0 = n_d, n_f
+            for end in range(t + 1, t + burst + 1):
+                dur_e = dur + end - t
+                level_d, level_f = dur_e - end / nu_d, frq_e - end / nu_f
+                margin_d, margin_f = level_d - low_d - kappa_d, level_f - low_f - kappa_f
+                if (margin_d > band or margin_f > band
+                        or margin_d >= -band and _breaks(starts_d, counts_d, n_d, dur_e, end, caps_d)
+                        or margin_f >= -band and _breaks(starts_f, counts_f, n_f, frq_e, end, caps_f)):
+                    low_d, low_f, n_d, n_f, burst = low_d0, low_f0, n_d0, n_f0, 0
+                    break
+                pd[end] = dur_e
+                if level_d <= low_d + wide:
+                    starts_d[n_d], counts_d[n_d] = end, dur_e
+                    n_d += 1
+                    low_d = level_d if level_d < low_d else low_d
+                if level_f <= low_f + wide:
+                    starts_f[n_f], counts_f[n_f] = end, frq_e
+                    n_f += 1
+                    low_f = level_f if level_f < low_f else low_f
+            if burst:
+                dur, frq = dur + burst, frq_e
+                t += burst
+                continue
+        t += 1
+        pd[t], frq_e = dur, frq + 1
+        level_d, level_f = dur - t / nu_d, frq - t / nu_f
+        if level_d <= low_d + wide:
+            n_d = 0 if level_d + wide < low_d else n_d  # every start lies far above it
+            starts_d[n_d], counts_d[n_d] = t, dur
+            n_d += 1
+            low_d = level_d if level_d < low_d else low_d
+            if n_d > grow_d:
+                n_d, grow_d = _prune(starts_d, counts_d, n_d, nu_d, low_d + wide)
+        if level_f <= low_f + wide:
+            n_f = 0 if level_f + wide < low_f else n_f
+            starts_f[n_f], counts_f[n_f] = t, frq
+            n_f += 1
+            low_f = level_f if level_f < low_f else low_f
+            if n_f > grow_f:
+                n_f, grow_f = _prune(starts_f, counts_f, n_f, nu_f, low_f + wide)
+    schedule = DosSchedule(indicators=np.diff(pd) > 0, params=params, seed=seed)
     assert validate_schedule(schedule.indicators, params).passed
     return schedule
 
@@ -323,9 +334,7 @@ def generate_random(params: AttackParams, t_sim: int, seed: int = 0) -> DosSched
 
 def generate_worst_case(params: AttackParams, t_sim: int) -> DosSchedule:
     """Deterministic greedy schedule: attack whenever the budgets still allow.
-
-    Maximizes prefix attack density; passes validation by construction.
-    """
+    Maximizes prefix attack density; passes validation by construction."""
     return _greedy(params, t_sim, lambda: 1, "adversarial")
 
 
@@ -344,23 +353,15 @@ def max_success_gap(indicators) -> int:
 def save_schedule(schedule: DosSchedule, path) -> None:
     """Compact 0/1 text line plus a JSON sidecar with params and diagnostics."""
     path = Path(path)
-    path.write_text("".join("1" if b else "0" for b in schedule.indicators) + "\n")
+    path.write_bytes((schedule.indicators.astype(np.uint8) + 48).tobytes() + b"\n")
     params = schedule.params
     try:
         bound: Optional[float] = inter_success_bound(params)
     except ResilienceError:
         bound = None
-    sidecar = {
-        "kappa_f": params.kappa_f,
-        "nu_f": params.nu_f,
-        "kappa_d": params.kappa_d,
-        "nu_d": params.nu_d,
-        "seed": schedule.seed,
-        "ratio": params.ratio,
-        "attack_fraction": schedule.attack_fraction,
-        "inter_success_bound": bound,
-        "max_success_gap": max_success_gap(schedule.indicators),
-    }
+    sidecar = {**vars(params), "seed": schedule.seed, "ratio": params.ratio,
+               "attack_fraction": schedule.attack_fraction, "inter_success_bound": bound,
+               "max_success_gap": max_success_gap(schedule.indicators)}
     path.with_suffix(path.suffix + ".json").write_text(json.dumps(sidecar, indent=2))
 
 
@@ -368,8 +369,7 @@ def load_schedule(path) -> DosSchedule:
     path = Path(path)
     line = path.read_text().strip()
     meta = json.loads(path.with_suffix(path.suffix + ".json").read_text())
-    params = AttackParams(kappa_f=meta["kappa_f"], nu_f=meta["nu_f"],
-                          kappa_d=meta["kappa_d"], nu_d=meta["nu_d"])
+    params = AttackParams(**{name: meta[name] for name in _FIELD_RULES})
     if set(line) - {"0", "1"}:
         raise ValueError(f"{path}: schedule line must hold only 0 and 1")
     ind = np.array([ch == "1" for ch in line])

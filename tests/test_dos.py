@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dosmpc import dos
-from dosmpc.errors import ResilienceError
+from dosmpc.errors import ConfigError, ResilienceError
 
 
 def params(kf=1.0, nf=2.0, kd=1.0, nd=2.0):
@@ -179,8 +179,12 @@ class TestGenerators:
 
     # the first two explicit examples have margins in the tie band that the
     # direct sums accept; the third, nu_d just above 1.5, has margins in the
-    # band that the direct sums reject; the last two reject a burst after
-    # recording part of it, so they need the running minima rolled back
+    # band that the direct sums reject; the next two reject a burst after
+    # recording part of it, so they need the running minima rolled back.
+    # On the two lattice parameter sets the level returns to its minimum
+    # exactly once a period, so the near starts outgrow the Python scan; the
+    # last rejects a burst inside which the frequency minimum fell, so both
+    # minima and the near-start sizes must be restored
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(p=budget_params(), t_sim=st.integers(0, 300), seed=st.integers(0, 2**32 - 1))
     @example(p=dos.AttackParams(1.0, 4.0, 1.0, 1.5), t_sim=60, seed=0)
@@ -188,6 +192,9 @@ class TestGenerators:
     @example(p=dos.AttackParams(1.0, 4.0, 1.0, 1.5 + 1e-12), t_sim=40, seed=0)
     @example(p=dos.AttackParams(1.0, 4.0, 2.0, 1.5), t_sim=40, seed=36959)
     @example(p=dos.AttackParams(1.0, 3.0, 3.0, 1.5), t_sim=129, seed=82045)
+    @example(p=dos.AttackParams(1.0, 4.0, 1.0, 2.0), t_sim=300, seed=0)
+    @example(p=dos.AttackParams(3.0, 4.0, 3.0, 4.0), t_sim=300, seed=0)
+    @example(p=dos.AttackParams(1.0, 2.5, 1.0, 1.25), t_sim=40, seed=141)
     def test_match_all_intervals_oracle(self, p, t_sim, seed):
         assert np.array_equal(dos.generate_random(p, t_sim, seed).indicators,
                               dos_oracle.generate_random(p, t_sim, seed))
@@ -237,6 +244,13 @@ class TestScheduleUtilities:
             dos.AttackParams(kappa_f=True, nu_f=4, kappa_d=1, nu_d=2)
         with pytest.raises(ValueError, match="nu_f"):
             dos.AttackParams(kappa_f=1, nu_f="4", kappa_d=1, nu_d=2)
+        # the horizon is an integer >= 0
+        p = dos.params_for_ratio(0.9142)
+        for t_sim in (-1, -5, 2.5, True):
+            with pytest.raises(ConfigError, match="t_sim"):
+                dos.generate_worst_case(p, t_sim)
+            with pytest.raises(ConfigError, match="t_sim"):
+                dos.generate_random(p, t_sim, 0)
 
     def test_max_success_gap_conventions(self):
         assert dos.max_success_gap(np.zeros(5, dtype=int)) == 1

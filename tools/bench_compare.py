@@ -16,8 +16,12 @@ with its own ``src`` and ``perfbench``, BLAS pinned to one thread:
   ``qp._residuals``) and certified solves over noise-sweep indices 0-8,
   with every record checked by ``workloads.check_op``;
 - the default 200-step fixture run, min of 7 after one warm-up, two rounds;
-- both DoS generators at T = 5000 on attack-long's parameters (ratio 0.9142,
-  random seed 3), min of 9 after one warm-up, three alternating rounds;
+- both DoS generators at T = 5000 and 20000 on attack-long's parameters
+  (ratio 0.9142) and on two lattice parameter sets, (kappa_f, nu_f, kappa_d,
+  nu_d) = (1, 4, 1, 2) and (3, 4, 3, 4), whose near-start sets grow with T;
+  random seed 3, min of 9 after one warm-up, three alternating rounds;
+- ``RunRecord.save`` of the 5000-step model-based record at ratio 0.9142
+  (attack seed 3), min of 9 after one warm-up, three alternating rounds;
 - records identity: a fixed grid per side: ``run_experiment`` for every
   controller kind at v_bar 1e-4, 3e-4 and 1e-3 on three seed triples, one
   attack-free run, one periodic run at ratio 0.2 and one T = 5000
@@ -120,25 +124,48 @@ for _ in range(7):
 print(1e3 * min(times))
 """
 
-# Run inside a checkout: min over 9 runs of each DoS generator at T = 5000
-# after one warm-up, in ms.
-GENERATORS = """
+# Run inside a checkout: min over 9 calls after one warm-up, in ms.
+BEST_OF_9 = """
 import json, sys, time
 sys.path.insert(0, "src")
-from dosmpc import dos
-params = dos.params_for_ratio(0.9142)
-calls = {"generate_worst_case": lambda: dos.generate_worst_case(params, 5000),
-         "generate_random": lambda: dos.generate_random(params, 5000, 3)}
-result = {}
-for name, call in calls.items():
+def best(call):
     call()
     times = []
     for _ in range(9):
         t0 = time.perf_counter()
         call()
         times.append(time.perf_counter() - t0)
-    result[name] = round(1e3 * min(times), 2)
+    return round(1e3 * min(times), 2)
+"""
+
+# Each DoS generator per parameter set and T.
+GENERATORS = BEST_OF_9 + """
+from dosmpc import dos
+sets = {"ratio0.9142": dos.params_for_ratio(0.9142),
+        "lattice(1,4,1,2)": dos.AttackParams(1.0, 4.0, 1.0, 2.0),
+        "lattice(3,4,3,4)": dos.AttackParams(3.0, 4.0, 3.0, 4.0)}
+result = {}
+for name, params in sets.items():
+    for t_sim in (5000, 20000):
+        result[f"{name}-T{t_sim}"] = {
+            "generate_worst_case": best(lambda: dos.generate_worst_case(params, t_sim)),
+            "generate_random": best(lambda: dos.generate_random(params, t_sim, 3))}
 print(json.dumps(result))
+"""
+
+# RunRecord.save of the 5000-step model-based record.
+SAVE = BEST_OF_9 + """
+import logging, tempfile
+from dataclasses import replace
+from pathlib import Path
+from dosmpc import dos, experiment
+logging.disable(logging.WARNING)
+config = replace(experiment.ExperimentConfig(), controller="model-based", t_sim=5000,
+                 attack=dos.params_for_ratio(0.9142))
+record = experiment.run_experiment(config)
+with tempfile.TemporaryDirectory() as tmp:
+    calls = iter(range(10))
+    print(best(lambda: record.save(Path(tmp) / str(next(calls)))))
 """
 
 # The grid entry whose saved config.json is run again through ``dosmpc run``.
@@ -429,10 +456,12 @@ def main(argv=None) -> int:
         for side in SIDES:
             report["default_fixture_run_ms"][side].append(
                 round(float(python(roots[side], DEFAULT_RUN)), 1))
-    report["generator_ms_T5000"] = {side: [] for side in SIDES}
+    report["generator_ms"] = {side: [] for side in SIDES}
+    report["record_save_ms_T5000"] = {side: [] for side in SIDES}
     for order in (SIDES, SIDES[::-1], SIDES):
         for side in order:
-            report["generator_ms_T5000"][side].append(json.loads(python(roots[side], GENERATORS)))
+            report["generator_ms"][side].append(json.loads(python(roots[side], GENERATORS)))
+            report["record_save_ms_T5000"][side].append(float(python(roots[side], SAVE)))
     report["records_identity"] = records_identity(roots)
     report["tier1"] = {side: [] for side in SIDES}
     for order in (SIDES, SIDES[::-1]):
