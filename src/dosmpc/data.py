@@ -132,9 +132,6 @@ class Trajectory:
         )
 
 
-_TABLE_CHUNK = 512  # rows per tolist() conversion in _write_table
-
-
 def _format_row(template: str, row) -> str:
     """``template % row`` with each NaN cell left empty: ``%.17g`` writes NaN
     as ``nan`` and no other cell containing those letters (``%d`` rejects NaN)."""
@@ -147,11 +144,9 @@ def _write_table(path, names, table, int_cols: int) -> None:
     template = ",".join(["%d"] * int_cols + ["%.17g"] * (len(names) - int_cols)) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(names) + "\n")
-        # Row by row from Python floats (formatting numpy scalars costs more),
-        # converted _TABLE_CHUNK rows at a time, so no copy of the whole table
-        # as text or as Python objects is held at once.
-        for i in range(0, len(table), _TABLE_CHUNK):
-            fh.writelines(_format_row(template, row) for row in table[i:i + _TABLE_CHUNK].tolist())
+        # Row by row, so no copy of the whole table as text is held at once;
+        # each row as Python floats, which format faster than numpy scalars.
+        fh.writelines(_format_row(template, row.tolist()) for row in table)
 
 
 def _read_table(path) -> tuple[list, np.ndarray]:

@@ -162,9 +162,6 @@ class TestTableCodec:
         table = np.array([[example.draw(ints) for _ in range(int_cols)]
                           + [example.draw(floats) for _ in range(float_cols)]
                           for _ in range(rows)]).reshape(rows, int_cols + float_cols)
-        if rows and example.draw(st.booleans()):  # repeat rows across chunk boundaries
-            tall = example.draw(st.integers(data._TABLE_CHUNK - 1, 2 * data._TABLE_CHUNK + 1))
-            table = np.resize(table, (tall, table.shape[1]))
         names = [f"c_{i}" for i in range(int_cols + float_cols)]
         out = tmp_path_factory.mktemp("codec")
         data._write_table(out / "new.csv", names, table, int_cols)
