@@ -181,8 +181,9 @@ class TestGenerators:
     # direct sums accept; the third, nu_d just above 1.5, has margins in the
     # band that the direct sums reject; the next two reject a burst after
     # recording part of it, so they need the running minima rolled back.
-    # On the two lattice parameter sets the level returns to its minimum
-    # exactly once a period, so the near starts outgrow the Python scan; the
+    # On the two lattice parameter sets a level returns to its minimum
+    # exactly once a period; with (1, 4, 1, 2) the worst case scans up to 73
+    # near starts, past the Python scan, while (3, 4, 3, 4) scans one. The
     # last rejects a burst inside which the frequency minimum fell, so both
     # minima and the near-start sizes must be restored
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)

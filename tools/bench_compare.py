@@ -18,7 +18,9 @@ with its own ``src`` and ``perfbench``, BLAS pinned to one thread:
 - the default 200-step fixture run, min of 7 after one warm-up, two rounds;
 - both DoS generators at T = 5000 and 20000 on attack-long's parameters
   (ratio 0.9142) and on two lattice parameter sets, (kappa_f, nu_f, kappa_d,
-  nu_d) = (1, 4, 1, 2) and (3, 4, 3, 4), whose near-start sets grow with T;
+  nu_d) = (1, 4, 1, 2) and (3, 4, 3, 4), where a level returns to its
+  minimum once a period (the first's worst case scans a near-start set that
+  grows with T);
   random seed 3, min of 9 after one warm-up, three alternating rounds;
 - ``RunRecord.save`` of the 5000-step model-based record at ratio 0.9142
   (attack seed 3), min of 9 after one warm-up, three alternating rounds;
