@@ -6,7 +6,7 @@ the one CSV table format (``_write_table``/``_read_table``) of every record.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
 
@@ -62,9 +62,7 @@ class Trajectory:
             val = getattr(self, name)
             if val is None:
                 continue
-            arr = np.asarray(val, dtype=float)
-            if arr.ndim == 1:  # scalar-channel sequence
-                arr = arr[:, None]
+            arr = _channels(val)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         if self.inputs.shape[0] != self.outputs.shape[0]:
@@ -91,15 +89,12 @@ class Trajectory:
     def save_csv(self, path) -> None:
         """Persist as CSV (t, u_*, y_*, optional x_*, w_*) plus a JSON sidecar."""
         path = Path(path)
-        names = ["t"] + [f"u_{i}" for i in range(self.n_u)] + [f"y_{i}" for i in range(self.n_y)]
-        parts = [np.arange(len(self))[:, None], self.inputs, self.outputs]
+        columns = {"t": np.arange(len(self)), "u": self.inputs, "y": self.outputs}
         if self.states is not None:
-            names += [f"x_{i}" for i in range(self.states.shape[1])]
-            parts.append(self.states[: len(self)])
+            columns["x"] = self.states[: len(self)]
         if self.noises is not None:
-            names += [f"w_{i}" for i in range(self.noises.shape[1])]
-            parts.append(self.noises)
-        _write_table(path, names, np.hstack(parts), int_cols=1)
+            columns["w"] = self.noises
+        _write_table(path, columns)
         sidecar = {
             "n": len(self),
             "n_u": self.n_u,
@@ -114,18 +109,17 @@ class Trajectory:
     @staticmethod
     def load_csv(path) -> "Trajectory":
         path = Path(path)
-        names, table = _read_table(path)
-        x_idx, w_idx = _columns(names, "x_"), _columns(names, "w_")
+        columns = _read_table(path)
         meta = {}
         sidecar = path.with_suffix(path.suffix + ".json")
         if sidecar.exists():
             meta = json.loads(sidecar.read_text())
         pe = meta.get("pe")
         return Trajectory(
-            inputs=table[:, _columns(names, "u_")],
-            outputs=table[:, _columns(names, "y_")],
-            states=table[:, x_idx] if x_idx else None,
-            noises=table[:, w_idx] if w_idx else None,
+            inputs=columns["u"],
+            outputs=columns["y"],
+            states=columns.get("x"),
+            noises=columns.get("w"),
             seed=meta.get("seed"),
             v_bar=meta.get("v_bar"),
             pe=None if pe is None else PeReport(**pe),
@@ -138,10 +132,18 @@ def _format_row(template: str, row) -> str:
     return (template % tuple(row)).replace("nan", "")
 
 
-def _write_table(path, names, table, int_cols: int) -> None:
-    """CSV with a header row: the leading ``int_cols`` columns as ``%d``,
-    the rest as ``%.17g`` (round-trip exact), NaN as an empty cell."""
-    template = ",".join(["%d"] * int_cols + ["%.17g"] * (len(names) - int_cols)) + "\n"
+def _write_table(path, columns: dict) -> None:
+    """CSV with a header row from named arrays: a 1-D array is one column
+    under its key, a 2-D array one column per entry (``u_0``, ``u_1``, ...).
+    Integer arrays are written as ``%d``, all others as ``%.17g`` (round-trip
+    exact), NaN as an empty cell."""
+    names, formats = [], []
+    for key, array in columns.items():
+        keys = [key] if array.ndim == 1 else [f"{key}_{i}" for i in range(array.shape[1])]
+        names += keys
+        formats += ["%d" if np.issubdtype(array.dtype, np.integer) else "%.17g"] * len(keys)
+    template = ",".join(formats) + "\n"
+    table = np.column_stack(list(columns.values()))
     with open(path, "w") as fh:
         fh.write(",".join(names) + "\n")
         # Row by row, so no copy of the whole table as text is held at once;
@@ -149,20 +151,29 @@ def _write_table(path, names, table, int_cols: int) -> None:
         fh.writelines(_format_row(template, row.tolist()) for row in table)
 
 
-def _read_table(path) -> tuple[list, np.ndarray]:
-    """Column names and float table of a CSV ``_write_table`` wrote; empty
-    cells read as NaN."""
+def _read_table(path) -> dict:
+    """The named float arrays of a CSV ``_write_table`` wrote, each group of
+    ``key_i`` columns as one 2-D array under ``key``; empty cells read as NaN."""
     with open(path) as fh:
         names = fh.readline().rstrip("\n").split(",")
         rows = [line.rstrip("\n").split(",") for line in fh]
     table = np.array([[float(v) if v else np.nan for v in row] for row in rows])
-    return names, table.reshape(len(rows), len(names))
+    table = table.reshape(len(rows), len(names))
+    index = {}  # key -> its column, or the list of its key_i columns
+    for i, name in enumerate(names):
+        key, _, entry = name.rpartition("_")
+        if key and entry.isdigit():
+            index.setdefault(key, []).append(i)
+        else:
+            index[name] = i
+    return {key: table[:, i] for key, i in index.items()}
 
 
-def _columns(names, prefix: str) -> list:
-    """Indices of the columns named ``prefix`` followed by digits, in order."""
-    return [i for i, name in enumerate(names)
-            if name.startswith(prefix) and name[len(prefix):].isdigit()]
+def _channels(seq) -> np.ndarray:
+    """A vector sequence as a (length, dim) float array; a 1-D sequence is
+    one channel."""
+    data = np.asarray(seq, dtype=float)
+    return data[:, None] if data.ndim == 1 else np.atleast_2d(data)
 
 
 def build_hankel(seq, depth: int) -> np.ndarray:
@@ -170,9 +181,7 @@ def build_hankel(seq, depth: int) -> np.ndarray:
 
     Shape is (depth * dim, N - depth + 1).
     """
-    data = np.atleast_2d(np.asarray(seq, dtype=float))
-    if data.shape[0] == 1 and data.shape[1] > 1 and np.asarray(seq).ndim == 1:
-        data = data.T
+    data = _channels(seq)
     n = data.shape[0]
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
@@ -235,9 +244,7 @@ def is_persistently_exciting(inputs, order: int) -> PeReport:
     report carries the smallest singular value as an excitation margin.
     Sequences too short for the required rank are trivially not exciting.
     """
-    u = np.atleast_2d(np.asarray(inputs, dtype=float))
-    if u.shape[0] == 1 and np.asarray(inputs).ndim == 1:
-        u = u.T
+    u = _channels(inputs)
     n, n_u = u.shape
     required = n_u * order
     if n < order or n < pe_samples(n_u, order):
@@ -275,15 +282,7 @@ def collect_offline(model, n_samples: int, pe_order: int, amplitude: float = 1.0
         if report.excited:
             w = rng.uniform(-noise_bound, noise_bound, size=(n_samples, model.n_x))
             sim = simulate(model, np.zeros(model.n_x), u, w)
-            return Trajectory(
-                inputs=sim.inputs,
-                outputs=sim.outputs,
-                states=sim.states,
-                noises=sim.noises,
-                seed=seed,
-                v_bar=noise_bound,
-                pe=report,
-            )
+            return replace(sim, seed=seed, v_bar=noise_bound, pe=report)
     raise PersistencyError(
         f"failed to certify excitation of order {pe_order} after 8 draws "
         f"(last rank {report.rank}/{report.required_rank})"
@@ -298,8 +297,7 @@ def fundamental_lemma_residual(data: Trajectory, test_u, test_y) -> float:
     when the open-loop record spans many decades). Near zero exactly when the
     window is a trajectory of the data-generating system.
     """
-    tu = np.atleast_2d(np.asarray(test_u, dtype=float))
-    ty = np.atleast_2d(np.asarray(test_y, dtype=float))
+    tu, ty = _channels(test_u), _channels(test_y)
     if tu.shape[0] != ty.shape[0]:
         raise DimensionError("test windows must have equal length")
     if tu.shape[1] != data.n_u or ty.shape[1] != data.n_y:

@@ -324,6 +324,7 @@ def generate_random(params: AttackParams, t_sim: int, seed: int = 0) -> DosSched
     budgets; tight parameters therefore degrade to sparse attacks instead of
     failing. The result always passes full validation.
     """
+    check_numbers({"seed": seed}, {"seed": (numbers.Integral, 0, False, False)})
     rng = np.random.default_rng(seed)
     p_len = min(1.0, params.nu_d / params.nu_f)
     p_start = 1.0 / params.nu_f
@@ -363,10 +364,7 @@ def save_schedule(schedule: DosSchedule, path) -> None:
     except ResilienceError:
         bound = None
     sidecar = {
-        "kappa_f": params.kappa_f,
-        "nu_f": params.nu_f,
-        "kappa_d": params.kappa_d,
-        "nu_d": params.nu_d,
+        **vars(params),
         "seed": schedule.seed,
         "ratio": params.ratio,
         "attack_fraction": schedule.attack_fraction,
@@ -380,8 +378,7 @@ def load_schedule(path) -> DosSchedule:
     path = Path(path)
     line = path.read_text().strip()
     meta = json.loads(path.with_suffix(path.suffix + ".json").read_text())
-    params = AttackParams(kappa_f=meta["kappa_f"], nu_f=meta["nu_f"],
-                          kappa_d=meta["kappa_d"], nu_d=meta["nu_d"])
+    params = AttackParams(**{name: meta[name] for name in AttackParams.__dataclass_fields__})
     if set(line) - {"0", "1"}:
         raise ValueError(f"{path}: schedule line must hold only 0 and 1")
     ind = np.array([ch == "1" for ch in line])

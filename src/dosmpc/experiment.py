@@ -26,8 +26,8 @@ import numpy as np
 
 from . import dos
 from .controllers import DataDrivenController, ModelBasedController
-from .data import (HankelPair, Trajectory, _columns, _format_row, _read_table,
-                   _write_table, collect_offline, pe_samples)
+from .data import (HankelPair, Trajectory, _format_row, _read_table, _write_table,
+                   collect_offline, pe_samples)
 from .errors import ConfigError, check_numbers
 from .lti import SystemModel, check_structure, synthesize_gains
 from .mpc import _FIELD_RULES as _MPC_RULES, MpcConfig
@@ -41,11 +41,14 @@ logger = logging.getLogger(__name__)
 
 CONTROLLERS = ("data-driven", "data-driven-periodic", "model-based")
 
+# The seeds of a run, each the field ``<name>_seed`` and the key ``seeds.<name>``.
+_SEEDS = ("data", "noise", "attack")
+
 # The model-free rule of each numeric field for errors.check_numbers, those
 # shared with MpcConfig taken from mpc's table (blow_up = inf means no
 # divergence guard). excitation_amplitude may also be None, the default policy.
 _FIELD_RULES = {
-    **dict.fromkeys(("n_samples", "t_sim", "data_seed", "noise_seed", "attack_seed"),
+    **dict.fromkeys(("n_samples", "t_sim", *(f"{k}_seed" for k in _SEEDS)),
                     (numbers.Integral, 0, False, False)),
     **{name: rule for name, rule in _MPC_RULES.items() if name != "eta"},
     **dict.fromkeys(("dt", "r1", "r2", "excitation_amplitude"),
@@ -141,7 +144,7 @@ class ExperimentConfig:
         if not isinstance(seeds, dict):
             raise ConfigError("seeds must be a JSON object or null")
         unknown = sorted(set(obj) - set(ExperimentConfig.__dataclass_fields__))
-        unknown += [f"seeds.{k}" for k in sorted(set(seeds) - {"data", "noise", "attack"})]
+        unknown += [f"seeds.{k}" for k in sorted(set(seeds) - set(_SEEDS))]
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
         twice = [f"{k}_seed" for k in sorted(seeds) if f"{k}_seed" in obj]
@@ -156,10 +159,7 @@ class ExperimentConfig:
         obj = {k: getattr(self, k) for k in self.__dataclass_fields__
                if k not in ("attack", "x0")}
         obj["x0"] = list(self.x0) if self.x0 is not None else None
-        obj["attack"] = None if self.attack is None else {
-            "kappa_f": self.attack.kappa_f, "nu_f": self.attack.nu_f,
-            "kappa_d": self.attack.kappa_d, "nu_d": self.attack.nu_d,
-        }
+        obj["attack"] = None if self.attack is None else vars(self.attack)
         return json.dumps(obj, indent=2)
 
 
@@ -254,9 +254,8 @@ def prepare(config: ExperimentConfig) -> Prepared:
 @dataclass
 class RunRecord:
     """Per-step closed-loop trace plus a summary recomputable from it. Each
-    field before ``summary`` is a per-step array, saved in field order as one
-    column (``cost``) or, if 2-D, one per entry (``u_0``, ``u_1``, ...);
-    the leading ``t`` and ``attack`` are saved as integers."""
+    field before ``summary`` is a per-step array, saved in field order by
+    ``data._write_table``; ``t`` and ``attack`` are integer arrays."""
 
     t: np.ndarray
     attack: np.ndarray
@@ -275,10 +274,7 @@ class RunRecord:
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         csv_path = directory / f"{stem}.csv"
-        names, arrays = [], [getattr(self, name) for name in _RECORD_ARRAYS]
-        for name, array in zip(_RECORD_ARRAYS, arrays):
-            names += [name] if array.ndim == 1 else [f"{name}_{i}" for i in range(array.shape[1])]
-        _write_table(csv_path, names, np.column_stack(arrays), int_cols=2)
+        _write_table(csv_path, {name: getattr(self, name) for name in _RECORD_ARRAYS})
         summary = {k: (None if isinstance(v, float) and np.isnan(v) else v)
                    for k, v in self.summary.items()}
         (directory / f"{stem}_summary.json").write_text(json.dumps(summary, indent=2))
@@ -287,12 +283,10 @@ class RunRecord:
     @staticmethod
     def load(directory, stem: str = "record") -> "RunRecord":
         directory = Path(directory)
-        names, table = _read_table(directory / f"{stem}.csv")
+        arrays = _read_table(directory / f"{stem}.csv")
         summary = json.loads((directory / f"{stem}_summary.json").read_text())
         summary = {k: (np.nan if v is None else v) for k, v in summary.items()}
-        arrays = {name: table[:, names.index(name)] if name in names
-                  else table[:, _columns(names, f"{name}_")] for name in _RECORD_ARRAYS}
-        for name in _RECORD_ARRAYS[:2]:
+        for name in ("t", "attack"):
             arrays[name] = arrays[name].astype(int)
         return RunRecord(**arrays, summary=summary)
 
@@ -390,10 +384,8 @@ def run_closed_loop(model: SystemModel, controller, t_sim: int,
     The record logs the measurement as delivered exactly at attack-free steps.
     """
     rng = np.random.default_rng(noise_seed)
-    w = rng.uniform(-v_bar, v_bar, size=(t_sim, model.n_x)) if v_bar > 0 \
-        else np.zeros((t_sim, model.n_x))
-    noise = rng.uniform(-v_bar, v_bar, size=(t_sim, model.n_y)) if v_bar > 0 \
-        else np.zeros((t_sim, model.n_y))
+    w = rng.uniform(-v_bar, v_bar, size=(t_sim, model.n_x))
+    noise = rng.uniform(-v_bar, v_bar, size=(t_sim, model.n_y))
     indicators = (schedule.indicators.astype(bool)
                   if schedule is not None else np.zeros(t_sim, dtype=bool))
     if indicators.shape[0] < t_sim:
@@ -464,10 +456,9 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
     data = None
     if config.controller != "model-based":
         data = HankelPair.from_trajectory(prepared.offline_record(),
-                                          config.horizon + prepared.eta)
+                                          prepared.mpc_config.window)
     controller = _build_controller(prepared, data)
-    seeds = {"data": config.data_seed, "noise": config.noise_seed,
-             "attack": config.attack_seed}
+    seeds = {k: getattr(config, f"{k}_seed") for k in _SEEDS}
     record = run_closed_loop(model, controller, config.t_sim, prepared.x0,
                              config.v_bar, config.noise_seed, schedule=schedule,
                              blow_up=config.blow_up,
@@ -480,25 +471,19 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
     return record
 
 
-_SWEEP_AXES = ("N", "L", "ratio", "v_bar")
+# Each sweep axis and the config field it sets.
+_SWEEP_AXES = {"N": "n_samples", "L": "horizon", "ratio": "attack", "v_bar": "v_bar"}
+# The summary fields of a sweep row, after its axis, value and repetition.
+_SWEEP_FIELDS = ("status", "tail_norm", "mean_cost", "max_success_gap")
 
 
 def _cell_config(config: ExperimentConfig, axis: str, value, offset: int) -> ExperimentConfig:
-    updates = {
-        "data_seed": config.data_seed + offset,
-        "noise_seed": config.noise_seed + offset,
-        "attack_seed": config.attack_seed + offset,
-        "output_dir": None,
-    }
-    if axis == "N":
-        updates["n_samples"] = value
-    elif axis == "L":
-        updates["horizon"] = value
+    if axis == "ratio":
+        value = attack_params({"ratio": float(value)})
     elif axis == "v_bar":
-        updates["v_bar"] = float(value)
-    else:
-        updates["attack"] = attack_params({"ratio": float(value)})
-    return replace(config, **updates)
+        value = float(value)
+    seeds = {f"{k}_seed": getattr(config, f"{k}_seed") + offset for k in _SEEDS}
+    return replace(config, **seeds, output_dir=None, **{_SWEEP_AXES[axis]: value})
 
 
 def _integer(axis: str, value) -> int:
@@ -519,7 +504,7 @@ def sweep(config: ExperimentConfig, axis: str, values, repetitions: int = 1,
     raised before any cell runs. Returns one summary row per (value, repetition).
     """
     if axis not in _SWEEP_AXES:
-        raise ConfigError(f"unknown sweep axis {axis!r}; pick from {_SWEEP_AXES}")
+        raise ConfigError(f"unknown sweep axis {axis!r}; pick from {tuple(_SWEEP_AXES)}")
     check_numbers({"repetitions": repetitions},
                   {"repetitions": (numbers.Integral, 1, False, False)})
     if axis in ("N", "L"):
@@ -531,11 +516,8 @@ def sweep(config: ExperimentConfig, axis: str, values, repetitions: int = 1,
             cell = _cell_config(config, axis, value, offset)
             row = {"axis": axis, "value": value, "repetition": rep}
             try:
-                record = run_experiment(cell)
-                row.update(status=record.summary["status"],
-                           tail_norm=record.summary["tail_norm"],
-                           mean_cost=record.summary["mean_cost"],
-                           max_success_gap=record.summary["max_success_gap"])
+                summary = run_experiment(cell).summary
+                row.update({k: summary[k] for k in _SWEEP_FIELDS})
             except ConfigError:
                 raise
             except Exception as exc:  # keep sweeping, record the failure
@@ -547,7 +529,7 @@ def sweep(config: ExperimentConfig, axis: str, values, repetitions: int = 1,
         out = Path(output_dir)
         out.mkdir(parents=True, exist_ok=True)
         with open(out / "sweep.csv", "w") as fh:
-            fh.write("axis,value,repetition,status,tail_norm,mean_cost,max_success_gap\n")
+            fh.write(",".join(("axis", "value", "repetition", *_SWEEP_FIELDS)) + "\n")
             for row in rows:
                 status = row["status"].replace('"', '""')  # RFC 4180 quoting
                 floats = _format_row("%.17g,%.17g", (row["tail_norm"], row["mean_cost"]))

@@ -339,8 +339,11 @@ def synthesize_gains(model: SystemModel) -> GainSet:
     ``_Q_WEIGHT`` I and ``_R_WEIGHT`` I) and deadbeat observer gain.
 
     Both gains are post-verified: spectral radius of A + BK < 1 and
-    ||(A - LC)^eta|| <= 1e-8. Raises SynthesisError with the achieved values
-    otherwise.
+    ||N^eta|| for N = A - LC within what rounding alone leaves of a deadbeat
+    gain: eps n_x n_y sum_k ||N^k|| ||N^(eta-1-k)|| (||A|| + ||L|| ||C||), the
+    first-order change of N^eta when N moves by the rounding of forming L and
+    LC, with n_x n_y for the lengths of their inner products. Raises
+    SynthesisError with the achieved values otherwise.
     """
     eta = check_structure(model)["observability_index"]
     k = _riccati_gain(model)
@@ -348,9 +351,14 @@ def synthesize_gains(model: SystemModel) -> GainSet:
     if radius >= 1.0:
         raise SynthesisError(f"closed loop not Schur stable: spectral radius {radius:.6g}")
     l_obs = _deadbeat_observer_gain(model, eta)
-    nil = np.linalg.matrix_power(model.a - l_obs @ model.c, eta)
-    nil_norm = float(np.linalg.norm(nil, 2))
-    if nil_norm > 1e-8:
-        raise SynthesisError(f"deadbeat check failed: ||(A-LC)^{eta}|| = {nil_norm:.3g}")
+    n_obs = model.a - l_obs @ model.c
+    powers = [np.linalg.norm(np.linalg.matrix_power(n_obs, k), 2) for k in range(eta + 1)]
+    nil_norm = float(powers[eta])
+    bound = (np.finfo(float).eps * model.n_x * model.n_y
+             * sum(powers[k] * powers[eta - 1 - k] for k in range(eta))
+             * (np.linalg.norm(model.a, 2) + np.linalg.norm(l_obs, 2) * np.linalg.norm(model.c, 2)))
+    if nil_norm > bound:
+        raise SynthesisError(f"deadbeat check failed: ||(A-LC)^{eta}|| = {nil_norm:.3g} "
+                             f"> {bound:.3g}, the rounding bound")
     return GainSet(k=_frozen(k), l_obs=_frozen(l_obs), eta=eta,
                    closed_loop_radius=float(radius), deadbeat_norm=nil_norm)

@@ -120,6 +120,14 @@ class TestFundamentalLemmaResidual:
             y = rng.uniform(-1, 1, (12, 2))
             assert data.fundamental_lemma_residual(clean_record, u, y) >= 1e-3
 
+    def test_single_channel_windows_may_be_1d(self):
+        # one input, one output: a 1-D window is one channel, as in build_hankel
+        model = lti.SystemModel([[0.9, 0.2], [0.0, 0.5]], [[0.0], [1.0]], [[1.0, 0.0]], [[0.0]])
+        record = data.collect_offline(model, 40, 8, seed=3)
+        u, y = record.inputs[4:12], record.outputs[4:12]
+        res = data.fundamental_lemma_residual(record, u[:, 0], y[:, 0])
+        assert res == data.fundamental_lemma_residual(record, u, y) and res <= 1e-12
+
     def test_dimension_checks(self, clean_record):
         with pytest.raises(DimensionError):
             data.fundamental_lemma_residual(clean_record, np.zeros((5, 2)), np.zeros((6, 2)))
@@ -157,22 +165,34 @@ class TestTableCodec:
         int_cols = example.draw(st.integers(0, 2))
         float_cols = example.draw(st.integers(1, 4))
         rows = example.draw(st.integers(0, 8))
-        ints = st.integers(-2**53, 2**53).map(float)
+        ints = st.integers(-2**53, 2**53)
         floats = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats())
-        table = np.array([[example.draw(ints) for _ in range(int_cols)]
-                          + [example.draw(floats) for _ in range(float_cols)]
-                          for _ in range(rows)]).reshape(rows, int_cols + float_cols)
-        names = [f"c_{i}" for i in range(int_cols + float_cols)]
+        # leading 1-D integer columns, then 1-D float columns, then one 2-D float group
+        plain = example.draw(st.integers(0, float_cols))
+        columns = {f"i{j}": np.array([example.draw(ints) for _ in range(rows)], dtype=np.int64)
+                   for j in range(int_cols)}
+        columns.update({f"p{j}": np.array([example.draw(floats) for _ in range(rows)])
+                        for j in range(plain)})
+        if float_cols > plain:
+            columns["f"] = np.array([[example.draw(floats) for _ in range(float_cols - plain)]
+                                     for _ in range(rows)]).reshape(rows, float_cols - plain)
+        names = [*list(columns)[:int_cols + plain],
+                 *(f"f_{j}" for j in range(float_cols - plain))]
+        table = np.column_stack([a.astype(float) for a in columns.values()])
         out = tmp_path_factory.mktemp("codec")
-        data._write_table(out / "new.csv", names, table, int_cols)
+        data._write_table(out / "new.csv", columns)
         oracle_write_table(out / "old.csv", names, table, int_cols)
         assert (out / "new.csv").read_bytes() == (out / "old.csv").read_bytes()
-        read_names, read = data._read_table(out / "new.csv")
-        assert read_names == names and read.shape == table.shape
-        assert np.array_equal(canonical_bits(read), canonical_bits(table))
+        read = data._read_table(out / "new.csv")
+        assert list(read) == list(columns)
+        assert all(read[k].shape == a.shape and read[k].dtype == float for k, a in columns.items())
+        assert np.array_equal(canonical_bits(np.column_stack(list(read.values()))),
+                              canonical_bits(table))
 
     def test_reader_accepts_spelled_out_nan(self, tmp_path):
         (tmp_path / "t.csv").write_text("t,u_0,y_0,y_norm\n0,nan,,1.5\n")
-        names, table = data._read_table(tmp_path / "t.csv")
-        assert data._columns(names, "y_") == [2]
-        assert np.isnan(table[0, 1:3]).all() and table[0, 3] == 1.5
+        columns = data._read_table(tmp_path / "t.csv")
+        assert list(columns) == ["t", "u", "y", "y_norm"]
+        assert columns["y"].shape == (1, 1) and columns["y_norm"].shape == (1,)
+        assert np.isnan(columns["u"]).all() and np.isnan(columns["y"]).all()
+        assert columns["y_norm"][0] == 1.5

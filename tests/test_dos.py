@@ -253,6 +253,13 @@ class TestScheduleUtilities:
             with pytest.raises(ConfigError, match="t_sim"):
                 dos.generate_random(p, t_sim, 0)
 
+    def test_random_seed_is_an_integer(self):
+        # None would draw OS entropy and True run as seed 1; the rest were numpy errors
+        p = dos.params_for_ratio(0.9142)
+        for seed in (None, True, -1, 2.5, "3"):
+            with pytest.raises(ConfigError, match="seed"):
+                dos.generate_random(p, 10, seed)
+
     def test_max_success_gap_conventions(self):
         assert dos.max_success_gap(np.zeros(5, dtype=int)) == 1
         assert dos.max_success_gap(np.ones(5, dtype=int)) == 6

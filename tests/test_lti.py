@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from dosmpc import lti
-from dosmpc.errors import DimensionError, StructureError
+from dosmpc.errors import DimensionError, StructureError, SynthesisError
 
 
 def taylor_expm_oracle(a, terms=60):
@@ -208,6 +208,27 @@ class TestSynthesizeGains:
         l_obs = lti.synthesize_gains(reactor).l_obs
         closed = deadbeat_closed_form(reactor, 2)
         assert np.linalg.norm(l_obs - closed, 2) <= 1e-12 * np.linalg.norm(closed, 2)
+
+    def test_deadbeat_check_is_scaled_by_rounding(self, monkeypatch):
+        # Draw 156 of this stream: eta = 6, ||L|| = 99.1 and ||(A - LC)^6|| =
+        # 1.23e-8, above an absolute 1e-8 by rounding alone.
+        rng = np.random.default_rng(2024)
+        for _ in range(156):
+            n, p = int(rng.integers(2, 8)), int(rng.integers(1, 5))
+            a, c = rng.standard_normal((n, n)), rng.standard_normal((p, n))
+        model = lti.SystemModel(a, np.eye(n), c, np.zeros((p, n)))
+        gains = lti.synthesize_gains(model)
+        assert gains.eta == 6 and gains.deadbeat_norm > 1e-8
+        # The same gain with one entry moved by 1e-10 of its norm is rejected.
+        deadbeat = lti._deadbeat_observer_gain
+
+        def perturbed(model, eta):
+            l_obs = deadbeat(model, eta)
+            l_obs[0, 0] += 1e-10 * np.linalg.norm(l_obs, 2)
+            return l_obs
+        monkeypatch.setattr(lti, "_deadbeat_observer_gain", perturbed)
+        with pytest.raises(SynthesisError, match="deadbeat check failed"):
+            lti.synthesize_gains(model)
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(n=st.integers(1, 6), p=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))

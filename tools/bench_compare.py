@@ -26,6 +26,7 @@ with its own ``src`` and ``perfbench``, BLAS pinned to one thread:
   (attack seed 3), min of 9 after one warm-up, three alternating rounds;
 - records identity: a fixed grid per side: ``run_experiment`` for every
   controller kind at v_bar 1e-4, 3e-4 and 1e-3 on three seed triples, one
+  noise-free (v_bar 0) data-driven and model-based run each, one
   attack-free run, one periodic run at ratio 0.2 and one T = 5000
   model-based run at ratio 0.9142; ``dosmpc collect`` at v_bar 1e-4 and
   1e-3; a sweep over N = 40, 60, where a configuration error (N = 40
@@ -218,6 +219,8 @@ grid = {f"{kind}-v{v_bar:g}-triple{k}": replace(
             base, controller=kind, v_bar=v_bar,
             data_seed=1 + 3 * k, noise_seed=2 + 3 * k, attack_seed=3 + 3 * k)
         for kind in experiment.CONTROLLERS for v_bar in (1e-4, 3e-4, 1e-3) for k in range(3)}
+for kind in ("data-driven", "model-based"):
+    grid[f"{kind}-v0"] = replace(base, controller=kind, v_bar=0.0)
 grid["data-driven-attack-free"] = replace(base, attack=None)
 grid["data-driven-periodic-ratio0.2"] = replace(
     base, controller="data-driven-periodic",
