@@ -39,11 +39,6 @@ class StepResult:
     solved = property(lambda self: self.solution is not None)
 
 
-def _shift_in(window: np.ndarray, row) -> np.ndarray:
-    """``window`` without its oldest row and with ``row`` appended."""
-    return np.vstack([window[1:], np.reshape(row, (1, -1))])
-
-
 class DataDrivenController:
     """Resilient data-driven MPC: solve on success, hold the cached plan
     during attacks and between solves, emit zero once the plan runs out.
@@ -77,9 +72,13 @@ class DataDrivenController:
         return StepResult(u=np.zeros(self.assembler.vmap.n_u))
 
     def finish(self, zeta, u) -> None:
-        """Record the applied input and the measurement taken after it."""
-        self.input_window = _shift_in(self.input_window, u)
-        self.output_window = _shift_in(self.output_window, zeta)
+        """Shift the applied input and the measurement taken after it into
+        the windows, in place."""
+        if len(u) != self.input_window.shape[1] or len(zeta) != self.output_window.shape[1]:
+            raise DimensionError("u and zeta must have the data's n_u and n_y entries")
+        for window, row in ((self.input_window, u), (self.output_window, zeta)):
+            window[:-1] = window[1:]
+            window[-1] = row
 
 
 class ModelBasedController:

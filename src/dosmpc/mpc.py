@@ -215,10 +215,7 @@ class MpcAssembler:
         misses neither by more than the solver's tolerance."""
         cfg, vm = self.config, self.vmap
         z = qp_solution.z.copy()
-        # The (u, y) plans as views of z, taken again after z.setflags below:
-        # views taken before it stay writeable.
-        plan = lambda: [z[s].reshape(vm.window, -1)[cfg.eta:] for s in (vm.u, vm.y)]
-        u_pred, y_pred = plan()
+        u_pred, y_pred = (z[s].reshape(vm.window, -1)[cfg.eta:] for s in (vm.u, vm.y))
         anchor = cfg.horizon - cfg.eta
         tail = max(np.abs(u_pred[anchor:]).max(), np.abs(y_pred[anchor:]).max())
         if tail > 1e-6:
@@ -226,11 +223,10 @@ class MpcAssembler:
         if np.abs(u_pred).max() > cfg.u_max + 1e-8:
             raise SolverError("input box violated beyond tolerance")
         # Project onto the constraints the replay logic relies on exactly.
-        u_pred[anchor:] = 0.0
-        y_pred[anchor:] = 0.0
+        u_pred[anchor:] = y_pred[anchor:] = 0.0
         np.clip(u_pred, -cfg.u_max, cfg.u_max, out=u_pred)
-        z.setflags(write=False)
-        u_pred, y_pred = plan()
+        for array in (z, u_pred, y_pred):  # views taken before z's stay writeable
+            array.setflags(write=False)
         return MpcSolution(u_pred=u_pred, y_pred=y_pred, g=z[vm.g],
                            h=z[vm.h].reshape(vm.window, vm.n_y), cost=float(z @ self._weight @ z),
                            qp_solution=qp_solution)

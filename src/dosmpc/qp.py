@@ -22,7 +22,6 @@ the full termination check. Residuals and objective are computed when read.
 """
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
@@ -94,8 +93,8 @@ class QpProblem:
         beq = np.asarray(beq, dtype=float).reshape(-1)
         if beq.shape != self.beq.shape:
             raise DimensionError(f"beq must have length {self.beq.size}, got {beq.size}")
-        new = copy.copy(self)
-        object.__setattr__(new, "beq", beq)
+        new = object.__new__(type(self))
+        new.__dict__.update(self.__dict__, beq=beq)
         return new
 
 
@@ -141,6 +140,14 @@ def _ext_matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.dot(np.asarray(a, np.longdouble), x.astype(np.longdouble)).astype(float)
 
 
+def _p_dot(p, diag, x):
+    """``np.dot(p, x)`` bit for bit, p and x long double. A diagonal p's is
+    diag * x + 0 (``diag`` its diagonal, else None): np.dot's sum starts at +0.
+    A non-finite x_i makes np.dot's whole column non-finite: then np.dot runs."""
+    prod = None if diag is None else (diag * x.T).T + 0
+    return prod if prod is not None and np.isfinite(prod).all() else np.dot(p, x)
+
+
 def kkt_residuals(problem: QpProblem, z, y_eq=None, mu=None):
     """(primal, dual, complementarity) infinity-norm residuals at a candidate.
 
@@ -153,17 +160,17 @@ def kkt_residuals(problem: QpProblem, z, y_eq=None, mu=None):
     y_eq = np.zeros(problem.aeq.shape[0]) if y_eq is None else np.asarray(y_eq, float).reshape(-1)
     mu = np.zeros(problem.n) if mu is None else np.asarray(mu, float).reshape(-1)
     return _residuals(problem, z, mu, _ext_matvec(problem.aeq, z),
-                      _ext_matvec(problem.aeq.T, y_eq))
+                      _ext_matvec(problem.aeq.T, y_eq), problem.p @ z)
 
 
-def _residuals(problem: QpProblem, z, mu, aeq_z, aeqt_y):
-    """``kkt_residuals`` given the extended-precision products Aeq z and Aeq' y."""
+def _residuals(problem: QpProblem, z, mu, aeq_z, aeqt_y, p_z):
+    """``kkt_residuals`` given P z and the extended-precision Aeq z and Aeq' y."""
     eq_res = aeq_z - problem.beq
     box_low = np.maximum(problem.lb - z, 0.0)
     box_high = np.maximum(z - problem.ub, 0.0)
     primal = max(np.max(np.abs(eq_res), initial=0.0), np.max(box_low, initial=0.0),
                  np.max(box_high, initial=0.0))
-    stat = problem.p @ z + problem.q + mu + aeqt_y
+    stat = p_z + problem.q + mu + aeqt_y
     dual = float(np.max(np.abs(stat), initial=0.0))
     mu_hi = np.maximum(mu, 0.0)
     mu_lo = np.maximum(-mu, 0.0)
@@ -191,8 +198,10 @@ class Solver:
     Across calls too, per P and Aeq (compared by value), the solver keeps
     the inverse of the delta-regularized K and refined long-double solutions
     of K: the base piece, for [-q; beq] with the ``param_rows`` zeroed plus
-    one column per param row, and G_i = K^-1 e_i for each index whose
-    bound it has pinned. A working set W gets its piece (x0, X) from the
+    one column per param row, G_i = K^-1 e_i for each index whose bound it
+    has pinned, and the pivots of each ordered warm row set it has met; a
+    diagonal P's long-double products are taken elementwise, bit for bit
+    np.dot's. A working set W gets its piece (x0, X) from the
     Schur complement G_W[W] and keeps it while W and the target with those
     rows zeroed stay; a solve returns x0 + X b (b the param rows of beq)
     rounded once. On the piece's second use the solver adds its residual
@@ -211,12 +220,15 @@ class Solver:
         if not (np.array_equal(problem.p, self._p) and np.array_equal(problem.aeq, self._aeq)):
             self._p, self._aeq = problem.p.copy(), problem.aeq.copy()
             self._p_ext, self._aeq_ext = (a.astype(np.longdouble) for a in (self._p, self._aeq))
+            diagonal = np.count_nonzero(self._p) == np.count_nonzero(np.diagonal(self._p))
+            self._p_diag = np.diagonal(self._p_ext).copy() if diagonal else None
             self._abs_p, self._abs_aeq = np.abs(self._p), np.abs(self._aeq)
             n, m_eq, delta = self._p.shape[0], self._aeq.shape[0], 1e-9
             self._kkt_inv = np.linalg.inv(np.block([[self._p + delta * np.eye(n), self._aeq.T],
                                                     [self._aeq, -delta * np.eye(m_eq)]]))
             self._pivot_tol = _DEPENDENT * np.max(np.diagonal(self._kkt_inv)[:n])
-            self._columns, self._base, self._key, self._piece, self._cert = {}, None, None, None, None
+            self._columns, self._pivot_sets = {}, {}
+            self._base, self._key, self._piece, self._cert = None, None, None, None
 
     def solve(self, problem: QpProblem, warm_z=None) -> QpSolution:
         n, lb, ub = problem.n, problem.lb, problem.ub
@@ -313,7 +325,7 @@ class Solver:
         |K_W|; and the full check's float64 evaluation."""
         n, m = self._p.shape[0], self._aeq.shape[0]
         x, y, mu = self._piece[:n], self._piece[n:n + m], self._piece[n + m:]
-        c = (np.vstack([np.dot(self._p_ext, x) + np.dot(self._aeq_ext.T, y) + mu,
+        c = (np.vstack([_p_dot(self._p_ext, self._p_diag, x) + np.dot(self._aeq_ext.T, y) + mu,
                         np.dot(self._aeq_ext, x), x[pinned]]) - rhs).astype(float)
         ax, ay, amu = (np.abs(part).astype(float) for part in (x, y, mu))
         scale = np.vstack([self._abs_p @ ax + self._abs_aeq.T @ ay + amu, self._abs_aeq @ ax, ax[pinned]])
@@ -335,7 +347,8 @@ class Solver:
         many decades never terminate, since even the exact optimizer rounded
         to float64 evaluates above _EPS_ABS."""
         aeq_z, aeqt_y = _ext_matvec(self._aeq_ext, z), _ext_matvec(self._aeq_ext.T, y_eq)
-        r_p, r_d, _ = _residuals(problem, z, mu, aeq_z, aeqt_y)
+        p_z = problem.p @ z
+        r_p, r_d, _ = _residuals(problem, z, mu, aeq_z, aeqt_y, p_z)
         eps_m, top = float(np.finfo(float).eps), lambda a: float(np.max(a, initial=0.0))
         box = np.isfinite(problem.lb) | np.isfinite(problem.ub)
         z_box, v_box = np.abs(z[box]), np.abs(np.clip(z, problem.lb, problem.ub)[box])
@@ -345,7 +358,7 @@ class Solver:
                               + np.abs(mu) + np.abs(problem.q))
         e_p = _EPS_ABS + _EPS_REL * max(top(np.abs(aeq_z)), top(np.abs(problem.beq)), top(z_box),
                                         top(v_box)) + floor_p
-        e_d = _EPS_ABS + _EPS_REL * max(top(np.abs(problem.p @ z)), top(np.abs(aeqt_y + mu)),
+        e_d = _EPS_ABS + _EPS_REL * max(top(np.abs(p_z)), top(np.abs(aeqt_y + mu)),
                                         top(np.abs(problem.q))) + floor_d
         return r_p <= e_p and r_d <= e_d
 
@@ -365,10 +378,11 @@ class Solver:
         # a zero builds its own piece, as a fresh solver would.
         key = (lo_act.tolist(), hi_act.tolist(), fixed.tobytes())
         reused = key == self._key
+        units = lambda: np.arange(fixed.size)[:, None] == rows  # noqa: E731  e_i, i in rows
         if not reused:
             if self._base is None or self._base[0] != fixed[:size].tobytes():
                 self._base = (fixed[:size].tobytes(),
-                              self._refine(np.column_stack([fixed[:size], np.eye(size)[:, rows]])))
+                              self._refine(np.column_stack([fixed[:size], units()[:size]])))
             values = np.column_stack([fixed[size:], np.zeros((pinned.size, rows.size))])
             self._key, self._piece, self._cert = key, self._pin(pinned, self._base[1], values), None
         sol = (self._piece[:, 0] + np.dot(self._piece[:, 1:], params)).astype(float)
@@ -376,7 +390,7 @@ class Solver:
         # alone, u |Aeq| |z|, is already more than it could accept.
         if reused and enter is None and self._cert is None and (
                 np.max(self._abs_aeq @ np.abs(sol[:n]), initial=0.0) * 2.0**-53 <= _EPS_ABS):
-            self._cert = self._certificate(pinned, np.column_stack([fixed, np.eye(fixed.size)[:, rows]]))
+            self._cert = self._certificate(pinned, np.column_stack([fixed, units()]))
         if enter is None:
             return sol[:n], sol[n:size], sol[size:], None
         step = -enter[1] * self._pin(pinned, self._unit_columns(enter[:1]), 0.0)[:, 0].astype(float)
@@ -397,6 +411,12 @@ class Solver:
         return np.vstack([base - np.dot(g, mu[pinned]), mu])
 
     def _pivots(self, rows):
+        """``_factor(rows)``, remembered per ordered row set while P and Aeq stay."""
+        if (key := rows.tobytes()) not in self._pivot_sets:
+            self._pivot_sets[key] = self._factor(rows)
+        return self._pivot_sets[key]
+
+    def _factor(self, rows):
         """Squared diagonal of a long-double Cholesky of S = G[rows] in the
         rows' order, skipping each row whose pivot is within the tolerance."""
         s, pivots = self._unit_columns(rows)[rows], np.zeros(len(rows), np.longdouble)
@@ -411,7 +431,7 @@ class Solver:
         so that its bits never depend on which solves came before."""
         size = self._kkt_inv.shape[0]
         for i in set(map(int, idx)) - self._columns.keys():
-            self._columns[i] = self._refine(np.eye(size)[:, [i]])[:, 0]
+            self._columns[i] = self._refine(np.eye(size, 1, -i))[:, 0]
         return np.array([self._columns[int(i)] for i in idx], np.longdouble).reshape(-1, size).T
 
     def _refine(self, target):
@@ -419,12 +439,12 @@ class Solver:
         refinement passes against the unregularized K, residuals accumulated
         from the long-double P and Aeq, remove the delta regularization.
         np.dot forms the same long-double sums as ``@``, three times faster."""
-        n, p, aeq = self._p.shape[0], self._p_ext, self._aeq_ext
+        n, p, aeq, diag = self._p.shape[0], self._p_ext, self._aeq_ext, self._p_diag
         sol = (self._kkt_inv @ target).astype(np.longdouble)
         rhs = target.astype(np.longdouble)
         for _ in range(3):
             z = sol[:n]
-            resid = rhs - np.concatenate([np.dot(p, z) + np.dot(aeq.T, sol[n:]), np.dot(aeq, z)])
+            resid = rhs - np.concatenate([_p_dot(p, diag, z) + np.dot(aeq.T, sol[n:]), np.dot(aeq, z)])
             sol += self._kkt_inv @ resid.astype(float)
         return sol
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dosmpc import controllers, dos, lti, mpc
+from dosmpc.errors import DimensionError
 from dosmpc.experiment import run_closed_loop
 
 
@@ -134,6 +135,37 @@ class TestDataDrivenController:
                                  np.ones(4) / 2, 1e-4)
             runs.append(inputs)
         assert np.array_equal(runs[0], runs[1])
+
+    @pytest.mark.parametrize("zeta_len, u_len", [(2, 3), (2, 1), (1, 2), (3, 2)])
+    def test_finish_rejects_wrong_lengths(self, noisy_hankel, study_config, zeta_len, u_len):
+        # A length-1 row would broadcast over a window row without the check.
+        ctrl = controllers.DataDrivenController(noisy_hankel, study_config)
+        with pytest.raises(DimensionError):
+            ctrl.finish(np.zeros(zeta_len), np.zeros(u_len))
+        assert np.all(ctrl.input_window == 0.0) and np.isnan(ctrl.output_window).all()
+
+    def test_windows_follow_the_stacked_recurrence(self, noisy_hankel, study_config):
+        # finish shifts its windows in place; after every step they must equal
+        # the recurrence window <- [window[1:]; row], and no StepResult.u
+        # handed out earlier may change. Attacks are drawn too, so the loop
+        # solves, holds and emits zero.
+        ctrl = controllers.DataDrivenController(noisy_hankel, study_config)
+        rng = np.random.default_rng(11)
+        inputs, outputs = ctrl.input_window.copy(), ctrl.output_window.copy()
+        results, applied = [], []
+        for t in range(40):
+            res = ctrl.step(t, attack=bool(rng.random() < 0.3))
+            zeta = rng.uniform(-1e-2, 1e-2, 2)
+            # As a list too: the window takes any sequence of the right length.
+            ctrl.finish(zeta if t % 2 else zeta.tolist(), res.u)
+            inputs = np.vstack([inputs[1:], np.reshape(res.u, (1, -1))])
+            outputs = np.vstack([outputs[1:], np.reshape(zeta, (1, -1))])
+            assert np.array_equal(ctrl.input_window, inputs)
+            assert np.array_equal(ctrl.output_window, outputs, equal_nan=True)
+            results.append(res)
+            applied.append(res.u.copy())
+        assert sum(res.solved for res in results) > 10
+        assert all(np.array_equal(res.u, u) for res, u in zip(results, applied))
 
 
 class TestPeriodicController:

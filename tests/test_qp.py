@@ -521,6 +521,49 @@ class TestSchurComplement:
         assert len({solver for solver, _, _ in seen}) == 1
         assert len(inverses) == len(seen) == 1
 
+    def test_one_pivot_factorization_per_row_set(self, monkeypatch):
+        # noise-sweep's first v_bar = 1e-3 run warm-starts its solves from the
+        # same bound rows again and again: each ordered row set is factorized
+        # once for its P and Aeq, and every call returns those pivots' bits.
+        calls, factored = [], []
+        pivots, factor = qp.Solver._pivots, qp.Solver._factor
+
+        def recording_pivots(self, rows):
+            calls.append((id(self), rows.tobytes()))
+            result = pivots(self, rows)
+            assert np.array_equal(result, factor(self, rows))
+            return result
+
+        def counting_factor(self, rows):
+            factored.append((id(self), rows.tobytes()))
+            return factor(self, rows)
+
+        monkeypatch.setattr(qp.Solver, "_pivots", recording_pivots)
+        monkeypatch.setattr(qp.Solver, "_factor", counting_factor)
+        experiment.run_experiment(experiment.ExperimentConfig(
+            v_bar=1e-3, attack=dos.params_for_ratio(0.8841),
+            data_seed=20001, noise_seed=20002, attack_seed=20003))
+        assert sum(1 for _, rows in calls if rows) > len(set(calls)) > 1
+        assert sorted(factored) == sorted(set(calls))
+
+        # A new P or Aeq, in a new array or changed in place, factorizes again.
+        p, aeq = np.diag([2.0, 3.0, 4.0]), np.array([[1.0, 1.0, 1.0]])
+        solver, warm = qp.Solver(), np.array([1.0, -1.0, 0.5])
+        factored.clear()
+        for step in ("first", "again", "new_p", "mutate_p", "new_aeq", "again"):
+            if step == "new_p":
+                p = p + np.diag([1.0, 0.0, 0.0])
+            elif step == "mutate_p":
+                p[1, 2] = p[2, 1] = 0.5
+            elif step == "new_aeq":
+                aeq = np.array([[1.0, 2.0, 1.0]])
+            problem = qp.QpProblem(p=p, q=np.ones(3), aeq=aeq, beq=[0.5], lb=-np.ones(3),
+                                   ub=np.ones(3))
+            count = len(factored)
+            sol = solver.solve(problem, warm_z=warm)
+            assert len(factored) == count + (step != "again")
+            assert np.array_equal(sol.z, qp.Solver().solve(problem, warm_z=warm).z)
+
     @settings(max_examples=50, deadline=None, derandomize=True, database=None)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_large_working_sets(self, seed):
@@ -664,6 +707,44 @@ class TestKktResiduals:
             x = rng.standard_normal(mat.shape[1])
             expected = (np.asarray(mat, np.longdouble) @ x.astype(np.longdouble)).astype(float)
             assert np.array_equal(qp._ext_matvec(mat, x), expected)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(1, 40), cols=st.integers(0, 9), decades=st.integers(0, 12),
+           seed=st.integers(0, 2**32 - 1), zeros=st.sampled_from([0.0, 0.3]),
+           negative_off_diagonal=st.booleans(),
+           special=st.sampled_from([None, np.inf, -np.inf, np.nan]), in_p=st.booleans())
+    @example(n=161, cols=9, decades=12, seed=0, zeros=0.3, negative_off_diagonal=False,
+             special=None, in_p=False)
+    def test_diagonal_p_product_matches_np_dot(self, n, cols, decades, seed, zeros,
+                                               negative_off_diagonal, special, in_p):
+        # The refinement's and the certificate's long-double P x for a
+        # diagonal P, on a 1-D x (cols = 0) or an n x cols one, against
+        # np.dot: entries spanning up to 12 decades, a share of them +0 or
+        # -0, P's off-diagonal zeros of either sign, and on some draws one
+        # non-finite entry in x or on P's diagonal. Every value must match,
+        # the sign of every zero included, and so must every non-finite row.
+        rng = np.random.default_rng(seed)
+        shape = (n,) if cols == 0 else (n, cols)
+
+        def draw(size):
+            values = rng.standard_normal(size) * 10.0 ** (rng.integers(0, decades + 1, size)
+                                                          - decades // 2)
+            values[rng.random(size) < zeros] = 0.0
+            return np.where(rng.random(size) < 0.5, values, -values).astype(np.longdouble)
+
+        diag, x = draw(n), draw(shape)
+        if special is not None:
+            (diag if in_p else x.reshape(-1))[rng.integers(diag.size if in_p else x.size)] = special
+        p = np.diag(diag)
+        if negative_off_diagonal:
+            p[~np.eye(n, dtype=bool)] = -0.0
+        with np.errstate(invalid="ignore", over="ignore"):  # inf * 0 and overflow
+            expected, product = np.dot(p, x), qp._p_dot(p, np.diagonal(p).copy(), x)
+            dense = qp._p_dot(p, None, x)
+        assert product.shape == expected.shape and product.dtype == np.longdouble
+        assert np.array_equal(product, expected, equal_nan=True)
+        assert np.array_equal(np.signbit(product), np.signbit(expected))
+        assert np.array_equal(dense, expected, equal_nan=True)
 
     def test_exact_point_and_multipliers(self):
         rng = np.random.default_rng(6)

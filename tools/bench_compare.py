@@ -9,12 +9,21 @@ with its own ``src`` and ``perfbench``, BLAS pinned to one thread:
 
 - alternating pairs of untraced ``perfbench/run.py`` runs per workload, the
   parent first on even pairs and both sides of a pair on the same seed,
-  summarised by median, quartiles and the pairs the change wins;
+  summarised by median, quartiles, the pairs the change wins and the
+  median and quartiles of the per-pair change/parent ratios;
 - one traced run per side and workload, on the seed after the last pair;
 - KKT inverses (``np.linalg.inv`` calls), refined columns (columns passed
-  to ``qp.Solver._refine``), full termination checks (calls of
+  to ``qp.Solver._refine``), warm-row pivot calls (``qp.Solver._pivots``)
+  and pivot factorizations (``qp.Solver._factor``, or every ``_pivots``
+  call in a checkout without it), full termination checks (calls of
   ``qp._residuals``) and certified solves over noise-sweep indices 0-8,
   with every record checked by ``workloads.check_op``;
+- a layer step in one process holding both checkouts' packages: a certified
+  ``solve_mpc``, a fully checked and a working-set-changing ``solve_mpc`` at
+  v_bar = 1e-3, and ``DataDrivenController.finish``, each timed in adjacent
+  pairs of samples in alternating order, summarised by each side's min and
+  the median per-pair change/parent ratio with its quartiles (``--layers-only``
+  runs this step alone, e.g. with one tree on both sides as an A/A check);
 - the default 200-step fixture run, min of 7 after one warm-up, two rounds;
 - both DoS generators at T = 5000 and 20000 on attack-long's parameters
   (ratio 0.9142) and on two lattice parameter sets, (kappa_f, nu_f, kappa_d,
@@ -71,9 +80,9 @@ import numpy as np
 ENV = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
 SIDES = ("parent", "change")
 
-# Run inside a checkout: counts KKT inverses, refined columns, full
-# termination checks and certified solves over noise-sweep indices 0-8 and
-# checks every record against the references.
+# Run inside a checkout: counts KKT inverses, refined columns, warm-row pivot
+# calls and factorizations, full termination checks and certified solves over
+# noise-sweep indices 0-8 and checks every record against the references.
 COUNTS = """
 import json, sys, tempfile
 from pathlib import Path
@@ -81,10 +90,11 @@ sys.path[:0] = ["src", "perfbench"]
 import numpy as np
 from dosmpc import qp
 import workloads
-counts = {"inverses": 0, "refine_calls": 0, "refined_columns": 0, "solves": 0,
-          "certified": 0, "full_checks": 0}
+counts = {"inverses": 0, "refine_calls": 0, "refined_columns": 0, "pivot_calls": 0,
+          "pivot_factorizations": 0, "solves": 0, "certified": 0, "full_checks": 0}
 inv, refine, solve = np.linalg.inv, qp.Solver._refine, qp.Solver.solve
-residuals = qp._residuals
+residuals, pivots = qp._residuals, qp.Solver._pivots
+factor = getattr(qp.Solver, "_factor", None)  # absent before pivots were remembered
 def counting_inv(a):
     counts["inverses"] += 1
     return inv(a)
@@ -100,9 +110,18 @@ def counting_solve(self, *args, **kwargs):
 def counting_residuals(*args):
     counts["full_checks"] += 1
     return residuals(*args)
+def counting_pivots(self, rows):
+    counts["pivot_calls"] += 1
+    counts["pivot_factorizations"] += factor is None
+    return pivots(self, rows)
+def counting_factor(self, rows):
+    counts["pivot_factorizations"] += 1
+    return factor(self, rows)
 np.linalg.inv = counting_inv
 qp.Solver._refine, qp.Solver.solve = counting_refine, counting_solve
-qp._residuals = counting_residuals
+qp._residuals, qp.Solver._pivots = counting_residuals, counting_pivots
+if factor is not None:
+    qp.Solver._factor = counting_factor
 w = workloads.WORKLOADS["noise-sweep"]
 refs, problems = workloads.load_references(w), []
 with tempfile.TemporaryDirectory() as tmp:
@@ -173,6 +192,105 @@ with tempfile.TemporaryDirectory() as tmp:
 
 # The grid entry whose saved config.json is run again through ``dosmpc run``.
 RERUN = "data-driven-v0.0001-triple0"
+
+# Run anywhere, with the parent and change checkouts as arguments: both
+# checkouts' src/dosmpc loaded in one process as dosmpc_parent and
+# dosmpc_change, each kernel timed on both in adjacent pairs in alternating
+# order, 7 rounds of 300 pairs. A sample is ``reps`` calls, enough for about
+# 0.2 ms. Each side builds its kernels from its own code: the windows, warm
+# start and solver state of a recorded solve of the default triple (1, 2, 3)
+# at v_bar 1e-4 (certified) or of noise-sweep's first v_bar = 1e-3 run (seeds
+# 20001-20003; fully checked, or changing its working set), replayed on a
+# fresh Solver after warm-up calls. Prints, per kernel, each side's min of
+# samples in us, the median per-pair change/parent ratio of each round, and
+# the median and quartiles of all pairs' ratios.
+LAYERS = """
+import importlib, importlib.util, json, logging, sys, time
+from dataclasses import replace
+from pathlib import Path
+import numpy as np
+logging.disable(logging.WARNING)
+ROUNDS, PAIRS, SIDES = 7, 300, ("parent", "change")
+
+def load(side, root):
+    init = Path(root) / "src" / "dosmpc" / "__init__.py"
+    spec = importlib.util.spec_from_file_location(f"dosmpc_{side}", init,
+                                                  submodule_search_locations=[str(init.parent)])
+    sys.modules[spec.name] = module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return {m: importlib.import_module(f"{spec.name}.{m}")
+            for m in ("controllers", "data", "dos", "experiment", "mpc", "qp")}
+
+def recorded_solves(pkg, config):
+    # (assembler, init_u, init_zeta, warm, solution) of every solve of a run
+    calls, solve = [], pkg["controllers"].solve_mpc
+    def recording(assembler, init_u, init_zeta, warm=None, solver=None):
+        sol = solve(assembler, init_u, init_zeta, warm=warm, solver=solver)
+        calls.append((assembler, init_u.copy(), init_zeta.copy(), warm, sol))
+        return sol
+    pkg["controllers"].solve_mpc = recording
+    try:
+        pkg["experiment"].run_experiment(config)
+    finally:
+        pkg["controllers"].solve_mpc = solve
+    return calls
+
+def replay(pkg, call, warmups):
+    assembler, init_u, init_zeta, warm, _ = call
+    solver = pkg["qp"].Solver()
+    kernel = lambda: pkg["mpc"].solve_mpc(assembler, init_u, init_zeta, warm=warm, solver=solver)
+    for _ in range(warmups):
+        kernel()
+    return kernel, kernel().qp_solution
+
+def kernels(pkg):
+    exp, dos = pkg["experiment"], pkg["dos"]
+    base = exp.ExperimentConfig(attack=dos.params_for_ratio(0.8841))
+    nominal = recorded_solves(pkg, base)
+    edge = recorded_solves(pkg, replace(base, v_bar=1e-3, data_seed=20001, noise_seed=20002,
+                                        attack_seed=20003))
+    certified, sol = replay(pkg, nominal[-1], 2)
+    assert sol.certified
+    full = next(k for k, s in (replay(pkg, c, 2) for c in edge)
+                if s.status == "optimal" and not s.certified and s.iterations == 0)
+    moving = next(k for k, s in (replay(pkg, c, 1) for c in edge) if s.iterations > 0)
+    prepared = exp.prepare(base)
+    data = pkg["data"].HankelPair.from_trajectory(prepared.offline_record(),
+                                                  prepared.mpc_config.window)
+    controller = pkg["controllers"].DataDrivenController(data, prepared.mpc_config)
+    u, zeta = np.array([0.5, -0.25]), np.array([0.125, 1.5])
+    return {"certified_solve_mpc": certified, "fully_checked_solve_mpc_v1e-3": full,
+            "working_set_change_solve_mpc_v1e-3": moving,
+            "data_driven_finish": lambda: controller.finish(zeta, u)}
+
+def sample(call, reps):
+    t0 = time.perf_counter()
+    for _ in range(reps):
+        call()
+    return (time.perf_counter() - t0) / reps
+
+sides = {side: kernels(load(side, root)) for side, root in zip(SIDES, sys.argv[1:3])}
+report = {}
+for name in sides["parent"]:
+    calls = {side: sides[side][name] for side in SIDES}
+    reps = max(1, round(2e-4 / min(sample(calls[side], 20) for side in SIDES)))
+    best, rounds = {side: np.inf for side in SIDES}, []
+    for r in range(ROUNDS):
+        ratios = []
+        for i in range(PAIRS):
+            t = {side: sample(calls[side], reps)
+                 for side in (SIDES if (i + r) % 2 == 0 else SIDES[::-1])}
+            best = {side: min(best[side], t[side]) for side in SIDES}
+            ratios.append(t["change"] / t["parent"])
+        rounds.append(ratios)
+    q1, median, q3 = np.percentile(np.concatenate(rounds), [25, 50, 75])
+    report[name] = {"reps_per_sample": reps, "pairs_per_round": PAIRS,
+                    "min_us": {side: round(1e6 * best[side], 2) for side in SIDES},
+                    "round_median_ratios": [round(float(np.median(r)), 4) for r in rounds],
+                    "median_ratio": round(float(median), 4), "q1": round(float(q1), 4),
+                    "q3": round(float(q3), 4)}
+print(json.dumps(report))
+"""
 
 # Rejected inputs, run once each in the records grid. "{tmp}" in an argument
 # is a scratch directory outside the compared tree, holding bad-line.txt (a
@@ -388,9 +506,11 @@ def pairs(roots: dict, workload: str, count: int, seed: int, seconds: float, bet
         values = {side: [r["metrics"][name] for r in runs[side]] for side in SIDES}
         sign = 1.0 if better[name] == "lower" else -1.0
         gains = [sign * (p - c) for p, c in zip(values["parent"], values["change"])]
+        ratios = [c / p for p, c in zip(values["parent"], values["change"]) if p]
         metrics[name] = {**{side: spread(values[side]) for side in SIDES},
                          "change_wins": sum(g > 0 for g in gains),
-                         "ties": sum(g == 0 for g in gains)}
+                         "ties": sum(g == 0 for g in gains),
+                         "pair_ratio": spread(ratios) if ratios else None}
     return {"pairs": count, "seeds": [seed, seed + count - 1],
             "operations_attempted": {side: sum(r["attempted"] for r in runs[side]) for side in SIDES},
             "operations_failed": {side: sum(r["failed"] for r in runs[side]) for side in SIDES},
@@ -408,6 +528,13 @@ def tier1(root: Path) -> dict:
     return {"wall_s": round(time.perf_counter() - t0, 2), "summary": summary[-1].strip("= ")}
 
 
+def layers(roots: dict) -> dict:
+    """The LAYERS step: both checkouts in one process, BLAS on one thread."""
+    return last_json(subprocess.run(
+        [sys.executable, "-c", LAYERS, str(roots["parent"]), str(roots["change"])],
+        env=ENV, capture_output=True, text=True, check=True).stdout)
+
+
 def git_head(root: Path):
     out = subprocess.run(["git", "rev-parse", "--short", "HEAD"], cwd=root, capture_output=True,
                          text=True, check=False)
@@ -420,12 +547,20 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--change", type=Path, required=True)
     parser.add_argument("--out", type=Path, required=True)
-    parser.add_argument("--pairs", nargs="+", required=True, help="workload=count")
+    parser.add_argument("--pairs", nargs="+", help="workload=count")
     parser.add_argument("--seconds", type=float, default=40.0)
-    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--seed", type=int)
     parser.add_argument("--claim", help="workload:metric whose gain is claimed")
+    parser.add_argument("--layers-only", action="store_true",
+                        help="run the layer step alone; --pairs and --seed are then ignored")
     args = parser.parse_args(argv)
+    if not args.layers_only and (args.pairs is None or args.seed is None):
+        parser.error("--pairs and --seed are required unless --layers-only is given")
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    if args.layers_only:
+        args.out.write_text(json.dumps({"layers": layers(roots), "parent_commit": git_head(
+            roots["parent"]), "change_commit": git_head(roots["change"])}, indent=1) + "\n")
+        return 0
     bench = json.loads((roots["change"] / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in bench["end_to_end"] + bench["per_layer"]}
 
@@ -452,10 +587,12 @@ def main(argv=None) -> int:
                            "parent_median": entry["parent"]["median"],
                            "change_median": entry["change"]["median"],
                            "parent_iqr": round(entry["parent"]["q3"] - entry["parent"]["q1"], 5),
+                           "median_pair_ratio": entry["pair_ratio"]["median"],
                            "change_wins": entry["change_wins"],
                            "pairs": report["end_to_end"][workload]["pairs"]}
     report["noise_sweep_indices_0_8"] = {side: json.loads(python(roots[side], COUNTS))
                                          for side in SIDES}
+    report["layers"] = layers(roots)
     report["default_fixture_run_ms"] = {side: [] for side in SIDES}
     for _ in range(2):
         for side in SIDES:
