@@ -187,7 +187,6 @@ class Prepared:
     """Resolved scenario: model, derived quantities, controller config."""
 
     model: SystemModel
-    eta: int
     pe_order: int
     mpc_config: MpcConfig
     config: ExperimentConfig
@@ -247,8 +246,7 @@ def prepare(config: ExperimentConfig) -> Prepared:
     mpc_config = MpcConfig(horizon=config.horizon, eta=eta, lambda_g=config.lambda_g,
                            lambda_h=config.lambda_h, v_bar=config.v_bar,
                            r1=config.r1, r2=config.r2, u_max=config.u_max)
-    return Prepared(model=model, eta=eta, pe_order=pe_order,
-                    mpc_config=mpc_config, config=config)
+    return Prepared(model=model, pe_order=pe_order, mpc_config=mpc_config, config=config)
 
 
 @dataclass

@@ -182,7 +182,6 @@ class MpcAssembler:
         a[np.arange(r, r + eta * n_u), off_u + (w - eta) * n_u + np.arange(eta * n_u)] = 1.0
         r += eta * n_u
         a[np.arange(r, r + eta * n_y), off_y + (w - eta) * n_y + np.arange(eta * n_y)] = 1.0
-        self.aeq = a
 
         lb = np.full(n, -np.inf)
         ub = np.full(n, np.inf)

@@ -96,7 +96,7 @@ def test_criterion_3b_fixture_solve_residuals(reactor):
     # grow until their float64 evaluation floor exceeds 1e-8.
     config = study_fixture()
     prepared = experiment.prepare(config)
-    eta = prepared.eta
+    eta = prepared.mpc_config.eta
     traj = data.collect_offline(reactor, 100, prepared.pe_order,
                                 amplitude=config.amplitude(),
                                 noise_bound=config.v_bar, seed=1)
@@ -105,7 +105,6 @@ def test_criterion_3b_fixture_solve_residuals(reactor):
     fixture = controllers.DataDrivenController(hankel, prepared.mpc_config)
     asm, solver = fixture.assembler, fixture.solver
     baseline = controllers.ModelBasedController(reactor, lti.synthesize_gains(reactor))
-    abs_aeq = np.abs(asm.aeq)
     eps = float(np.finfo(float).eps)
     rng = np.random.default_rng(2)
     w = rng.uniform(-1e-3, 1e-3, (config.t_sim, 4))
@@ -113,6 +112,7 @@ def test_criterion_3b_fixture_solve_residuals(reactor):
     x = prepared.x0.copy()
     u_applied = np.zeros((config.t_sim, 2))
     zeta = np.zeros((config.t_sim, 2))
+    abs_aeq = np.abs(asm.qp(u_applied[:eta], zeta[:eta]).aeq)
     solution = None
     solved_at, residuals, floors, iterations, y_peak = [], [], [], [], 0.0
     for t in range(config.t_sim):

@@ -7,32 +7,31 @@
 Every measurement runs the same way on both sides, each in its own checkout
 with its own ``src`` and ``perfbench``, BLAS pinned to one thread:
 
-- alternating pairs of untraced ``perfbench/run.py`` runs per workload, the
+- alternating pairs of ``perfbench/run.py`` runs per workload, the
   parent first on even pairs and both sides of a pair on the same seed,
   summarised by median, quartiles, the pairs the change wins and the
   median and quartiles of the per-pair change/parent ratios;
-- one traced run per side and workload, on the seed after the last pair;
 - KKT inverses (``np.linalg.inv`` calls), refined columns (columns passed
   to ``qp.Solver._refine``), warm-row pivot calls (``qp.Solver._pivots``)
-  and pivot factorizations (``qp.Solver._factor``, or every ``_pivots``
-  call in a checkout without it), full termination checks (calls of
-  ``qp._residuals``) and certified solves over noise-sweep indices 0-8,
-  with every record checked by ``workloads.check_op``;
-- a layer step in one process holding both checkouts' packages: a certified
-  ``solve_mpc``, a fully checked and a working-set-changing ``solve_mpc`` at
-  v_bar = 1e-3, and ``DataDrivenController.finish``, each timed in adjacent
-  pairs of samples in alternating order, summarised by each side's min and
-  the median per-pair change/parent ratio with its quartiles (``--layers-only``
-  runs this step alone, e.g. with one tree on both sides as an A/A check);
-- the default 200-step fixture run, min of 7 after one warm-up, two rounds;
-- both DoS generators at T = 5000 and 20000 on attack-long's parameters
-  (ratio 0.9142) and on two lattice parameter sets, (kappa_f, nu_f, kappa_d,
-  nu_d) = (1, 4, 1, 2) and (3, 4, 3, 4), where a level returns to its
-  minimum once a period (the first's worst case scans a near-start set that
-  grows with T);
-  random seed 3, min of 9 after one warm-up, three alternating rounds;
-- ``RunRecord.save`` of the 5000-step model-based record at ratio 0.9142
-  (attack seed 3), min of 9 after one warm-up, three alternating rounds;
+  and pivot factorizations (``qp.Solver._factor``), full termination checks
+  (calls of ``qp._residuals``), certified solves and working-set changes
+  (the sum of ``QpSolution.iterations``) over noise-sweep indices 0-8, with
+  every record checked by ``workloads.check_op``;
+- a layer step, the tool's one timing method, in one process holding both
+  checkouts' packages: each kernel is timed in adjacent pairs of samples in
+  alternating order, as many pairs per round as its sample time allows, and
+  summarised by each side's min of samples, each round's median per-pair
+  change/parent ratio, and the median and quartiles of all pairs' ratios.
+  Kernels: certified, fully checked and working-set-changing ``solve_mpc``
+  calls; ``DataDrivenController.finish``; a ``ModelBasedController`` step
+  with one plant step; the build (``collect_offline``, ``HankelPair``,
+  ``MpcAssembler``); the default 200-step fixture run; both DoS generators
+  at T = 5000 and 20000 on attack-long's parameters (ratio 0.9142) and on
+  the lattice sets (kappa_f, nu_f, kappa_d, nu_d) = (1, 4, 1, 2) and
+  (3, 4, 3, 4), where a level returns to its minimum once a period;
+  ``validate_schedule`` on the (1, 4, 1, 2) worst case at T = 20000; and
+  ``RunRecord.save`` at T = 5000. ``--layers-only`` runs this step alone,
+  e.g. with one tree on both sides as an A/A check;
 - records identity: a fixed grid per side: ``run_experiment`` for every
   controller kind at v_bar 1e-4, 3e-4 and 1e-3 on three seed triples, one
   noise-free (v_bar 0) data-driven and model-based run each, one
@@ -51,15 +50,15 @@ with its own ``src`` and ``perfbench``, BLAS pinned to one thread:
   values or repetitions, a negative ``attack-check`` seed, unreadable
   schedules) with its output directory outside the compared tree, so only
   its ``fault-<name>/exit_code.txt`` is compared; the report lists both
-  sides' codes wherever they differ. Every
-  file written must match byte for byte, apart from the ``wall_time_s``
-  line of each summary and the ``output_dir`` line of ``config.json``. For
-  a CSV table or a JSON object that differs only in numbers, the report
-  gives each differing column's (or key's) largest relative difference by
-  perfbench's rule: the largest absolute difference over the largest
-  absolute parent value. A file whose shape, status or other text differs
-  is reported as changed;
-- the Tier-1 suite, two runs per side in alternating order.
+  sides' codes wherever they differ. Every file written must match byte for
+  byte, apart from the ``wall_time_s`` line of each summary and the
+  ``output_dir`` line of ``config.json``. For a CSV table or a JSON object
+  that differs only in numbers, the report gives each differing column's (or
+  key's) largest relative difference by perfbench's rule: the largest
+  absolute difference over the largest absolute parent value. A file whose
+  shape, status or other text differs is reported as changed;
+- the Tier-1 suite, two runs per side in alternating order, each with its
+  exit code and pytest's last summary line.
 
 Metric directions come from the change checkout's BENCHMARK.json.
 """
@@ -80,9 +79,8 @@ import numpy as np
 ENV = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
 SIDES = ("parent", "change")
 
-# Run inside a checkout: counts KKT inverses, refined columns, warm-row pivot
-# calls and factorizations, full termination checks and certified solves over
-# noise-sweep indices 0-8 and checks every record against the references.
+# Run inside a checkout: the counts the docstring lists, over noise-sweep
+# indices 0-8, with every record checked against the references.
 COUNTS = """
 import json, sys, tempfile
 from pathlib import Path
@@ -91,13 +89,14 @@ import numpy as np
 from dosmpc import qp
 import workloads
 counts = {"inverses": 0, "refine_calls": 0, "refined_columns": 0, "pivot_calls": 0,
-          "pivot_factorizations": 0, "solves": 0, "certified": 0, "full_checks": 0}
-inv, refine, solve = np.linalg.inv, qp.Solver._refine, qp.Solver.solve
-residuals, pivots = qp._residuals, qp.Solver._pivots
-factor = getattr(qp.Solver, "_factor", None)  # absent before pivots were remembered
-def counting_inv(a):
-    counts["inverses"] += 1
-    return inv(a)
+          "pivot_factorizations": 0, "solves": 0, "certified": 0, "iterations": 0,
+          "full_checks": 0}
+refine, solve = qp.Solver._refine, qp.Solver.solve
+def counting(key, call):
+    def counted(*args):
+        counts[key] += 1
+        return call(*args)
+    return counted
 def counting_refine(self, *args):
     counts["refine_calls"] += 1
     counts["refined_columns"] += args[-1].shape[1]
@@ -106,22 +105,13 @@ def counting_solve(self, *args, **kwargs):
     counts["solves"] += 1
     result = solve(self, *args, **kwargs)
     counts["certified"] += bool(result.certified)
+    counts["iterations"] += result.iterations
     return result
-def counting_residuals(*args):
-    counts["full_checks"] += 1
-    return residuals(*args)
-def counting_pivots(self, rows):
-    counts["pivot_calls"] += 1
-    counts["pivot_factorizations"] += factor is None
-    return pivots(self, rows)
-def counting_factor(self, rows):
-    counts["pivot_factorizations"] += 1
-    return factor(self, rows)
-np.linalg.inv = counting_inv
+np.linalg.inv = counting("inverses", np.linalg.inv)
+qp._residuals = counting("full_checks", qp._residuals)
+qp.Solver._pivots = counting("pivot_calls", qp.Solver._pivots)
+qp.Solver._factor = counting("pivot_factorizations", qp.Solver._factor)
 qp.Solver._refine, qp.Solver.solve = counting_refine, counting_solve
-qp._residuals, qp.Solver._pivots = counting_residuals, counting_pivots
-if factor is not None:
-    qp.Solver._factor = counting_factor
 w = workloads.WORKLOADS["noise-sweep"]
 refs, problems = workloads.load_references(w), []
 with tempfile.TemporaryDirectory() as tmp:
@@ -131,86 +121,23 @@ counts["full_checks_per_solve"] = round(counts["full_checks"] / counts["solves"]
 print(json.dumps(dict(counts, records=27, problems=problems)))
 """
 
-# Run inside a checkout: min over 7 default fixture runs after one warm-up, in ms.
-DEFAULT_RUN = """
-import sys, time
-sys.path.insert(0, "src")
-from dosmpc import dos, experiment
-config = experiment.ExperimentConfig(attack=dos.params_for_ratio(0.8841))
-experiment.run_experiment(config)
-times = []
-for _ in range(7):
-    t0 = time.perf_counter()
-    experiment.run_experiment(config)
-    times.append(time.perf_counter() - t0)
-print(1e3 * min(times))
-"""
-
-# Run inside a checkout: min over 9 calls after one warm-up, in ms.
-BEST_OF_9 = """
-import json, sys, time
-sys.path.insert(0, "src")
-def best(call):
-    call()
-    times = []
-    for _ in range(9):
-        t0 = time.perf_counter()
-        call()
-        times.append(time.perf_counter() - t0)
-    return round(1e3 * min(times), 2)
-"""
-
-# Each DoS generator per parameter set and T.
-GENERATORS = BEST_OF_9 + """
-from dosmpc import dos
-sets = {"ratio0.9142": dos.params_for_ratio(0.9142),
-        "lattice(1,4,1,2)": dos.AttackParams(1.0, 4.0, 1.0, 2.0),
-        "lattice(3,4,3,4)": dos.AttackParams(3.0, 4.0, 3.0, 4.0)}
-result = {}
-for name, params in sets.items():
-    for t_sim in (5000, 20000):
-        result[f"{name}-T{t_sim}"] = {
-            "generate_worst_case": best(lambda: dos.generate_worst_case(params, t_sim)),
-            "generate_random": best(lambda: dos.generate_random(params, t_sim, 3))}
-print(json.dumps(result))
-"""
-
-# RunRecord.save of the 5000-step model-based record.
-SAVE = BEST_OF_9 + """
-import logging, tempfile
-from dataclasses import replace
-from pathlib import Path
-from dosmpc import dos, experiment
-logging.disable(logging.WARNING)
-config = replace(experiment.ExperimentConfig(), controller="model-based", t_sim=5000,
-                 attack=dos.params_for_ratio(0.9142))
-record = experiment.run_experiment(config)
-with tempfile.TemporaryDirectory() as tmp:
-    calls = iter(range(10))
-    print(best(lambda: record.save(Path(tmp) / str(next(calls)))))
-"""
-
 # The grid entry whose saved config.json is run again through ``dosmpc run``.
 RERUN = "data-driven-v0.0001-triple0"
 
 # Run anywhere, with the parent and change checkouts as arguments: both
 # checkouts' src/dosmpc loaded in one process as dosmpc_parent and
-# dosmpc_change, each kernel timed on both in adjacent pairs in alternating
-# order, 7 rounds of 300 pairs. A sample is ``reps`` calls, enough for about
-# 0.2 ms. Each side builds its kernels from its own code: the windows, warm
-# start and solver state of a recorded solve of the default triple (1, 2, 3)
-# at v_bar 1e-4 (certified) or of noise-sweep's first v_bar = 1e-3 run (seeds
-# 20001-20003; fully checked, or changing its working set), replayed on a
-# fresh Solver after warm-up calls. Prints, per kernel, each side's min of
-# samples in us, the median per-pair change/parent ratio of each round, and
-# the median and quartiles of all pairs' ratios.
+# dosmpc_change, each building its kernels from its own code. A sample is
+# ``reps`` calls, enough for about 0.2 ms, with the garbage collector off; a
+# round has as many pairs as fit BUDGET_S seconds of samples, at least
+# MIN_PAIRS and at most MAX_PAIRS. Prints the report, min_us in microseconds.
 LAYERS = """
-import importlib, importlib.util, json, logging, sys, time
+import gc, importlib, importlib.util, itertools, json, logging, sys, tempfile, time
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 import numpy as np
 logging.disable(logging.WARNING)
-ROUNDS, PAIRS, SIDES = 7, 300, ("parent", "change")
+ROUNDS, BUDGET_S, MIN_PAIRS, MAX_PAIRS, SIDES = 7, 8.0, 20, 300, ("parent", "change")
 
 def load(side, root):
     init = Path(root) / "src" / "dosmpc" / "__init__.py"
@@ -219,7 +146,7 @@ def load(side, root):
     sys.modules[spec.name] = module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return {m: importlib.import_module(f"{spec.name}.{m}")
-            for m in ("controllers", "data", "dos", "experiment", "mpc", "qp")}
+            for m in ("controllers", "data", "dos", "experiment", "lti", "mpc", "qp")}
 
 def recorded_solves(pkg, config):
     # (assembler, init_u, init_zeta, warm, solution) of every solve of a run
@@ -243,7 +170,26 @@ def replay(pkg, call, warmups):
         kernel()
     return kernel, kernel().qp_solution
 
-def kernels(pkg):
+def model_based_loop(pkg, prepared, attacks):
+    # One step/finish and one plant step per call, on the default fixture's loop
+    # driven by a cycle of bounded process noise and attacks, so x stays bounded
+    model = prepared.model
+    controller = pkg["controllers"].ModelBasedController(model, pkg["lti"].synthesize_gains(model))
+    plant = np.block([[model.c, model.d], [model.a, model.b]])
+    noise = np.random.default_rng(2).uniform(-1e-3, 1e-3, (attacks.size, model.n_x))
+    state, steps = {"x": prepared.x0}, itertools.cycle(range(attacks.size))
+    def step():
+        t = next(steps)
+        u = controller.step(t, bool(attacks[t])).u
+        yx = plant @ np.concatenate((state["x"], u))
+        controller.finish(yx[:model.n_y], u)
+        state["x"] = yx[model.n_y:] + noise[t]
+    return step
+
+def kernels(pkg, tmp):
+    # The certified solve replays the last solve of the default triple (1, 2, 3)
+    # at v_bar 1e-4; the other two, solves of noise-sweep's first v_bar = 1e-3
+    # run (seeds 20001-20003), each on a fresh Solver after warm-up calls.
     exp, dos = pkg["experiment"], pkg["dos"]
     base = exp.ExperimentConfig(attack=dos.params_for_ratio(0.8841))
     nominal = recorded_solves(pkg, base)
@@ -255,40 +201,67 @@ def kernels(pkg):
                 if s.status == "optimal" and not s.certified and s.iterations == 0)
     moving = next(k for k, s in (replay(pkg, c, 1) for c in edge) if s.iterations > 0)
     prepared = exp.prepare(base)
-    data = pkg["data"].HankelPair.from_trajectory(prepared.offline_record(),
-                                                  prepared.mpc_config.window)
-    controller = pkg["controllers"].DataDrivenController(data, prepared.mpc_config)
+    hankel = lambda: pkg["data"].HankelPair.from_trajectory(prepared.offline_record(),
+                                                            prepared.mpc_config.window)
+    controller = pkg["controllers"].DataDrivenController(hankel(), prepared.mpc_config)
     u, zeta = np.array([0.5, -0.25]), np.array([0.125, 1.5])
-    return {"certified_solve_mpc": certified, "fully_checked_solve_mpc_v1e-3": full,
-            "working_set_change_solve_mpc_v1e-3": moving,
-            "data_driven_finish": lambda: controller.finish(zeta, u)}
+    found = {"certified_solve_mpc": certified, "fully_checked_solve_mpc_v1e-3": full,
+             "working_set_change_solve_mpc_v1e-3": moving,
+             "data_driven_finish": lambda: controller.finish(zeta, u),
+             "model_based_step": model_based_loop(
+                 pkg, prepared, dos.generate_random(base.attack, 1000, 3).indicators),
+             "build": lambda: pkg["mpc"].MpcAssembler(hankel(), prepared.mpc_config),
+             "default_fixture_run": partial(exp.run_experiment, base)}
+    sets = {"ratio0.9142": dos.params_for_ratio(0.9142),
+            "lattice(1,4,1,2)": dos.AttackParams(1.0, 4.0, 1.0, 2.0),
+            "lattice(3,4,3,4)": dos.AttackParams(3.0, 4.0, 3.0, 4.0)}
+    for name, params in sets.items():
+        for t_sim in (5000, 20000):
+            for generator, seed in (("generate_worst_case", ()), ("generate_random", (3,))):
+                found[f"{generator}_{name}_T{t_sim}"] = partial(getattr(dos, generator), params,
+                                                                t_sim, *seed)
+    worst = dos.generate_worst_case(sets["lattice(1,4,1,2)"], 20000)
+    found["validate_schedule_lattice(1,4,1,2)_T20000"] = partial(
+        dos.validate_schedule, worst.indicators, worst.params)
+    record = exp.run_experiment(replace(base, controller="model-based", t_sim=5000,
+                                        attack=dos.params_for_ratio(0.9142)))
+    found["record_save_T5000"] = partial(record.save, Path(tmp))
+    return found
 
 def sample(call, reps):
+    gc.disable()
     t0 = time.perf_counter()
     for _ in range(reps):
         call()
-    return (time.perf_counter() - t0) / reps
+    elapsed = time.perf_counter() - t0
+    gc.enable()
+    return elapsed / reps
 
-sides = {side: kernels(load(side, root)) for side, root in zip(SIDES, sys.argv[1:3])}
-report = {}
-for name in sides["parent"]:
-    calls = {side: sides[side][name] for side in SIDES}
-    reps = max(1, round(2e-4 / min(sample(calls[side], 20) for side in SIDES)))
-    best, rounds = {side: np.inf for side in SIDES}, []
-    for r in range(ROUNDS):
-        ratios = []
-        for i in range(PAIRS):
-            t = {side: sample(calls[side], reps)
-                 for side in (SIDES if (i + r) % 2 == 0 else SIDES[::-1])}
-            best = {side: min(best[side], t[side]) for side in SIDES}
-            ratios.append(t["change"] / t["parent"])
-        rounds.append(ratios)
-    q1, median, q3 = np.percentile(np.concatenate(rounds), [25, 50, 75])
-    report[name] = {"reps_per_sample": reps, "pairs_per_round": PAIRS,
-                    "min_us": {side: round(1e6 * best[side], 2) for side in SIDES},
-                    "round_median_ratios": [round(float(np.median(r)), 4) for r in rounds],
-                    "median_ratio": round(float(median), 4), "q1": round(float(q1), 4),
-                    "q3": round(float(q3), 4)}
+with tempfile.TemporaryDirectory() as tmp:
+    sides = {side: kernels(load(side, root), Path(tmp, side))
+             for side, root in zip(SIDES, sys.argv[1:3])}
+    report = {}
+    for name in sides["parent"]:
+        calls = {side: sides[side][name] for side in SIDES}
+        once = min(sample(calls[side], 1) for _ in range(2) for side in SIDES)
+        reps = max(1, round(2e-4 / once))
+        count = min(MAX_PAIRS, max(MIN_PAIRS, round(BUDGET_S / (2 * ROUNDS * reps * once))))
+        best, rounds = {side: np.inf for side in SIDES}, []
+        for r in range(ROUNDS):
+            ratios = []
+            for i in range(count):
+                t = {side: sample(calls[side], reps)
+                     for side in (SIDES if (i + r) % 2 == 0 else SIDES[::-1])}
+                best = {side: min(best[side], t[side]) for side in SIDES}
+                ratios.append(t["change"] / t["parent"])
+            rounds.append(ratios)
+        q1, median, q3 = np.percentile(np.concatenate(rounds), [25, 50, 75])
+        report[name] = {"reps_per_sample": reps, "pairs_per_round": count,
+                        "min_us": {side: round(1e6 * best[side], 2) for side in SIDES},
+                        "round_median_ratios": [round(float(np.median(r)), 4) for r in rounds],
+                        "median_ratio": round(float(median), 4), "q1": round(float(q1), 4),
+                        "q3": round(float(q3), 4)}
+        print(name, report[name], file=sys.stderr)
 print(json.dumps(report))
 """
 
@@ -475,19 +448,14 @@ def last_json(text: str) -> dict:
     return json.loads(text.strip().splitlines()[-1])
 
 
-def perfbench(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+def perfbench(root: Path, workload: str, seed: int, seconds: float) -> dict:
     out = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
-                          "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
+                          "--seed", str(seed), "--seconds", str(seconds)],
                          cwd=root, env=ENV, capture_output=True, text=True, check=False)
     result = last_json(out.stdout)
     return {"attempted": result["attempted"], "failed": result["failed"],
             "correct": result["correct"],
             "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
-
-
-def python(root: Path, code: str) -> str:
-    return subprocess.run([sys.executable, "-c", code], cwd=root, env=ENV, capture_output=True,
-                          text=True, check=True).stdout
 
 
 def spread(values) -> dict:
@@ -499,7 +467,7 @@ def pairs(roots: dict, workload: str, count: int, seed: int, seconds: float, bet
     runs = {side: [] for side in SIDES}
     for i in range(count):
         for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
-            runs[side].append(perfbench(roots[side], workload, seed + i, seconds, 0))
+            runs[side].append(perfbench(roots[side], workload, seed + i, seconds))
             print(f"{workload} pair {i} {side}: {runs[side][-1]['metrics']}", file=sys.stderr)
     metrics = {}
     for name in runs["parent"][0]["metrics"]:
@@ -524,15 +492,16 @@ def tier1(root: Path) -> dict:
     out = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
                           "--continue-on-collection-errors"], cwd=root, env=env,
                          capture_output=True, text=True, check=False)
-    summary = [line for line in out.stdout.splitlines() if " in " in line and "passed" in line]
-    return {"wall_s": round(time.perf_counter() - t0, 2), "summary": summary[-1].strip("= ")}
+    lines = out.stdout.strip().splitlines() or [""]
+    return {"wall_s": round(time.perf_counter() - t0, 2), "exit_code": out.returncode,
+            "summary": lines[-1].strip("= ")}
 
 
 def layers(roots: dict) -> dict:
     """The LAYERS step: both checkouts in one process, BLAS on one thread."""
     return last_json(subprocess.run(
         [sys.executable, "-c", LAYERS, str(roots["parent"]), str(roots["change"])],
-        env=ENV, capture_output=True, text=True, check=True).stdout)
+        env=ENV, stdout=subprocess.PIPE, text=True, check=True).stdout)
 
 
 def git_head(root: Path):
@@ -557,9 +526,11 @@ def main(argv=None) -> int:
     if not args.layers_only and (args.pairs is None or args.seed is None):
         parser.error("--pairs and --seed are required unless --layers-only is given")
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    t0 = time.perf_counter()
     if args.layers_only:
         args.out.write_text(json.dumps({"layers": layers(roots), "parent_commit": git_head(
-            roots["parent"]), "change_commit": git_head(roots["change"])}, indent=1) + "\n")
+            roots["parent"]), "change_commit": git_head(roots["change"]),
+            "wall_s": round(time.perf_counter() - t0, 1)}, indent=1) + "\n")
         return 0
     bench = json.loads((roots["change"] / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in bench["end_to_end"] + bench["per_layer"]}
@@ -568,18 +539,14 @@ def main(argv=None) -> int:
               "host": {"cores": os.cpu_count(), "blas_threads": 1,
                        "python": sys.version.split()[0], "numpy": np.__version__},
               "command": f"python3 perfbench/run.py --workload <w> --seed <s> "
-                         f"--seconds {args.seconds:g} --trace <0|1>",
-              "end_to_end": {}, "traced": {}}
+                         f"--seconds {args.seconds:g}",
+              "end_to_end": {}}
     seed = args.seed
     for spec in args.pairs:
         workload, count = spec.split("=")
         report["end_to_end"][workload] = pairs(roots, workload, int(count), seed,
                                                args.seconds, better)
         seed += int(count)
-        report["traced"][workload] = {"seed": seed, **{
-            side: perfbench(roots[side], workload, seed, args.seconds, 1)["metrics"]
-            for side in SIDES}}
-        seed += 1
     if args.claim:
         workload, metric = args.claim.split(":")
         entry = report["end_to_end"][workload]["metrics"][metric]
@@ -590,25 +557,16 @@ def main(argv=None) -> int:
                            "median_pair_ratio": entry["pair_ratio"]["median"],
                            "change_wins": entry["change_wins"],
                            "pairs": report["end_to_end"][workload]["pairs"]}
-    report["noise_sweep_indices_0_8"] = {side: json.loads(python(roots[side], COUNTS))
-                                         for side in SIDES}
+    report["noise_sweep_indices_0_8"] = {side: json.loads(subprocess.run(
+        [sys.executable, "-c", COUNTS], cwd=roots[side], env=ENV, capture_output=True,
+        text=True, check=True).stdout) for side in SIDES}
     report["layers"] = layers(roots)
-    report["default_fixture_run_ms"] = {side: [] for side in SIDES}
-    for _ in range(2):
-        for side in SIDES:
-            report["default_fixture_run_ms"][side].append(
-                round(float(python(roots[side], DEFAULT_RUN)), 1))
-    report["generator_ms"] = {side: [] for side in SIDES}
-    report["record_save_ms_T5000"] = {side: [] for side in SIDES}
-    for order in (SIDES, SIDES[::-1], SIDES):
-        for side in order:
-            report["generator_ms"][side].append(json.loads(python(roots[side], GENERATORS)))
-            report["record_save_ms_T5000"][side].append(float(python(roots[side], SAVE)))
     report["records_identity"] = records_identity(roots)
     report["tier1"] = {side: [] for side in SIDES}
     for order in (SIDES, SIDES[::-1]):
         for side in order:
             report["tier1"][side].append(tier1(roots[side]))
+    report["wall_s"] = round(time.perf_counter() - t0, 1)
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     if not all(report["records_identity"]["config_rerun_identical"].values()):
         print(f"a rerun of {RERUN}/config.json wrote a different record", file=sys.stderr)
