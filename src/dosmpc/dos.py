@@ -34,7 +34,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import ResilienceError, check_numbers
+from .errors import DimensionError, ResilienceError, check_numbers
 
 __all__ = [
     "AttackParams",
@@ -79,6 +79,9 @@ class AttackParams:
 
 def params_for_ratio(ratio: float, nu_f: float = 4.0, kappa: float = 1.0) -> AttackParams:
     """Parameters hitting a named resilience pressure 1/nu_f + 1/nu_d."""
+    check_numbers({"ratio": ratio, "nu_f": nu_f, "kappa": kappa},
+                  {"ratio": (numbers.Real, 0, True, False), "nu_f": _FIELD_RULES["nu_f"],
+                   "kappa": _FIELD_RULES["kappa_f"]})
     inv_nu_d = ratio - 1.0 / nu_f
     if inv_nu_d <= 0 or inv_nu_d > 1:
         raise ValueError(f"ratio {ratio} not reachable with nu_f = {nu_f}")
@@ -119,6 +122,8 @@ def _indicators(schedule) -> np.ndarray:
     if isinstance(schedule, DosSchedule):
         return schedule.indicators.astype(int)
     ind = np.asarray(schedule)
+    if ind.ndim != 1:
+        raise DimensionError(f"schedule must be 1-D, got shape {ind.shape}")
     if not np.all((ind == 0) | (ind == 1)):
         raise ValueError("schedule entries must be 0/1 or bool")
     return ind.astype(int)

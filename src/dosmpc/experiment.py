@@ -436,10 +436,11 @@ def run_closed_loop(model: SystemModel, controller, t_sim: int,
     return record
 
 
-def _build_controller(prepared: Prepared, data: Optional[HankelPair]):
+def _build_controller(prepared: Prepared):
     model = prepared.model
     if prepared.config.controller == "model-based":
         return ModelBasedController(model, synthesize_gains(model))
+    data = HankelPair.from_trajectory(prepared.offline_record(), prepared.mpc_config.window)
     period = model.n_x if prepared.config.controller == "data-driven-periodic" else 1
     return DataDrivenController(data, prepared.mpc_config, period=period)
 
@@ -451,11 +452,7 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
     schedule = None
     if config.attack is not None:
         schedule = dos.generate_random(config.attack, config.t_sim, config.attack_seed)
-    data = None
-    if config.controller != "model-based":
-        data = HankelPair.from_trajectory(prepared.offline_record(),
-                                          prepared.mpc_config.window)
-    controller = _build_controller(prepared, data)
+    controller = _build_controller(prepared)
     seeds = {k: getattr(config, f"{k}_seed") for k in _SEEDS}
     record = run_closed_loop(model, controller, config.t_sim, prepared.x0,
                              config.v_bar, config.noise_seed, schedule=schedule,

@@ -92,6 +92,28 @@ def test_other_changes_are_reported_as_changed(tool, sides, edit):
     assert tool._relative_differences(parent, change) is None
 
 
+def test_slowest_reads_the_durations_block(tool):
+    # the tail of a Tier-1 run: only the block's call lines count, a node id
+    # may hold spaces, and a run without the block has none
+    tail = """tests/test_acceptance.py:235: AssertionError
+----------------------------- Captured stdout call -----------------------------
+[FAIL] Criterion 7: noise-free tail 1.65e-14; 0.5s call
+============================= slowest 5 durations ==============================
+4.79s call     tests/test_qp.py::TestAgainstEnumerationOracle::test_matches_oracle_from_any_warm_start
+1.99s setup    tests/test_experiment.py::TestConfig::test_field_rules_round_trip_and_reject
+1.74s call     tests/test_dos.py::test_ids[a b]
+
+(2 durations < 0.005s hidden.  Use -vv to show these durations.)
+=========================== short test summary info ============================
+FAILED tests/test_acceptance.py::test_criterion_7_closed_loop_stabilization
+1 failed, 286 passed, 1 skipped in 23.69s
+"""
+    assert tool.slowest(tail) == [
+        ["tests/test_qp.py::TestAgainstEnumerationOracle::test_matches_oracle_from_any_warm_start",
+         4.79], ["tests/test_dos.py::test_ids[a b]", 1.74]]
+    assert tool.slowest(tail.replace(" slowest ", " durations ")) == []
+
+
 @pytest.mark.parametrize("name", ["COUNTS", "LAYERS", "RECORDS"])
 def test_checkout_programs_compile(tool, name):
     compile(getattr(tool, name), name, "exec")

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dosmpc import dos
-from dosmpc.errors import ConfigError, ResilienceError
+from dosmpc.errors import ConfigError, DimensionError, ResilienceError
 
 
 def params(kf=1.0, nf=2.0, kd=1.0, nd=2.0):
@@ -279,6 +279,15 @@ class TestScheduleUtilities:
         for ind in ([2, 0, -1], [0, 0.5]):
             with pytest.raises(ValueError):
                 dos.DosSchedule(indicators=ind, params=dos.params_for_ratio(0.9142))
+
+    def test_indicators_must_be_one_dimensional(self):
+        # a 2-D array of valid entries built a 2-D schedule, gave a gap of 4
+        # (over the flattened array) and died inside numpy's concatenate
+        ind, p = np.ones((3, 2), int), dos.params_for_ratio(0.9142)
+        for call in (lambda: dos.DosSchedule(ind, p), lambda: dos.max_success_gap(ind),
+                     lambda: dos.validate_schedule(ind, p)):
+            with pytest.raises(DimensionError, match=r"1-D, got shape \(3, 2\)"):
+                call()
 
     def test_load_rejects_non_binary_line(self, tmp_path):
         path = tmp_path / "schedule.txt"

@@ -464,6 +464,9 @@ class TestCli:
         (None, ["sweep", "--axis", "v_bar", "--values", "1e-4", "--repetitions", "-2"]),
         (None, ["attack-check", "--seed", "-1", "--t-sim", "10"]),
         (None, ["attack-check", "--schedule", "missing.txt"]),
+        ({"attack": {"ratio": True}}, ["run"]),
+        ({"attack": {"ratio": "0.5"}}, ["run"]),
+        ({"attack": {"ratio": 0.8, "nu_f": "4"}}, ["run"]),
     ], ids=["attack-unknown-key", "ratio-extra-keys", "ratio-config", "ratio-flag",
             "nu_f-config", "nu_f-flag", "malformed-json", "json-array", "x0-length",
             "missing-file", "sweep-ratio", "x0-number", "t_sim-string", "v_bar-string",
@@ -473,7 +476,8 @@ class TestCli:
             "run-N40", "collect-N46", "sweep-N40", "ratio-with-kappa_d-flag",
             "output_dir-number", "sweep-N-fraction", "sweep-L-fraction", "t_sim-not-int",
             "unknown-flag", "sweep-no-values", "sweep-values-text", "sweep-repetitions-0",
-            "sweep-repetitions-negative", "attack-check-seed", "attack-check-missing-schedule"])
+            "sweep-repetitions-negative", "attack-check-seed", "attack-check-missing-schedule",
+            "ratio-bool", "ratio-string", "ratio-nu_f-string"])
     def test_configuration_errors_exit_3_without_output(self, tmp_path, monkeypatch,
                                                         capsys, config, argv):
         monkeypatch.chdir(tmp_path)

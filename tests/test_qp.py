@@ -1,3 +1,5 @@
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -143,67 +145,44 @@ class TestSolve:
 
 
 def enumeration_oracle(problem):
-    """Exhaustive active-set search: every (inactive, lower, upper) labeling.
+    """Exhaustive active-set search: every (free, lower, upper) labeling.
 
-    A labeling counts only when its KKT system is solved to 1e-9, so a
-    singular system whose computed point misses the equalities is rejected.
-    A labeling that pins an infinite bound is skipped. Raises ValueError
-    when no labeling is feasible."""
-    n = problem.n
-    best = None
-    for code in range(3 ** n):
-        labels = []
-        c = code
-        for _ in range(n):
-            labels.append(c % 3)
-            c //= 3
-        pins = [problem.lb[i] if lab == 1 else problem.ub[i] for i, lab in enumerate(labels) if lab]
-        if not np.all(np.isfinite(pins)):
-            continue
-        rows, rhs = [], []
-        if problem.aeq.shape[0]:
-            rows.append(problem.aeq)
-            rhs.append(problem.beq)
-        for i, lab in enumerate(labels):
-            if lab == 0:
-                continue
-            sel = np.zeros((1, n))
-            sel[0, i] = 1.0
-            rows.append(sel)
-            rhs.append([problem.lb[i] if lab == 1 else problem.ub[i]])
-        a_act = np.vstack(rows) if rows else np.zeros((0, n))
-        b_act = np.concatenate([np.atleast_1d(r) for r in rhs]) if rhs else np.zeros(0)
-        m = a_act.shape[0]
-        kkt = np.block([[problem.p, a_act.T], [a_act, np.zeros((m, m))]])
-        target = np.concatenate([-problem.q, b_act])
-        try:
-            sol = np.linalg.solve(kkt, target)
-        except np.linalg.LinAlgError:
-            continue
-        if np.max(np.abs(kkt @ sol - target)) > 1e-9 * max(1.0, np.max(np.abs(target))):
-            continue
-        z = sol[:n]
-        if np.any(z < problem.lb - 1e-9) or np.any(z > problem.ub + 1e-9):
-            continue
-        duals = sol[n + problem.aeq.shape[0]:]
-        j = 0
-        sign_ok = True
-        for lab in labels:
-            if lab == 0:
-                continue
-            if lab == 1 and duals[j] > 1e-9:
-                sign_ok = False
-            if lab == 2 and duals[j] < -1e-9:
-                sign_ok = False
-            j += 1
-        if not sign_ok:
-            continue
-        value = 0.5 * z @ problem.p @ z + problem.q @ z
-        if best is None or value < best[0]:
-            best = (value, z)
-    if best is None:
+    Labeling ``code`` gives z_i the label ``code // 3**i % 3``. Each system
+    has one shape, in (z, y_eq, mu) with one multiplier per variable:
+    P z + Aeq' y_eq + mu = -q, Aeq z = beq, and per variable z_i = its
+    pinned bound or mu_i = 0; its determinant is +- that of the labeling's
+    reduced KKT system. A labeling counts only when its system is solved to
+    1e-9, so a singular system whose computed point misses the equalities is
+    rejected; one that pins an infinite bound is skipped. Among points in
+    the box with multipliers of the right signs, the first labeling with the
+    smallest objective wins. Raises ValueError when none is feasible."""
+    n, m = problem.n, problem.aeq.shape[0]
+    labels = np.arange(3 ** n)[:, None] // 3 ** np.arange(n) % 3
+    pins = np.where(labels == 1, problem.lb, np.where(labels == 2, problem.ub, 0.0))
+    finite = np.isfinite(pins).all(1)
+    labels, pins = labels[finite], pins[finite]
+    kkt = np.zeros((len(labels), 2 * n + m, 2 * n + m))
+    kkt[:, :n + m, :n + m] = np.block([[problem.p, problem.aeq.T], [problem.aeq, np.zeros((m, m))]])
+    kkt[:, :n, n + m:] = np.eye(n)
+    rows = n + m + np.arange(n)
+    kkt[np.arange(len(labels))[:, None], rows, np.where(labels > 0, rows - n - m, rows)] = 1.0
+    target = np.hstack([np.tile(np.r_[-problem.q, problem.beq], (len(labels), 1)), pins])
+    try:
+        sol = np.linalg.solve(kkt, target[..., None])[..., 0]
+    except np.linalg.LinAlgError:  # an exactly singular system: solve one at a time
+        sol = np.full(target.shape, np.nan)
+        for k in range(len(kkt)):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                sol[k] = np.linalg.solve(kkt[k], target[k])
+    z, mu = sol[:, :n], sol[:, n + m:]
+    residual = np.abs((kkt @ sol[..., None])[..., 0] - target).max(1)
+    ok = ((residual <= 1e-9 * np.maximum(1.0, np.abs(target).max(1)))
+          & np.all((z >= problem.lb - 1e-9) & (z <= problem.ub + 1e-9), axis=1)
+          & ~np.any((labels == 1) & (mu > 1e-9) | (labels == 2) & (mu < -1e-9), axis=1))
+    if not ok.any():
         raise ValueError("no labeling satisfies the KKT conditions: the QP is infeasible")
-    return best[1]
+    z = z[ok]
+    return z[np.argmin(0.5 * np.einsum("ki,ij,kj->k", z, problem.p, z) + z @ problem.q)]
 
 
 @st.composite

@@ -18,10 +18,11 @@ with its own ``src`` and ``perfbench``, BLAS pinned to one thread:
   (the sum of ``QpSolution.iterations``) over noise-sweep indices 0-8, with
   every record checked by ``workloads.check_op``;
 - a layer step, the tool's one timing method, in one process holding both
-  checkouts' packages: each kernel is timed in adjacent pairs of samples in
-  alternating order, as many pairs per round as its sample time allows, and
-  summarised by each side's min of samples, each round's median per-pair
-  change/parent ratio, and the median and quartiles of all pairs' ratios.
+  checkouts' packages: each kernel is warmed up on both sides, then timed in
+  adjacent pairs of samples in alternating order, as many pairs per round as
+  its sample time allows, and summarised by each side's min of samples, each
+  round's median per-pair change/parent ratio, and the median and quartiles
+  of all pairs' ratios.
   Kernels: certified, fully checked and working-set-changing ``solve_mpc``
   calls; ``DataDrivenController.finish``; a ``ModelBasedController`` step
   with one plant step; the build (``collect_offline``, ``HankelPair``,
@@ -58,7 +59,8 @@ with its own ``src`` and ``perfbench``, BLAS pinned to one thread:
   absolute difference over the largest absolute parent value. A file whose
   shape, status or other text differs is reported as changed;
 - the Tier-1 suite, two runs per side in alternating order, each with its
-  exit code and pytest's last summary line.
+  exit code, pytest's last summary line and the test calls its
+  ``--durations`` block lists, with their times.
 
 Metric directions come from the change checkout's BENCHMARK.json.
 """
@@ -127,9 +129,10 @@ RERUN = "data-driven-v0.0001-triple0"
 # Run anywhere, with the parent and change checkouts as arguments: both
 # checkouts' src/dosmpc loaded in one process as dosmpc_parent and
 # dosmpc_change, each building its kernels from its own code. A sample is
-# ``reps`` calls, enough for about 0.2 ms, with the garbage collector off; a
-# round has as many pairs as fit BUDGET_S seconds of samples, at least
-# MIN_PAIRS and at most MAX_PAIRS. Prints the report, min_us in microseconds.
+# ``reps`` calls, enough for about 0.2 ms, with the garbage collector off;
+# ``reps`` is sized after WARM_S seconds of calls on each side. A round has as
+# many pairs as fit BUDGET_S seconds of samples, at least MIN_PAIRS and at
+# most MAX_PAIRS. Prints the report, min_us in microseconds.
 LAYERS = """
 import gc, importlib, importlib.util, itertools, json, logging, sys, tempfile, time
 from dataclasses import replace
@@ -137,7 +140,8 @@ from functools import partial
 from pathlib import Path
 import numpy as np
 logging.disable(logging.WARNING)
-ROUNDS, BUDGET_S, MIN_PAIRS, MAX_PAIRS, SIDES = 7, 8.0, 20, 300, ("parent", "change")
+ROUNDS, BUDGET_S, MIN_PAIRS, MAX_PAIRS, WARM_S = 7, 8.0, 20, 300, 0.25
+SIDES = ("parent", "change")
 
 def load(side, root):
     init = Path(root) / "src" / "dosmpc" / "__init__.py"
@@ -237,13 +241,24 @@ def sample(call, reps):
     gc.enable()
     return elapsed / reps
 
+def warm_up(call):
+    # calls for WARM_S seconds, at least three, then the time per call of a
+    # sample a tenth as long: the first calls after a kernel's setup run up to
+    # 2x slower than its steady state, and a one-call sample carries the
+    # timer's overhead, so neither sizes reps to its 0.2 ms
+    t0, count = time.perf_counter(), 0
+    while count < 3 or time.perf_counter() - t0 < WARM_S:
+        call()
+        count += 1
+    return sample(call, max(1, count // 10))
+
 with tempfile.TemporaryDirectory() as tmp:
     sides = {side: kernels(load(side, root), Path(tmp, side))
              for side, root in zip(SIDES, sys.argv[1:3])}
     report = {}
     for name in sides["parent"]:
         calls = {side: sides[side][name] for side in SIDES}
-        once = min(sample(calls[side], 1) for _ in range(2) for side in SIDES)
+        once = min(warm_up(calls[side]) for side in SIDES)
         reps = max(1, round(2e-4 / once))
         count = min(MAX_PAIRS, max(MIN_PAIRS, round(BUDGET_S / (2 * ROUNDS * reps * once))))
         best, rounds = {side: np.inf for side in SIDES}, []
@@ -486,6 +501,19 @@ def pairs(roots: dict, workload: str, count: int, seed: int, seconds: float, bet
             "metrics": metrics}
 
 
+def slowest(stdout: str) -> list:
+    """[nodeid, seconds] of each test call that pytest's --durations block lists."""
+    calls, inside = [], False
+    for line in stdout.splitlines():
+        if line.startswith("="):
+            inside = " slowest " in line
+        elif inside:
+            fields = line.split(None, 2)
+            if len(fields) == 3 and fields[1] == "call":
+                calls.append([fields[2], float(fields[0].rstrip("s"))])
+    return calls
+
+
 def tier1(root: Path) -> dict:
     env = dict(ENV, PYTHONPATH="src")
     t0 = time.perf_counter()
@@ -494,7 +522,7 @@ def tier1(root: Path) -> dict:
                          capture_output=True, text=True, check=False)
     lines = out.stdout.strip().splitlines() or [""]
     return {"wall_s": round(time.perf_counter() - t0, 2), "exit_code": out.returncode,
-            "summary": lines[-1].strip("= ")}
+            "summary": lines[-1].strip("= "), "slowest": slowest(out.stdout)}
 
 
 def layers(roots: dict) -> dict:
