@@ -1,7 +1,8 @@
 """Offline data collection, Hankel matrices, persistency-of-excitation
 certification, and the trajectory-representation residual used as an
 executable oracle for the behavioral (Hankel span) system description, and
-the one CSV table format (``_write_table``/``_read_table``) of every record.
+the one CSV table format (``_write_table``/``_read_table``) of every record
+and the one name of a file's JSON sidecar (``_sidecar_path``).
 """
 from __future__ import annotations
 
@@ -38,6 +39,13 @@ class PeReport:
     required_rank: int
     sigma_min: float
     tolerance: float
+
+
+def _sidecar_path(path) -> Path:
+    """The JSON sidecar of a run file: ``<file>.json`` beside it, as in
+    ``schedule.txt.json``; one rule for trajectories and schedules."""
+    path = Path(path)
+    return path.with_suffix(path.suffix + ".json")
 
 
 @dataclass(frozen=True)
@@ -103,7 +111,7 @@ class Trajectory:
             "v_bar": self.v_bar,
             "pe": None if self.pe is None else vars(self.pe),
         }
-        with open(path.with_suffix(path.suffix + ".json"), "w") as fh:
+        with open(_sidecar_path(path), "w") as fh:
             json.dump(sidecar, fh, indent=2)
 
     @staticmethod
@@ -111,7 +119,7 @@ class Trajectory:
         path = Path(path)
         columns = _read_table(path)
         meta = {}
-        sidecar = path.with_suffix(path.suffix + ".json")
+        sidecar = _sidecar_path(path)
         if sidecar.exists():
             meta = json.loads(sidecar.read_text())
         pe = meta.get("pe")

@@ -34,6 +34,7 @@ from typing import Optional, Union
 
 import numpy as np
 
+from .data import _sidecar_path
 from .errors import DimensionError, ResilienceError, check_numbers
 
 __all__ = [
@@ -376,13 +377,13 @@ def save_schedule(schedule: DosSchedule, path) -> None:
         "inter_success_bound": bound,
         "max_success_gap": max_success_gap(schedule.indicators),
     }
-    path.with_suffix(path.suffix + ".json").write_text(json.dumps(sidecar, indent=2))
+    _sidecar_path(path).write_text(json.dumps(sidecar, indent=2))
 
 
 def load_schedule(path) -> DosSchedule:
     path = Path(path)
     line = path.read_text().strip()
-    meta = json.loads(path.with_suffix(path.suffix + ".json").read_text())
+    meta = json.loads(_sidecar_path(path).read_text())
     params = AttackParams(**{name: meta[name] for name in AttackParams.__dataclass_fields__})
     if set(line) - {"0", "1"}:
         raise ValueError(f"{path}: schedule line must hold only 0 and 1")

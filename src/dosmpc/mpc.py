@@ -130,20 +130,14 @@ class MpcAssembler:
         if hankel.source is None or hankel.source.pe is None or not hankel.source.pe.excited:
             raise ValueError("offline data carries no persistency-of-excitation certificate")
         if hankel.depth != config.window:
-            raise DimensionError(
-                f"Hankel depth {hankel.depth} must equal horizon+eta = {config.window}"
-            )
+            raise DimensionError(f"Hankel depth {hankel.depth} must equal horizon+eta = {config.window}")
         if config.v_bar < _V_BAR_FLOOR:
             logger.warning("v_bar=%g clamped to %g in cost scaling", config.v_bar, _V_BAR_FLOOR)
         self.config = config
-        w = config.window
-        n_u, n_y = hankel.n_u, hankel.n_y
-        n_g = hankel.hu.shape[1]
-        eta = config.eta
+        w, eta = config.window, config.eta
+        n_u, n_y, n_g = hankel.n_u, hankel.n_y, hankel.hu.shape[1]
 
-        off_h = n_g
-        off_u = off_h + w * n_y
-        off_y = off_u + w * n_u
+        off_h, off_u, off_y = n_g, n_g + w * n_y, n_g + w * (n_y + n_u)
         n = off_y + w * n_y
         self.vmap = VariableMap(
             g=slice(0, n_g), h=slice(off_h, off_u), u=slice(off_u, off_y),
@@ -165,47 +159,37 @@ class MpcAssembler:
         p = 2.0 * weight + _RIDGE * np.eye(n)
 
         m = w * (n_u + n_y) + 2 * eta * (n_u + n_y)
-        a = np.zeros((m, n))
-        r = 0
-        a[r:r + w * n_u, self.vmap.g] = -hankel.hu
-        a[r:r + w * n_u, self.vmap.u] = np.eye(w * n_u)
-        r += w * n_u
+        a, r = np.zeros((m, n)), w * n_u
+        a[:r, self.vmap.g], a[:r, self.vmap.u] = -hankel.hu, np.eye(r)
         a[r:r + w * n_y, self.vmap.g] = -hankel.hy
-        a[r:r + w * n_y, self.vmap.h] = np.eye(w * n_y)
-        a[r:r + w * n_y, self.vmap.y] = np.eye(w * n_y)
+        a[r:r + w * n_y, self.vmap.h] = a[r:r + w * n_y, self.vmap.y] = np.eye(w * n_y)
         r += w * n_y
         self._init_rows = r
-        a[np.arange(r, r + eta * n_u), off_u + np.arange(eta * n_u)] = 1.0
-        r += eta * n_u
-        a[np.arange(r, r + eta * n_y), off_y + np.arange(eta * n_y)] = 1.0
-        r += eta * n_y
-        a[np.arange(r, r + eta * n_u), off_u + (w - eta) * n_u + np.arange(eta * n_u)] = 1.0
-        r += eta * n_u
-        a[np.arange(r, r + eta * n_y), off_y + (w - eta) * n_y + np.arange(eta * n_y)] = 1.0
+        # Initial window (u, then y), then terminal anchor (u, then y).
+        for col, size in ((off_u, n_u), (off_y, n_y), (off_y - eta * n_u, n_u), (n - eta * n_y, n_y)):
+            a[np.arange(r, r + eta * size), col + np.arange(eta * size)] = 1.0
+            r += eta * size
 
-        lb = np.full(n, -np.inf)
-        ub = np.full(n, np.inf)
+        lb, ub, q = np.full(n, -np.inf), np.full(n, np.inf), np.zeros(n)
         lb[off_u + eta * n_u: off_u + w * n_u] = -config.u_max
         ub[off_u + eta * n_u: off_u + w * n_u] = config.u_max
         init_rows = np.arange(self._init_rows, self._init_rows + eta * (n_u + n_y))
-        self._problem = QpProblem(p=p, q=np.zeros(n), aeq=a, beq=np.zeros(m), lb=lb, ub=ub,
+        for array in (p, q, a, lb, ub):  # frozen: a Solver matches them by identity
+            array.setflags(write=False)
+        self._problem = QpProblem(p=p, q=q, aeq=a, beq=np.zeros(m), lb=lb, ub=ub,
                                   param_rows=init_rows)
 
     def qp(self, init_u, init_zeta) -> QpProblem:
         """The instance whose initial window holds ``init_u`` and ``init_zeta``,
         eta samples each."""
-        beq = np.zeros_like(self._problem.beq)
-        r = self._init_rows
+        beq, r = np.zeros_like(self._problem.beq), self._init_rows
         for name, arr, dim in (("init_u", init_u, self.vmap.n_u),
                                ("init_zeta", init_zeta, self.vmap.n_y)):
             arr = np.asarray(arr, float)
             if arr.size != self.config.eta * dim:
-                raise DimensionError(
-                    f"{name} must hold {self.config.eta} samples of dimension {dim}, "
-                    f"got shape {arr.shape}"
-                )
-            beq[r:r + arr.size] = arr.reshape(-1)
-            r += arr.size
+                raise DimensionError(f"{name} must hold {self.config.eta} samples of dimension {dim}, "
+                                     f"got shape {arr.shape}")
+            beq[r:r + arr.size], r = arr.reshape(-1), r + arr.size
         return self._problem.with_beq(beq)
 
     def extract(self, qp_solution) -> MpcSolution:
@@ -245,9 +229,6 @@ def solve_mpc(assembler: MpcAssembler, init_u, init_zeta,
     slv = solver or Solver()
     sol = slv.solve(qp_problem, warm_z=warm.qp_solution.z if warm is not None else None)
     if sol.status != "optimal":
-        raise SolverError(
-            f"QP terminated with status '{sol.status}' "
-            f"(primal {sol.primal_residual:.3g}, dual {sol.dual_residual:.3g}, "
-            f"{sol.iterations} iterations)"
-        )
+        raise SolverError(f"QP terminated with status '{sol.status}' (primal {sol.primal_residual:.3g}, "
+                          f"dual {sol.dual_residual:.3g}, {sol.iterations} iterations)")
     return assembler.extract(sol)

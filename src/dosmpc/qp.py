@@ -23,7 +23,7 @@ the full termination check. Residuals and objective are computed when read.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Sequence
 
 import numpy as np
@@ -61,13 +61,10 @@ class QpProblem:
             if np.linalg.norm(p - p.T) > 1e-12 * max(1.0, np.linalg.norm(p)):
                 raise DimensionError("P must be symmetric to 1e-12")
             p = 0.5 * (p + p.T)
-        object.__setattr__(self, "p", p)
         n = p.shape[0]
-        q = np.asarray(self.q, dtype=float).reshape(-1)
+        q, beq, lb, ub = (np.asarray(v, dtype=float).reshape(-1)
+                          for v in (self.q, self.beq, self.lb, self.ub))
         aeq = np.asarray(self.aeq, dtype=float).reshape(-1, n) if np.size(self.aeq) else np.zeros((0, n))
-        beq = np.asarray(self.beq, dtype=float).reshape(-1)
-        lb = np.asarray(self.lb, dtype=float).reshape(-1)
-        ub = np.asarray(self.ub, dtype=float).reshape(-1)
         if q.shape != (n,) or lb.shape != (n,) or ub.shape != (n,):
             raise DimensionError("q, lb, ub must all have length n")
         if aeq.shape[0] != beq.shape[0]:
@@ -80,9 +77,7 @@ class QpProblem:
             raise DimensionError("param_rows must be sorted, unique indices of beq rows")
         rows = rows.astype(int)
         rows.setflags(write=False)
-        for name, value in (("q", q), ("aeq", aeq), ("beq", beq), ("lb", lb), ("ub", ub),
-                            ("param_rows", rows)):
-            object.__setattr__(self, name, value)
+        self.__dict__.update(p=p, q=q, aeq=aeq, beq=beq, lb=lb, ub=ub, param_rows=rows)
 
     @property
     def n(self) -> int:
@@ -140,12 +135,23 @@ def _ext_matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.dot(np.asarray(a, np.longdouble), x.astype(np.longdouble)).astype(float)
 
 
-def _p_dot(p, diag, x):
-    """``np.dot(p, x)`` bit for bit, p and x long double. A diagonal p's is
-    diag * x + 0 (``diag`` its diagonal, else None): np.dot's sum starts at +0.
-    A non-finite x_i makes np.dot's whole column non-finite: then np.dot runs."""
+def _p_dot(p, diag, x, dot=np.dot):
+    """``dot(p, x)`` bit for bit: np.dot on long double, ``@`` on float64. A
+    diagonal p's is diag * x + 0 (``diag`` its diagonal, else None): the dense
+    sum starts at +0. A non-finite x_i makes the dense product's whole column
+    non-finite: then ``dot`` runs."""
     prod = None if diag is None else (diag * x.T).T + 0
-    return prod if prod is not None and np.isfinite(prod).all() else np.dot(p, x)
+    return prod if prod is not None and np.isfinite(prod).all() else dot(p, x)
+
+
+_top = partial(np.maximum.reduce, initial=0.0)  # max(max_i a_i, 0), NaN if some a_i is
+
+
+def _frozen(a) -> bool:
+    """Whether ``a`` and every array it views are read-only (see ``Solver``)."""
+    while isinstance(a, np.ndarray) and not a.flags.writeable:
+        a = a.base
+    return a is None
 
 
 def kkt_residuals(problem: QpProblem, z, y_eq=None, mu=None):
@@ -159,26 +165,19 @@ def kkt_residuals(problem: QpProblem, z, y_eq=None, mu=None):
     z = np.asarray(z, dtype=float).reshape(-1)
     y_eq = np.zeros(problem.aeq.shape[0]) if y_eq is None else np.asarray(y_eq, float).reshape(-1)
     mu = np.zeros(problem.n) if mu is None else np.asarray(mu, float).reshape(-1)
-    return _residuals(problem, z, mu, _ext_matvec(problem.aeq, z),
-                      _ext_matvec(problem.aeq.T, y_eq), problem.p @ z)
-
-
-def _residuals(problem: QpProblem, z, mu, aeq_z, aeqt_y, p_z):
-    """``kkt_residuals`` given P z and the extended-precision Aeq z and Aeq' y."""
-    eq_res = aeq_z - problem.beq
-    box_low = np.maximum(problem.lb - z, 0.0)
-    box_high = np.maximum(z - problem.ub, 0.0)
-    primal = max(np.max(np.abs(eq_res), initial=0.0), np.max(box_low, initial=0.0),
-                 np.max(box_high, initial=0.0))
-    stat = p_z + problem.q + mu + aeqt_y
-    dual = float(np.max(np.abs(stat), initial=0.0))
-    mu_hi = np.maximum(mu, 0.0)
-    mu_lo = np.maximum(-mu, 0.0)
+    primal, dual = _primal_dual(problem, z, mu, _ext_matvec(problem.aeq, z),
+                                _ext_matvec(problem.aeq.T, y_eq), problem.p @ z)
     ub_gap = np.where(np.isfinite(problem.ub), np.abs(problem.ub - z), 1.0)
     lb_gap = np.where(np.isfinite(problem.lb), np.abs(z - problem.lb), 1.0)
-    comp = float(max(np.max(mu_hi * ub_gap, initial=0.0),
-                     np.max(mu_lo * lb_gap, initial=0.0)))
-    return float(primal), dual, comp
+    comp = max(_top(np.maximum(mu, 0.0) * ub_gap), _top(np.maximum(-mu, 0.0) * lb_gap))
+    return float(primal), float(dual), float(comp)
+
+
+def _primal_dual(problem: QpProblem, z, mu, aeq_z, aeqt_y, p_z):
+    """``kkt_residuals``' primal and dual given P z and the extended-precision Aeq z, Aeq' y."""
+    primal = max(_top(np.abs(aeq_z - problem.beq)), _top(np.maximum(problem.lb - z, 0.0)),
+                 _top(np.maximum(z - problem.ub, 0.0)))
+    return primal, _top(np.abs(p_z + problem.q + mu + aeqt_y))
 
 
 class Solver:
@@ -195,33 +194,45 @@ class Solver:
     returned ``z`` is the refined KKT solution on the final working set and
     counts as optimal only after it passes a termination test.
 
-    Across calls too, per P and Aeq (compared by value), the solver keeps
-    the inverse of the delta-regularized K and refined long-double solutions
-    of K: the base piece, for [-q; beq] with the ``param_rows`` zeroed plus
-    one column per param row, G_i = K^-1 e_i for each index whose bound it
-    has pinned, and the pivots of each ordered warm row set it has met; a
-    diagonal P's long-double products are taken elementwise, bit for bit
-    np.dot's. A working set W gets its piece (x0, X) from the
-    Schur complement G_W[W] and keeps it while W and the target with those
-    rows zeroed stay; a solve returns x0 + X b (b the param rows of beq)
-    rounded once. On the piece's second use the solver adds its residual
-    certificate, a proven bound, affine in b and |b|, on the full check's
-    residuals at that z; a solve whose bounds lie within _EPS_ABS, below
-    every tolerance of the check, ends optimal without the check, and any
-    other runs it. Nothing kept depends on the path to it, so a reused
-    solver returns bit for bit what a fresh one returns. Not thread-safe.
+    Across calls too, per P and Aeq, the solver keeps the inverse of the
+    delta-regularized K and refined long-double solutions of K: the base
+    piece, for [-q; beq] with the ``param_rows`` zeroed plus one column per
+    param row, G_i = K^-1 e_i for each index whose bound it has pinned, and
+    the pivots of each ordered warm row set it has met; a diagonal P's
+    products are taken elementwise, bit for bit the dense ones. A working
+    set W gets its piece (x0, X) from the Schur complement G_W[W] and keeps
+    it while W and the target with those rows zeroed stay; a solve returns
+    x0 + X b (b the param rows of beq) rounded once. On the piece's second
+    use the solver adds its residual certificate, a proven bound, affine in
+    b and |b|, on the full check's residuals at that z; a solve whose bounds
+    lie within _EPS_ABS, below every tolerance of the check, ends optimal
+    without the check, and any other runs it. Nothing kept depends on the
+    path to it, so a reused solver returns bit for bit what a fresh one
+    returns. Not thread-safe.
+
+    A frozen array, read-only and viewing only read-only arrays, is matched
+    by identity: the solver keeps a frozen P or Aeq itself and compares only
+    another array's values to it, and keeps what it derives from q, lb and
+    ub while these are the same frozen arrays. ``MpcAssembler`` passes all
+    five frozen. A caller must not change a frozen array it has passed:
+    neither make it, or an array it views, writeable again, nor write to it
+    through a view taken before it was frozen. A writeable P or Aeq is kept
+    as a copy and compared by value at every solve.
     """
 
     def __init__(self):
-        self._p = self._aeq = None
+        self._p, self._aeq, self._consts_of = None, None, (None, None, None)
 
     def _adopt(self, problem: QpProblem) -> None:
-        """Unless already kept for this P and Aeq, invert their base KKT matrix."""
-        if not (np.array_equal(problem.p, self._p) and np.array_equal(problem.aeq, self._aeq)):
-            self._p, self._aeq = problem.p.copy(), problem.aeq.copy()
+        """Unless already kept for this P and Aeq, invert their base KKT matrix.
+        A frozen array is kept itself, any other as a copy no caller holds."""
+        p, aeq = problem.p, problem.aeq
+        if not ((p is self._p or np.array_equal(p, self._p))
+                and (aeq is self._aeq or np.array_equal(aeq, self._aeq))):
+            self._p, self._aeq = (a if _frozen(a) else a.copy() for a in (p, aeq))
             self._p_ext, self._aeq_ext = (a.astype(np.longdouble) for a in (self._p, self._aeq))
             diagonal = np.count_nonzero(self._p) == np.count_nonzero(np.diagonal(self._p))
-            self._p_diag = np.diagonal(self._p_ext).copy() if diagonal else None
+            self._p_diag = np.diagonal(self._p).copy() if diagonal else None
             self._abs_p, self._abs_aeq = np.abs(self._p), np.abs(self._aeq)
             n, m_eq, delta = self._p.shape[0], self._aeq.shape[0], 1e-9
             self._kkt_inv = np.linalg.inv(np.block([[self._p + delta * np.eye(n), self._aeq.T],
@@ -235,10 +246,11 @@ class Solver:
         self._adopt(problem)
         lo = hi = np.zeros(0, dtype=int)
         if warm_z is not None:
-            warm = np.asarray(warm_z, float).reshape(n)
-            lo, hi = np.flatnonzero(warm <= lb + _TOL), np.flatnonzero(warm >= ub - _TOL)
-            keep = self._pivots(np.concatenate([lo, hi])) > self._pivot_tol
-            lo, hi = lo[keep[:lo.size]], hi[keep[lo.size:]]
+            warm, (lb_tol, ub_tol) = np.asarray(warm_z, float).reshape(n), self._consts(problem)[:2]
+            lo, hi = (warm <= lb_tol).nonzero()[0], (warm >= ub_tol).nonzero()[0]
+            if lo.size or hi.size:
+                keep = self._pivots(np.concatenate([lo, hi])) > self._pivot_tol
+                lo, hi = lo[keep[:lo.size]], hi[keep[lo.size:]]
 
         changes, status = 0, "optimal"
         enter, t = None, 0.0  # the bound row being added (index, sign) and its multiplier
@@ -248,7 +260,7 @@ class Solver:
                 wrong_lo, wrong_hi = lo[mu[lo] > _TOL], hi[mu[hi] < -_TOL]
                 viol = np.maximum(lb - z, z - ub)
                 viol[lo] = viol[hi] = 0.0
-                p = int(np.argmax(viol))
+                p = int(viol.argmax())
                 if not (wrong_lo.size or wrong_hi.size or viol[p] > _TOL):
                     break
                 if changes >= _MAX_ITER:
@@ -285,21 +297,17 @@ class Solver:
                 break
             changes += 1
             if tau_add <= tau_drop:
-                if sign > 0:
-                    hi = np.union1d(hi, [p])
-                else:
-                    lo = np.union1d(lo, [p])
+                lo, hi = (lo, np.union1d(hi, [p])) if sign > 0 else (np.union1d(lo, [p]), hi)
                 enter = None
             else:
                 t += tau_drop
                 drop = rows[np.argmin(tau)]
                 lo, hi = lo[lo != drop], hi[hi != drop]
 
-        certified = False
-        if status == "optimal":
-            certified = self._cert is not None and max(self._bounds(problem, z, viol[p])) <= _EPS_ABS
-            if not (certified or self._full_check(problem, z, y_eq, mu)):
-                status = "inaccurate"
+        certified = (optimal := status == "optimal") and self._cert is not None and (
+            max(self._bounds(problem, z, viol[p])) <= _EPS_ABS)
+        if optimal and not (certified or self._full_check(problem, z, y_eq, mu)):
+            status = "inaccurate"
         return QpSolution(z=z, iterations=changes, status=status, problem=problem,
                           y_eq=y_eq, mu=mu, certified=bool(certified))
 
@@ -311,7 +319,7 @@ class Solver:
         v, n = np.concatenate(([1.0], problem.beq[problem.param_rows])), problem.n
         bound = (np.abs(c @ v) + a @ np.abs(v)) * (1 + 2.0**-50)
         bound[n:n + self._aeq.shape[0]] += e * (self._abs_aeq @ np.abs(z))
-        return bound[n:].max(initial=max(free_viol, 0.0)), bound[:n].max(initial=0.0)
+        return np.maximum.reduce(bound[n:], initial=max(free_viol, 0.0)), _top(bound[:n])
 
     def _certificate(self, pinned, rhs):
         """The remembered piece's certificate (C, A, e), on [1; b] and by row:
@@ -324,7 +332,7 @@ class Solver:
         C; x0 + X b in long double and its rounding to z, y_eq, mu, through
         |K_W|; and the full check's float64 evaluation."""
         n, m = self._p.shape[0], self._aeq.shape[0]
-        x, y, mu = self._piece[:n], self._piece[n:n + m], self._piece[n + m:]
+        x, y, mu = self._piece.T[:n], self._piece.T[n:n + m], self._piece.T[n + m:]
         c = (np.vstack([_p_dot(self._p_ext, self._p_diag, x) + np.dot(self._aeq_ext.T, y) + mu,
                         np.dot(self._aeq_ext, x), x[pinned]]) - rhs).astype(float)
         ax, ay, amu = (np.abs(part).astype(float) for part in (x, y, mu))
@@ -347,20 +355,29 @@ class Solver:
         many decades never terminate, since even the exact optimizer rounded
         to float64 evaluates above _EPS_ABS."""
         aeq_z, aeqt_y = _ext_matvec(self._aeq_ext, z), _ext_matvec(self._aeq_ext.T, y_eq)
-        p_z = problem.p @ z
-        r_p, r_d, _ = _residuals(problem, z, mu, aeq_z, aeqt_y, p_z)
-        eps_m, top = float(np.finfo(float).eps), lambda a: float(np.max(a, initial=0.0))
-        box = np.isfinite(problem.lb) | np.isfinite(problem.ub)
-        z_box, v_box = np.abs(z[box]), np.abs(np.clip(z, problem.lb, problem.ub)[box])
-        abs_z = np.abs(z)
-        floor_p = eps_m * max(top(self._abs_aeq @ abs_z + np.abs(problem.beq)), top(z_box + v_box))
-        floor_d = eps_m * top(self._abs_p @ abs_z + self._abs_aeq.T @ np.abs(y_eq)
-                              + np.abs(mu) + np.abs(problem.q))
-        e_p = _EPS_ABS + _EPS_REL * max(top(np.abs(aeq_z)), top(np.abs(problem.beq)), top(z_box),
-                                        top(v_box)) + floor_p
-        e_d = _EPS_ABS + _EPS_REL * max(top(np.abs(p_z)), top(np.abs(aeqt_y + mu)),
-                                        top(np.abs(problem.q))) + floor_d
+        _, _, box, lb_box, ub_box, abs_q, top_q = self._consts(problem)
+        diag, abs_z, abs_beq, eps_m = self._p_diag, np.abs(z), np.abs(problem.beq), np.finfo(float).eps
+        p_z = _p_dot(self._p, diag, z, np.matmul)
+        r_p, r_d = _primal_dual(problem, z, mu, aeq_z, aeqt_y, p_z)
+        z_box, v_box = abs_z[box], np.abs(np.clip(z[box], lb_box, ub_box))
+        floor_p = eps_m * max(_top(self._abs_aeq @ abs_z + abs_beq), _top(z_box + v_box))
+        abs_p_z = _p_dot(self._abs_p, None if diag is None else np.abs(diag), abs_z, np.matmul)
+        floor_d = eps_m * _top(abs_p_z + self._abs_aeq.T @ np.abs(y_eq) + np.abs(mu) + abs_q)
+        e_p = _EPS_ABS + _EPS_REL * max(_top(np.abs(aeq_z)), _top(abs_beq), _top(z_box),
+                                        _top(v_box)) + floor_p
+        e_d = _EPS_ABS + _EPS_REL * max(_top(np.abs(p_z)), _top(np.abs(aeqt_y + mu)), top_q) + floor_d
         return r_p <= e_p and r_d <= e_d
+
+    def _consts(self, problem):
+        """lb + _TOL, ub - _TOL, the bounded variables' indices, lb and ub there,
+        |q| and max |q|; kept while q, lb and ub are the same frozen arrays,
+        found by id: the kept arrays stay referenced, so their ids stay theirs."""
+        arrays = q, lb, ub = problem.q, problem.lb, problem.ub
+        if list(map(id, arrays)) != list(map(id, self._consts_of)):
+            box, abs_q = np.flatnonzero(np.isfinite(lb) | np.isfinite(ub)), np.abs(q)
+            self._consts_of = arrays if all(map(_frozen, arrays)) else (None, None, None)
+            self._const_values = (lb + _TOL, ub - _TOL, box, lb[box], ub[box], abs_q, _top(abs_q))
+        return self._const_values
 
     def _solve_active(self, problem, lo_act, hi_act, enter=None):
         """KKT solve with the given box rows pinned at their bounds, from the
@@ -369,7 +386,6 @@ class Solver:
         an entering row ``enter`` = (i, sign), (dz, dmu): their change per
         unit of an added cost term sign * z_i; otherwise None."""
         n, m_eq = problem.n, problem.aeq.shape[0]
-        pinned = np.concatenate([lo_act, hi_act])
         fixed = np.concatenate([-problem.q, problem.beq, problem.lb[lo_act], problem.ub[hi_act]])
         rows, size = n + problem.param_rows, n + m_eq
         params = fixed[rows].astype(np.longdouble)
@@ -378,18 +394,21 @@ class Solver:
         # a zero builds its own piece, as a fresh solver would.
         key = (lo_act.tolist(), hi_act.tolist(), fixed.tobytes())
         reused = key == self._key
+        pinned = self._pinned if reused else np.concatenate([lo_act, hi_act])
         units = lambda: np.arange(fixed.size)[:, None] == rows  # noqa: E731  e_i, i in rows
         if not reused:
             if self._base is None or self._base[0] != fixed[:size].tobytes():
                 self._base = (fixed[:size].tobytes(),
                               self._refine(np.column_stack([fixed[:size], units()[:size]])))
             values = np.column_stack([fixed[size:], np.zeros((pinned.size, rows.size))])
-            self._key, self._piece, self._cert = key, self._pin(pinned, self._base[1], values), None
-        sol = (self._piece[:, 0] + np.dot(self._piece[:, 1:], params)).astype(float)
+            piece = np.ascontiguousarray(self._pin(pinned, self._base[1], values).T)
+            self._key, self._piece, self._pinned, self._cert = key, piece, pinned, None
+        # np.dot(b, X') sums each row as np.dot(X, b) does, in fewer steps.
+        sol = (self._piece[0] + np.dot(params, self._piece[1:])).astype(float)
         # A piece's second use builds its certificate, unless rounding z
         # alone, u |Aeq| |z|, is already more than it could accept.
         if reused and enter is None and self._cert is None and (
-                np.max(self._abs_aeq @ np.abs(sol[:n]), initial=0.0) * 2.0**-53 <= _EPS_ABS):
+                _top(self._abs_aeq @ np.abs(sol[:n])) * 2.0**-53 <= _EPS_ABS):
             self._cert = self._certificate(pinned, np.column_stack([fixed, units()]))
         if enter is None:
             return sol[:n], sol[n:size], sol[size:], None

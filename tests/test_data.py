@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dosmpc import data, lti
+from dosmpc import data, dos, lti
 from dosmpc.errors import DimensionError
 from conftest import fresh_windows
 
@@ -95,6 +95,15 @@ class TestCollectOffline:
         np.testing.assert_allclose(clone.outputs, noisy_record.outputs, rtol=0, atol=0)
         assert clone.seed == noisy_record.seed
         assert clone.pe.order == noisy_record.pe.order
+
+    def test_trajectory_and_schedule_sidecars_share_one_name(self, tmp_path, noisy_record):
+        # data._sidecar_path states the rule, <file>.json beside the file
+        noisy_record.save_csv(tmp_path / "traj.csv")
+        dos.save_schedule(dos.generate_random(dos.params_for_ratio(0.9142), 6, seed=5),
+                          tmp_path / "schedule.txt")
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "schedule.txt", "schedule.txt.json", "traj.csv", "traj.csv.json"]
+        assert data._sidecar_path(tmp_path / "traj.csv") == tmp_path / "traj.csv.json"
 
 
 class TestFundamentalLemmaResidual:

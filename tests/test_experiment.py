@@ -421,52 +421,62 @@ class TestCli:
 
     BUDGET = {"kappa_f": 1.0, "nu_f": 4.0, "kappa_d": 1.0, "nu_d": 2.0}
 
-    @pytest.mark.parametrize("config, argv", [
-        ({"attack": dict(BUDGET, nu_x=3.0)}, ["run"]),
-        ({"attack": {"ratio": 0.5, "nu_d": 3.0, "kappa_f": 9.0}}, ["run"]),
-        ({"attack": {"ratio": 1.5}}, ["run"]),
-        (None, ["run", "--ratio", "1.3"]),
-        ({"attack": dict(BUDGET, nu_f=1.0)}, ["run"]),
-        (None, ["attack-check", "--nu-f", "1"]),
-        ('{"t_sim": ', ["run"]),
-        ([1, 2], ["run"]),
-        ({"x0": [1.0, 0.0, 0.0]}, ["run"]),
-        (None, ["run", "--config", "missing.json"]),
-        (None, ["sweep", "--axis", "ratio", "--values", "1.5"]),
-        ({"x0": 5}, ["run"]),
-        ({"t_sim": "200"}, ["run"]),
-        ({"v_bar": "x"}, ["run"]),
-        ({"dt": -0.1}, ["run"]),
-        ({"lambda_h": 0}, ["run"]),
-        (None, ["run", "--lambda-g", "-1"]),
-        (None, ["run", "--t-sim", "-5"]),
-        (None, ["attack-check", "--t-sim", "-5"]),
-        ({"blow_up": -1}, ["run"]),
-        ({"t_sim": "200"}, ["sweep", "--axis", "v_bar", "--values", "1e-4"]),
-        ({"dt": -0.1}, ["sweep", "--axis", "v_bar", "--values", "1e-4"]),
-        ({"v_bar": float("nan")}, ["run"]),
-        ({"lambda_g": float("inf")}, ["run"]),
-        ({"model": 5}, ["run"]),
-        ({"excitation_amplitude": 0}, ["run"]),
-        ({"seeds": {"data": 5}, "data_seed": 7}, ["run"]),
-        (None, ["run", "--n-samples", "40"]),
-        (None, ["collect", "--n-samples", "46"]),
-        (None, ["sweep", "--axis", "N", "--values", "40,60"]),
-        (None, ["attack-check", "--ratio", "0.8", "--kappa-d", "3"]),
-        ({"output_dir": 5}, ["run"]),
-        (None, ["sweep", "--axis", "N", "--values", "60.7"]),
-        (None, ["sweep", "--axis", "L", "--values", "10,10.5"]),
-        (None, ["run", "--t-sim", "abc"]),
-        (None, ["run", "--bogus"]),
-        (None, ["sweep", "--axis", "v_bar"]),
-        (None, ["sweep", "--axis", "v_bar", "--values", "abc"]),
-        (None, ["sweep", "--axis", "v_bar", "--values", "1e-4", "--repetitions", "0"]),
-        (None, ["sweep", "--axis", "v_bar", "--values", "1e-4", "--repetitions", "-2"]),
-        (None, ["attack-check", "--seed", "-1", "--t-sim", "10"]),
-        (None, ["attack-check", "--schedule", "missing.txt"]),
-        ({"attack": {"ratio": True}}, ["run"]),
-        ({"attack": {"ratio": "0.5"}}, ["run"]),
-        ({"attack": {"ratio": 0.8, "nu_f": "4"}}, ["run"]),
+    @pytest.mark.parametrize("config, argv, fragment", [
+        ({"attack": dict(BUDGET, nu_x=3.0)}, ["run"], "unknown attack keys: nu_x"),
+        ({"attack": {"ratio": 0.5, "nu_d": 3.0, "kappa_f": 9.0}}, ["run"],
+         "unknown attack keys: kappa_f, nu_d"),
+        ({"attack": {"ratio": 1.5}}, ["run"], "ratio 1.5 not reachable"),
+        (None, ["run", "--ratio", "1.3"], "ratio 1.3 not reachable"),
+        ({"attack": dict(BUDGET, nu_f=1.0)}, ["run"], "nu_f must be a finite number >= 2"),
+        (None, ["attack-check", "--nu-f", "1"], "nu_f must be a finite number >= 2"),
+        ('{"t_sim": ', ["run"], "malformed config JSON"),
+        ([1, 2], ["run"], "config must be a JSON object"),
+        ({"x0": [1.0, 0.0, 0.0]}, ["run"], "x0 has 3 entries"),
+        (None, ["run", "--config", "missing.json"], "cannot read config"),
+        (None, ["sweep", "--axis", "ratio", "--values", "1.5"], "ratio 1.5 not reachable"),
+        ({"x0": 5}, ["run"], "x0 must be a list of finite numbers"),
+        ({"t_sim": "200"}, ["run"], "t_sim must be an integer >= 0, got '200'"),
+        ({"v_bar": "x"}, ["run"], "v_bar must be a finite number >= 0, got 'x'"),
+        ({"dt": -0.1}, ["run"], "dt must be a finite number > 0"),
+        ({"lambda_h": 0}, ["run"], "lambda_h must be a finite number > 0"),
+        (None, ["run", "--lambda-g", "-1"], "lambda_g must be a finite number > 0, got -1"),
+        (None, ["run", "--t-sim", "-5"], "t_sim must be an integer >= 0, got -5"),
+        (None, ["attack-check", "--t-sim", "-5"], "t_sim must be an integer >= 0, got -5"),
+        ({"blow_up": -1}, ["run"], "blow_up must be a finite number > 0 or +inf"),
+        ({"t_sim": "200"}, ["sweep", "--axis", "v_bar", "--values", "1e-4"],
+         "t_sim must be an integer >= 0, got '200'"),
+        ({"dt": -0.1}, ["sweep", "--axis", "v_bar", "--values", "1e-4"],
+         "dt must be a finite number > 0"),
+        ({"v_bar": float("nan")}, ["run"], "v_bar must be a finite number >= 0, got nan"),
+        ({"lambda_g": float("inf")}, ["run"], "lambda_g must be a finite number > 0, got inf"),
+        ({"model": 5}, ["run"], "model must be a name or a path"),
+        ({"excitation_amplitude": 0}, ["run"], "excitation_amplitude must be a finite number > 0"),
+        ({"seeds": {"data": 5}, "data_seed": 7}, ["run"], "seeds given twice"),
+        (None, ["run", "--n-samples", "40"], "Assumption 6 violated: n_samples 40"),
+        (None, ["collect", "--n-samples", "46"], "Assumption 6 violated: n_samples 46"),
+        (None, ["sweep", "--axis", "N", "--values", "40,60"],
+         "Assumption 6 violated: n_samples 40"),
+        (None, ["attack-check", "--ratio", "0.8", "--kappa-d", "3"],
+         "unknown attack keys: kappa_d"),
+        ({"output_dir": 5}, ["run"], "output_dir must be a path or null"),
+        (None, ["sweep", "--axis", "N", "--values", "60.7"], "sweep axis N takes integers"),
+        (None, ["sweep", "--axis", "L", "--values", "10,10.5"], "sweep axis L takes integers"),
+        (None, ["run", "--t-sim", "abc"], "argument --t-sim: invalid int value"),
+        (None, ["run", "--bogus"], "unrecognized arguments: --bogus"),
+        (None, ["sweep", "--axis", "v_bar"], "the following arguments are required: --values"),
+        (None, ["sweep", "--axis", "v_bar", "--values", "abc"],
+         "argument --values: invalid float_list value"),
+        (None, ["sweep", "--axis", "v_bar", "--values", "1e-4", "--repetitions", "0"],
+         "repetitions must be an integer >= 1, got 0"),
+        (None, ["sweep", "--axis", "v_bar", "--values", "1e-4", "--repetitions", "-2"],
+         "repetitions must be an integer >= 1, got -2"),
+        (None, ["attack-check", "--seed", "-1", "--t-sim", "10"],
+         "seed must be an integer >= 0, got -1"),
+        (None, ["attack-check", "--schedule", "missing.txt"], "cannot read schedule missing.txt"),
+        ({"attack": {"ratio": True}}, ["run"], "ratio must be a finite number > 0, got True"),
+        ({"attack": {"ratio": "0.5"}}, ["run"], "ratio must be a finite number > 0, got '0.5'"),
+        ({"attack": {"ratio": 0.8, "nu_f": "4"}}, ["run"],
+         "nu_f must be a finite number >= 2 or +inf, got '4'"),
     ], ids=["attack-unknown-key", "ratio-extra-keys", "ratio-config", "ratio-flag",
             "nu_f-config", "nu_f-flag", "malformed-json", "json-array", "x0-length",
             "missing-file", "sweep-ratio", "x0-number", "t_sim-string", "v_bar-string",
@@ -479,14 +489,18 @@ class TestCli:
             "sweep-repetitions-negative", "attack-check-seed", "attack-check-missing-schedule",
             "ratio-bool", "ratio-string", "ratio-nu_f-string"])
     def test_configuration_errors_exit_3_without_output(self, tmp_path, monkeypatch,
-                                                        capsys, config, argv):
+                                                        capsys, config, argv, fragment):
+        # ``fragment`` names the rule that refuses the input, so that an
+        # input refused by some other rule, or by a stray exception turned
+        # into a configuration error, fails the case.
         monkeypatch.chdir(tmp_path)
         if config is not None:
             path = tmp_path / "config.json"
             path.write_text(config if isinstance(config, str) else json.dumps(config))
             argv = argv + ["--config", str(path)]
         assert cli.main(argv + ["--out", "written"]) == 3
-        assert capsys.readouterr().err.startswith("configuration error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and fragment in err
         assert not (tmp_path / "written").exists()
 
     @pytest.mark.parametrize("line, sidecar", [

@@ -464,6 +464,142 @@ class TestResidualCertificate:
         assert sum(sol.certified for sol in solutions) >= 0.95 * len(solutions)
 
 
+def reference_full_check(problem, z, y_eq, mu):
+    """The full check's verdict by its formula before the check was trimmed:
+    all three residuals, the complementarity one discarded, and dense
+    products with P and |P|, all from the problem's arrays."""
+    aeq_ext = problem.aeq.astype(np.longdouble)
+    aeq_z = np.dot(aeq_ext, z.astype(np.longdouble)).astype(float)
+    aeqt_y = np.dot(aeq_ext.T, y_eq.astype(np.longdouble)).astype(float)
+    p_z, abs_z, abs_aeq = problem.p @ z, np.abs(z), np.abs(problem.aeq)
+    r_p = float(max(np.max(np.abs(aeq_z - problem.beq), initial=0.0),
+                    np.max(np.maximum(problem.lb - z, 0.0), initial=0.0),
+                    np.max(np.maximum(z - problem.ub, 0.0), initial=0.0)))
+    r_d = float(np.max(np.abs(p_z + problem.q + mu + aeqt_y), initial=0.0))
+    eps_m, top = float(np.finfo(float).eps), lambda a: float(np.max(a, initial=0.0))
+    box = np.isfinite(problem.lb) | np.isfinite(problem.ub)
+    z_box, v_box = np.abs(z[box]), np.abs(np.clip(z, problem.lb, problem.ub)[box])
+    floor_p = eps_m * max(top(abs_aeq @ abs_z + np.abs(problem.beq)), top(z_box + v_box))
+    floor_d = eps_m * top(np.abs(problem.p) @ abs_z + abs_aeq.T @ np.abs(y_eq)
+                          + np.abs(mu) + np.abs(problem.q))
+    e_p = 1e-8 + 1e-8 * max(top(np.abs(aeq_z)), top(np.abs(problem.beq)), top(z_box),
+                            top(v_box)) + floor_p
+    e_d = 1e-8 + 1e-8 * max(top(np.abs(p_z)), top(np.abs(aeqt_y + mu)),
+                            top(np.abs(problem.q))) + floor_d
+    return r_p <= e_p and r_d <= e_d
+
+
+class TestFullCheck:
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(1, 8), m=st.integers(0, 3), seed=st.integers(0, 2**32 - 1),
+           diagonal=st.booleans(), decades=st.integers(0, 10),
+           miss=st.sampled_from([0.0, 1e-12, 1e-9, 3e-8, 1e-6]),
+           special=st.sampled_from([None, np.nan, np.inf, -np.inf]))
+    def test_verdict_matches_the_reference(self, n, m, seed, diagonal, decades, miss, special):
+        # A candidate built to miss its KKT conditions by about ``miss`` in
+        # each residual, across the tolerance, with entries spanning up to
+        # ``decades``: the trimmed check must give the reference's verdict.
+        # P is diagonal (some zeros on it) or dense, each bound finite or
+        # infinite on its own, and on some draws one entry of z is NaN or
+        # +-inf.
+        m, rng = min(m, n), np.random.default_rng(seed)
+        spread = lambda size: 10.0 ** rng.integers(-(decades // 2), decades // 2 + 1, size)  # noqa: E731
+        if diagonal:
+            p = np.diag(rng.uniform(0.0, 2.0, n) * (rng.random(n) > 0.2) * spread(n))
+        else:
+            g = rng.standard_normal((n, n)) * spread(n)
+            p = g.T @ g + 0.1 * np.eye(n)
+        aeq = rng.standard_normal((m, n)) * spread(n)
+        z, y_eq = rng.standard_normal(n) * spread(n), rng.standard_normal(m)
+        mu = rng.standard_normal(n) * (rng.random(n) < 0.5)
+        lb = np.where(rng.random(n) < 0.4, -np.inf, z - rng.uniform(0.0, 1.0, n) * np.abs(z))
+        ub = np.where(rng.random(n) < 0.4, np.inf, z + rng.uniform(0.0, 1.0, n) * np.abs(z))
+        pinned = rng.random(n) < 0.3  # z on a bound, or past it by about ``miss``
+        lb[pinned & np.isfinite(lb)] = (z + miss * rng.standard_normal(n))[pinned & np.isfinite(lb)]
+        lb, ub = np.minimum(lb, ub), np.maximum(lb, ub)
+        beq = aeq @ z + miss * rng.standard_normal(m)
+        q = -(p @ z + aeq.T @ y_eq + mu) + miss * rng.standard_normal(n)
+        problem = qp.QpProblem(p=p, q=q, aeq=aeq, beq=beq, lb=lb, ub=ub)
+        if special is not None:
+            z[rng.integers(n)] = special
+        solver = qp.Solver()
+        solver._adopt(problem)
+        with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, inf * 0
+            assert solver._full_check(problem, z, y_eq, mu) == reference_full_check(
+                problem, z, y_eq, mu)
+
+
+class TestKeptArrays:
+    """Which P and Aeq a Solver treats as the ones whose KKT inverse it holds."""
+
+    @staticmethod
+    def counting(monkeypatch):
+        # np.linalg.inv calls, and np.array_equal calls made by Solver._adopt
+        inverses, compares, adopting = [], [], [False]
+        inv, array_equal, adopt = np.linalg.inv, np.array_equal, qp.Solver._adopt
+
+        def counting_adopt(self, problem):
+            adopting[0] = True
+            try:
+                return adopt(self, problem)
+            finally:
+                adopting[0] = False
+
+        def counting_array_equal(*args, **kwargs):
+            compares.extend([1] if adopting[0] else [])
+            return array_equal(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "inv", lambda a: inverses.append(a.shape) or inv(a))
+        monkeypatch.setattr(np, "array_equal", counting_array_equal)
+        monkeypatch.setattr(qp.Solver, "_adopt", counting_adopt)
+        return inverses, compares
+
+    @staticmethod
+    def small_problem(p, aeq):
+        return qp.QpProblem(p=p, q=np.array([1.0, -2.0, 0.5]), aeq=aeq, beq=[0.5],
+                            lb=-np.ones(3), ub=np.ones(3))
+
+    def test_a_run_inverts_once_and_then_matches_by_identity(self, monkeypatch):
+        # The default run's 162 solves share the assembler's frozen P and
+        # Aeq: one inverse, and one value comparison, the first solve's
+        # against nothing kept.
+        inverses, compares = self.counting(monkeypatch)
+        record = experiment.run_experiment(experiment.ExperimentConfig(
+            attack=dos.params_for_ratio(0.8841)))
+        assert np.count_nonzero(~np.isnan(record.qp_iterations)) == 162
+        assert len(inverses) == 1 and len(compares) == 1
+
+    def test_equal_values_in_new_writeable_arrays_keep_the_inverse(self, monkeypatch):
+        inverses, compares = self.counting(monkeypatch)
+        p, aeq = np.diag([2.0, 3.0, 4.0]), np.array([[1.0, 1.0, 1.0]])
+        for array in (p, aeq):
+            array.setflags(write=False)
+        solver = qp.Solver()
+        first = solver.solve(self.small_problem(p, aeq))
+        again = solver.solve(self.small_problem(p.copy(), aeq.copy()))
+        assert len(inverses) == 1 and len(compares) == 1 + 2
+        assert np.array_equal(first.z, again.z)
+
+    def test_change_through_a_writeable_base_is_noticed(self, monkeypatch):
+        # A read-only view of a writeable array is not frozen: it is kept
+        # as a copy and compared by value, so a change made through its
+        # base, under the same view object, builds a new inverse.
+        inverses, _ = self.counting(monkeypatch)
+        base, aeq = np.diag([2.0, 3.0, 4.0]), np.array([[1.0, 1.0, 1.0]])
+        view = base[:]
+        view.setflags(write=False)
+        solver, warm = qp.Solver(), np.array([1.0, -1.0, 0.5])
+        solver.solve(self.small_problem(view, aeq), warm_z=warm)
+        base[1, 2] = base[2, 1] = 0.5
+        problem = self.small_problem(view, aeq)
+        assert problem.p is view
+        sol = solver.solve(problem, warm_z=warm)
+        assert len(inverses) == 2
+        fresh = qp.Solver().solve(problem, warm_z=warm)
+        assert np.array_equal(sol.z, fresh.z) and (sol.status, sol.iterations) == (
+            fresh.status, fresh.iterations)
+
+
 class TestSchurComplement:
     def test_singular_base_kkt_is_never_wrongly_optimal(self):
         # P is zero on e_2 - e_3, which spans null(Aeq) with e_1, so the base
