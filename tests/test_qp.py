@@ -546,7 +546,8 @@ class TestKeptArrays:
                 adopting[0] = False
 
         def counting_array_equal(*args, **kwargs):
-            compares.extend([1] if adopting[0] else [])
+            if adopting[0]:
+                compares.append(args)
             return array_equal(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "inv", lambda a: inverses.append(a.shape) or inv(a))
