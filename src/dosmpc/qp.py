@@ -348,8 +348,8 @@ class Solver:
         return c, a, 1.01 * (gamma(1, u) + g_ext)
 
     def _full_check(self, problem, z, y_eq, mu) -> bool:
-        """Whether the residuals at a candidate lie within _EPS_ABS, plus
-        _EPS_REL times the largest term of each residual, plus the float64
+        """Whether the primal and dual residuals at a candidate lie within
+        _EPS_ABS, plus _EPS_REL times the largest term of each, plus the float64
         floor of evaluating it, eps_machine * max_i (|A||z| + |v|)_i and its
         dual analogue. Without the floor, problems whose constraint rows span
         many decades never terminate, since even the exact optimizer rounded
