@@ -600,6 +600,20 @@ class TestKeptArrays:
         assert np.array_equal(sol.z, fresh.z) and (sol.status, sol.iterations) == (
             fresh.status, fresh.iterations)
 
+    def test_bounds_changed_in_place_are_noticed(self):
+        # Writeable bounds changed in place between two solves of the same
+        # problem: the warm start must read the new upper bound, which the
+        # first optimizer no longer touches, as a fresh solver does.
+        problem = qp.QpProblem(p=np.eye(2), q=np.array([-1.5, 0.0]), aeq=np.zeros((0, 2)),
+                               beq=np.zeros(0), lb=-np.ones(2), ub=np.ones(2))
+        solver = qp.Solver()
+        first = solver.solve(problem)
+        assert first.z[0] == 1.0
+        problem.ub[0] = 2.0
+        sol, fresh = (s.solve(problem, warm_z=first.z) for s in (solver, qp.Solver()))
+        assert sol.z[0] == 1.5 and np.array_equal(sol.z, fresh.z)
+        assert (sol.status, sol.iterations) == (fresh.status, fresh.iterations) == ("optimal", 0)
+
 
 class TestSchurComplement:
     def test_singular_base_kkt_is_never_wrongly_optimal(self):
