@@ -136,10 +136,10 @@ def _ext_matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _p_dot(p, diag, x, dot=np.dot):
-    """``dot(p, x)`` bit for bit: np.dot on long double, ``@`` on float64. A
-    diagonal p's is diag * x + 0 (``diag`` its diagonal, else None): the dense
-    sum starts at +0. A non-finite x_i makes the dense product's whole column
-    non-finite: then ``dot`` runs."""
+    """``dot(p, x)`` bit for bit; callers pass np.dot for long double and
+    np.matmul (``@``) for float64. A diagonal p's is diag * x + 0 (``diag``
+    its diagonal, else None): the dense sum starts at +0. A non-finite x_i
+    makes the dense product's whole column non-finite: then ``dot`` runs."""
     prod = None if diag is None else (diag * x.T).T + 0
     return prod if prod is not None and np.isfinite(prod).all() else dot(p, x)
 
