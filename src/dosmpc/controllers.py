@@ -51,7 +51,7 @@ class DataDrivenController:
         self.config = config
         self.period = period
         self.assembler = MpcAssembler(data, config)
-        self.solver = Solver()
+        self.solver = Solver(self.assembler.problem)
         self.input_window = np.zeros((config.eta, data.n_u))
         # NaN marks a slot that no measurement has filled yet.
         self.output_window = np.full((config.eta, data.n_y), np.nan)

@@ -50,7 +50,8 @@ def _sidecar_path(path) -> Path:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Time-indexed input/output record, optionally with states and noises.
+    """Time-indexed input/output record, optionally with states and noises,
+    each kept as a read-only copy.
 
     ``states`` (when present) has one extra row carrying the terminal state.
     States and noises exist for oracle use only; the data-driven controller
@@ -70,7 +71,7 @@ class Trajectory:
             val = getattr(self, name)
             if val is None:
                 continue
-            arr = _channels(val)
+            arr = _channels(val).copy()
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         if self.inputs.shape[0] != self.outputs.shape[0]:

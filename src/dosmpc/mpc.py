@@ -119,11 +119,12 @@ class MpcSolution:
 
 
 class MpcAssembler:
-    """Builds the QP once and re-instantiates it per step with fresh windows.
+    """Builds the QP once, as ``problem``, and poses each step's instance
+    from fresh windows.
 
     The static arrays (P, Aeq, q, bounds) and the weight matrices are built
     and validated once, as one ``QpProblem`` whose ``param_rows`` are the
-    initial-window rows of beq; each instance replaces only beq.
+    initial-window rows of beq; an instance is their values b, from ``qp``.
     """
 
     def __init__(self, hankel: HankelPair, config: MpcConfig):
@@ -164,7 +165,7 @@ class MpcAssembler:
         a[r:r + w * n_y, self.vmap.g] = -hankel.hy
         a[r:r + w * n_y, self.vmap.h] = a[r:r + w * n_y, self.vmap.y] = np.eye(w * n_y)
         r += w * n_y
-        self._init_rows = r
+        init_rows = np.arange(r, r + eta * (n_u + n_y))
         # Initial window (u, then y), then terminal anchor (u, then y).
         for col, size in ((off_u, n_u), (off_y, n_y), (off_y - eta * n_u, n_u), (n - eta * n_y, n_y)):
             a[np.arange(r, r + eta * size), col + np.arange(eta * size)] = 1.0
@@ -173,24 +174,16 @@ class MpcAssembler:
         lb, ub, q = np.full(n, -np.inf), np.full(n, np.inf), np.zeros(n)
         lb[off_u + eta * n_u: off_u + w * n_u] = -config.u_max
         ub[off_u + eta * n_u: off_u + w * n_u] = config.u_max
-        init_rows = np.arange(self._init_rows, self._init_rows + eta * (n_u + n_y))
-        for array in (p, q, a, lb, ub):  # frozen: a Solver matches them by identity
-            array.setflags(write=False)
-        self._problem = QpProblem(p=p, q=q, aeq=a, beq=np.zeros(m), lb=lb, ub=ub,
-                                  param_rows=init_rows)
+        self.problem = QpProblem(p=p, q=q, aeq=a, beq=np.zeros(m), lb=lb, ub=ub, param_rows=init_rows)
 
-    def qp(self, init_u, init_zeta) -> QpProblem:
-        """The instance whose initial window holds ``init_u`` and ``init_zeta``,
-        eta samples each."""
-        beq, r = np.zeros_like(self._problem.beq), self._init_rows
-        for name, arr, dim in (("init_u", init_u, self.vmap.n_u),
-                               ("init_zeta", init_zeta, self.vmap.n_y)):
-            arr = np.asarray(arr, float)
-            if arr.size != self.config.eta * dim:
+    def qp(self, init_u, init_zeta) -> np.ndarray:
+        """The values b of the problem's param rows for an initial window
+        holding ``init_u`` and ``init_zeta``, eta samples each."""
+        for name, arr, dim in (("init_u", init_u, self.vmap.n_u), ("init_zeta", init_zeta, self.vmap.n_y)):
+            if np.size(arr) != self.config.eta * dim:
                 raise DimensionError(f"{name} must hold {self.config.eta} samples of dimension {dim}, "
-                                     f"got shape {arr.shape}")
-            beq[r:r + arr.size], r = arr.reshape(-1), r + arr.size
-        return self._problem.with_beq(beq)
+                                     f"got shape {np.shape(arr)}")
+        return np.concatenate([np.ravel(init_u), np.ravel(init_zeta)], dtype=float)
 
     def extract(self, qp_solution) -> MpcSolution:
         """The plan in one read-only copy of z, with its terminal anchor set
@@ -222,12 +215,15 @@ def solve_mpc(assembler: MpcAssembler, init_u, init_zeta,
     received outputs; deterministic given identical inputs.
 
     The previous solution ``warm`` seeds the solver's working set with the
-    input bounds it was pinned at. A non-optimal solver status is surfaced as
+    input bounds it was pinned at. ``solver`` must be built for
+    ``assembler.problem``. A non-optimal solver status is surfaced as
     SolverError with diagnostics.
     """
-    qp_problem = assembler.qp(init_u, init_zeta)
-    slv = solver or Solver()
-    sol = slv.solve(qp_problem, warm_z=warm.qp_solution.z if warm is not None else None)
+    b = assembler.qp(init_u, init_zeta)
+    slv = solver or Solver(assembler.problem)
+    if slv.problem is not assembler.problem:
+        raise ValueError("solver was built for another problem than the assembler's")
+    sol = slv.solve(b, warm_z=warm.qp_solution.z if warm is not None else None)
     if sol.status != "optimal":
         raise SolverError(f"QP terminated with status '{sol.status}' (primal {sol.primal_residual:.3g}, "
                           f"dual {sol.dual_residual:.3g}, {sol.iterations} iterations)")

@@ -13,12 +13,14 @@ in extended precision. A box row i joins a working set W only if its pivot
 e_i' K_W^-1 e_i, zero exactly when the row depends on the rows of W and Aeq,
 exceeds _DEPENDENT max_{i<n} (K^-1)_ii. So K must be nonsingular: Aeq of full
 row rank and P positive definite on its null space. Outside that domain a
-solve may end "inaccurate" even where an optimizer exists. On a working set
-the optimizer is affine in the beq rows named by ``QpProblem.param_rows``, the
-only ones that change in closed loop (Bemporad et al., Automatica 2002): a
-``Solver`` keeps that piece, so a solve that keeps its working set costs one
-matvec plus, from the piece's second use, a residual certificate in place of
-the full termination check. Residuals and objective are computed when read.
+solve may end "inaccurate" even where an optimizer exists. A ``Solver`` is
+built for one ``QpProblem`` and a solve takes only the values b of the beq
+rows named by its ``param_rows``, the only ones that change in closed loop:
+the QP is multiparametric in b (Bemporad et al., Automatica 2002). On a
+working set the optimizer is affine in b, and the solver keeps that piece, so
+a solve that keeps its working set costs one matvec plus, from the piece's
+second use, a residual certificate in place of the full termination check.
+Residuals and objective are computed when read.
 """
 from __future__ import annotations
 
@@ -40,10 +42,12 @@ _DEPENDENT = 1e-13
 
 @dataclass(frozen=True)
 class QpProblem:
-    """Dense QP data. P is symmetrized on construction; bounds may be infinite.
+    """Dense QP data, kept as read-only copies, so that nothing changes under
+    a ``Solver``. P is symmetrized on construction; bounds may be infinite.
 
-    ``param_rows`` names the beq rows, sorted and unique, that change between
-    otherwise equal instances; ``with_beq`` makes such an instance."""
+    ``param_rows`` names the beq rows, sorted and unique, whose values b a
+    ``Solver`` of this problem takes per solve; ``with_beq`` makes such an
+    instance."""
 
     p: np.ndarray
     q: np.ndarray
@@ -54,7 +58,7 @@ class QpProblem:
     param_rows: Sequence[int] = ()
 
     def __post_init__(self):
-        p = np.asarray(self.p, dtype=float)
+        p = np.array(self.p, dtype=float)
         if p.ndim != 2 or p.shape[0] != p.shape[1]:
             raise DimensionError(f"P must be square, got {p.shape}")
         if not np.array_equal(p, p.T):
@@ -62,9 +66,9 @@ class QpProblem:
                 raise DimensionError("P must be symmetric to 1e-12")
             p = 0.5 * (p + p.T)
         n = p.shape[0]
-        q, beq, lb, ub = (np.asarray(v, dtype=float).reshape(-1)
+        q, beq, lb, ub = (np.array(np.reshape(v, -1), dtype=float)
                           for v in (self.q, self.beq, self.lb, self.ub))
-        aeq = np.asarray(self.aeq, dtype=float).reshape(-1, n) if np.size(self.aeq) else np.zeros((0, n))
+        aeq = np.array(np.reshape(self.aeq, (-1, n)), dtype=float) if np.size(self.aeq) else np.zeros((0, n))
         if q.shape != (n,) or lb.shape != (n,) or ub.shape != (n,):
             raise DimensionError("q, lb, ub must all have length n")
         if aeq.shape[0] != beq.shape[0]:
@@ -76,7 +80,8 @@ class QpProblem:
                               and 0 <= rows[0] and rows[-1] < beq.size):
             raise DimensionError("param_rows must be sorted, unique indices of beq rows")
         rows = rows.astype(int)
-        rows.setflags(write=False)
+        for array in (p, q, aeq, beq, lb, ub, rows):
+            array.setflags(write=False)
         self.__dict__.update(p=p, q=q, aeq=aeq, beq=beq, lb=lb, ub=ub, param_rows=rows)
 
     @property
@@ -84,10 +89,12 @@ class QpProblem:
         return self.p.shape[0]
 
     def with_beq(self, beq) -> "QpProblem":
-        """This problem with another beq; the other fields are shared, not re-validated."""
-        beq = np.asarray(beq, dtype=float).reshape(-1)
+        """This problem with a read-only copy of another beq; the other fields
+        are shared, not re-validated."""
+        beq = np.array(np.reshape(beq, -1), dtype=float)
         if beq.shape != self.beq.shape:
             raise DimensionError(f"beq must have length {self.beq.size}, got {beq.size}")
+        beq.setflags(write=False)
         new = object.__new__(type(self))
         new.__dict__.update(self.__dict__, beq=beq)
         return new
@@ -98,8 +105,8 @@ class QpSolution:
     """``iterations`` counts working-set changes; status ``"optimal"`` means
     that ``z`` passed the certificate (then ``certified``) or the full check,
     and ``polished`` reads it. ``objective`` and the residuals are those of
-    ``problem`` by ``kkt_residuals``, computed from its arrays as they are at
-    the first read."""
+    ``problem``, the instance solved, by ``kkt_residuals``, computed at the
+    first read."""
 
     z: np.ndarray
     iterations: int
@@ -147,13 +154,6 @@ def _p_dot(p, diag, x, dot=np.dot):
 _top = partial(np.maximum.reduce, initial=0.0)  # max(max_i a_i, 0), NaN if some a_i is
 
 
-def _frozen(a) -> bool:
-    """Whether ``a`` and every array it views are read-only (see ``Solver``)."""
-    while isinstance(a, np.ndarray) and not a.flags.writeable:
-        a = a.base
-    return a is None
-
-
 def kkt_residuals(problem: QpProblem, z, y_eq=None, mu=None):
     """(primal, dual, complementarity) infinity-norm residuals at a candidate.
 
@@ -181,7 +181,8 @@ def _primal_dual(problem: QpProblem, z, mu, aeq_z, aeqt_y, p_z):
 
 
 class Solver:
-    """Warm-started dual active-set QP solver.
+    """Warm-started dual active-set solver of one ``QpProblem``, ``problem``;
+    a solve takes only the values b of its ``param_rows``.
 
     The working set starts from the box rows at which ``warm_z`` sits at a
     bound, keeping each row whose pivot on the rows kept before it exceeds
@@ -194,68 +195,73 @@ class Solver:
     returned ``z`` is the refined KKT solution on the final working set and
     counts as optimal only after it passes a termination test.
 
-    Across calls too, per P and Aeq, the solver keeps the inverse of the
-    delta-regularized K and refined long-double solutions of K: the base
-    piece, for [-q; beq] with the ``param_rows`` zeroed plus one column per
-    param row, G_i = K^-1 e_i for each index whose bound it has pinned, and
-    the pivots of each ordered warm row set it has met; a diagonal P's
-    products are taken elementwise, bit for bit the dense ones. A working
-    set W gets its piece (x0, X) from the Schur complement G_W[W] and keeps
-    it while W and the target with those rows zeroed stay; a solve returns
-    x0 + X b (b the param rows of beq) rounded once. On the piece's second
-    use the solver adds its residual certificate, a proven bound, affine in
-    b and |b|, on the full check's residuals at that z; a solve whose bounds
+    The first solve builds what depends on the problem alone: the inverse
+    of the delta-regularized K, the tolerances and the base piece, refined
+    long-double solutions of K for [-q; beq] with the ``param_rows`` zeroed
+    plus one column per param row. Across solves the solver also keeps
+    G_i = K^-1 e_i for each index whose bound it has pinned, and the pivots
+    of each ordered warm row set it has met; a diagonal P's products are
+    taken elementwise, bit for bit the dense ones. A working set W gets its
+    piece (x0, X) from the Schur complement G_W[W] and keeps it while W
+    stays; a solve returns x0 + X b rounded once. On the piece's second use
+    the solver adds its residual certificate, a proven bound, affine in b
+    and |b|, on the full check's residuals at that z; a solve whose bounds
     lie within _EPS_ABS, below every tolerance of the check, ends optimal
     without the check, and any other runs it. Nothing kept depends on the
     path to it, so a reused solver returns bit for bit what a fresh one
     returns. Not thread-safe.
-
-    A frozen array, read-only and viewing only read-only arrays, is matched
-    by identity: the solver keeps a frozen P or Aeq itself and compares only
-    another array's values to it, and keeps what it derives from q, lb and
-    ub while these are the same frozen arrays. ``MpcAssembler`` passes all
-    five frozen. A caller must not change a frozen array it has passed:
-    neither make it, or an array it views, writeable again, nor write to it
-    through a view taken before it was frozen. A writeable P or Aeq is kept
-    as a copy and compared by value at every solve.
     """
 
-    def __init__(self):
-        self._p, self._aeq, self._consts_of = None, None, (None, None, None)
+    def __init__(self, problem: QpProblem):
+        self.problem, self._base = problem, None
 
-    def _adopt(self, problem: QpProblem) -> None:
-        """Unless already kept for this P and Aeq, invert their base KKT matrix.
-        A frozen array is kept itself, any other as a copy no caller holds."""
-        p, aeq = problem.p, problem.aeq
-        if not ((p is self._p or np.array_equal(p, self._p))
-                and (aeq is self._aeq or np.array_equal(aeq, self._aeq))):
-            self._p, self._aeq = (a if _frozen(a) else a.copy() for a in (p, aeq))
-            self._p_ext, self._aeq_ext = (a.astype(np.longdouble) for a in (self._p, self._aeq))
-            diagonal = np.count_nonzero(self._p) == np.count_nonzero(np.diagonal(self._p))
-            self._p_diag = np.diagonal(self._p).copy() if diagonal else None
-            self._abs_p, self._abs_aeq = np.abs(self._p), np.abs(self._aeq)
-            n, m_eq, delta = self._p.shape[0], self._aeq.shape[0], 1e-9
-            self._kkt_inv = np.linalg.inv(np.block([[self._p + delta * np.eye(n), self._aeq.T],
-                                                    [self._aeq, -delta * np.eye(m_eq)]]))
-            self._pivot_tol = _DEPENDENT * np.max(np.diagonal(self._kkt_inv)[:n])
-            self._columns, self._pivot_sets = {}, {}
-            self._base, self._key, self._piece, self._cert = None, None, None, None
+    def _build(self) -> None:
+        """The problem's inverse of its base KKT matrix, its long-double and
+        absolute P and Aeq, the tolerances, the bounded variables' indices,
+        |q| and the base piece."""
+        pr, delta = self.problem, 1e-9
+        p, aeq, n, m_eq = pr.p, pr.aeq, pr.n, pr.aeq.shape[0]
+        self._p_ext, self._aeq_ext = p.astype(np.longdouble), aeq.astype(np.longdouble)
+        diagonal = np.count_nonzero(p) == np.count_nonzero(np.diagonal(p))
+        self._p_diag = np.diagonal(p).copy() if diagonal else None
+        self._abs_p, self._abs_aeq, self._abs_q = np.abs(p), np.abs(aeq), np.abs(pr.q)
+        self._top_q = _top(self._abs_q)
+        self._kkt_inv = np.linalg.inv(np.block([[p + delta * np.eye(n), aeq.T],
+                                                [aeq, -delta * np.eye(m_eq)]]))
+        self._pivot_tol = _DEPENDENT * np.max(np.diagonal(self._kkt_inv)[:n])
+        self._lb_tol, self._ub_tol = pr.lb + _TOL, pr.ub - _TOL
+        self._box = box = np.flatnonzero(np.isfinite(pr.lb) | np.isfinite(pr.ub))
+        self._lb_box, self._ub_box = pr.lb[box], pr.ub[box]
+        self._columns, self._pivot_sets, self._key, self._cert = {}, {}, None, None
+        rows, target = n + pr.param_rows, np.concatenate([-pr.q, pr.beq])
+        target[rows] = 0.0  # [-q; beq], param rows zeroed, beside e_i for each param row i
+        self._base_rhs = np.column_stack([target, np.arange(target.size)[:, None] == rows])
+        self._base = self._refine(self._base_rhs)
 
-    def solve(self, problem: QpProblem, warm_z=None) -> QpSolution:
-        n, lb, ub = problem.n, problem.lb, problem.ub
-        self._adopt(problem)
+    def solve(self, b=None, warm_z=None) -> QpSolution:
+        """The solution for param-row values ``b``, by default the problem's own."""
+        problem, n, lb, ub = self.problem, self.problem.n, self.problem.lb, self.problem.ub
+        if b is not None:
+            if np.size(b) != problem.param_rows.size:
+                raise DimensionError(f"b must have length {problem.param_rows.size}, got {np.size(b)}")
+            beq = problem.beq.copy()
+            beq[problem.param_rows] = np.reshape(b, -1)
+            problem = problem.with_beq(beq)
+        b = problem.beq[problem.param_rows]
+        if self._base is None:
+            self._build()
         lo = hi = np.zeros(0, dtype=int)
         if warm_z is not None:
-            warm, (lb_tol, ub_tol) = np.asarray(warm_z, float).reshape(n), self._consts(problem)[:2]
-            lo, hi = (warm <= lb_tol).nonzero()[0], (warm >= ub_tol).nonzero()[0]
+            warm = np.asarray(warm_z, float).reshape(n)
+            lo, hi = (warm <= self._lb_tol).nonzero()[0], (warm >= self._ub_tol).nonzero()[0]
             if lo.size or hi.size:
                 keep = self._pivots(np.concatenate([lo, hi])) > self._pivot_tol
                 lo, hi = lo[keep[:lo.size]], hi[keep[lo.size:]]
 
-        changes, status = 0, "optimal"
+        changes, status, b_ext = 0, "optimal", b.astype(np.longdouble)
         enter, t = None, 0.0  # the bound row being added (index, sign) and its multiplier
         while True:
-            z, y_eq, mu, step = self._solve_active(problem, lo, hi, enter)
+            z, y_eq, mu, step = self._solve_active(b_ext, lo, hi, enter)
             if enter is None:
                 wrong_lo, wrong_hi = lo[mu[lo] > _TOL], hi[mu[hi] < -_TOL]
                 viol = np.maximum(lb - z, z - ub)
@@ -305,20 +311,21 @@ class Solver:
                 lo, hi = lo[lo != drop], hi[hi != drop]
 
         certified = (optimal := status == "optimal") and self._cert is not None and (
-            max(self._bounds(problem, z, viol[p])) <= _EPS_ABS)
+            max(self._bounds(b, z, viol[p])) <= _EPS_ABS)
         if optimal and not (certified or self._full_check(problem, z, y_eq, mu)):
             status = "inaccurate"
         return QpSolution(z=z, iterations=changes, status=status, problem=problem,
                           y_eq=y_eq, mu=mu, certified=bool(certified))
 
-    def _bounds(self, problem, z, free_viol):
+    def _bounds(self, b, z, free_viol):
         """The certificate's (primal, dual) bounds on the full check's residuals
-        at ``z``, given the free rows' largest bound violation; the factor
-        1 + 8u covers the rounding of these sums, and NaN gives NaN."""
+        at ``z`` for param-row values ``b``, given the free rows' largest bound
+        violation; the factor 1 + 8u covers the rounding of these sums, and
+        NaN gives NaN."""
         c, a, e = self._cert
-        v, n = np.concatenate(([1.0], problem.beq[problem.param_rows])), problem.n
+        v, n = np.concatenate(([1.0], b)), self.problem.n
         bound = (np.abs(c @ v) + a @ np.abs(v)) * (1 + 2.0**-50)
-        bound[n:n + self._aeq.shape[0]] += e * (self._abs_aeq @ np.abs(z))
+        bound[n:n + self.problem.aeq.shape[0]] += e * (self._abs_aeq @ np.abs(z))
         return np.maximum.reduce(bound[n:], initial=max(free_viol, 0.0)), _top(bound[:n])
 
     def _certificate(self, pinned, rhs):
@@ -331,7 +338,7 @@ class Solver:
         widened by 1% for their own rounding: forming, rounding and applying
         C; x0 + X b in long double and its rounding to z, y_eq, mu, through
         |K_W|; and the full check's float64 evaluation."""
-        n, m = self._p.shape[0], self._aeq.shape[0]
+        n, m = self.problem.n, self.problem.aeq.shape[0]
         x, y, mu = self._piece.T[:n], self._piece.T[n:n + m], self._piece.T[n + m:]
         c = (np.vstack([_p_dot(self._p_ext, self._p_diag, x) + np.dot(self._aeq_ext.T, y) + mu,
                         np.dot(self._aeq_ext, x), x[pinned]]) - rhs).astype(float)
@@ -341,7 +348,7 @@ class Solver:
         gamma = lambda terms, unit: terms * unit / (1 - terms * unit)  # noqa: E731
         # The check's P z sums the nonzeros of a row of P, then adds q, mu
         # and Aeq' y: four roundings, plus one for z itself.
-        g_ext, nz_p = gamma(n + m + 2, u_ext), np.max(np.count_nonzero(self._p, axis=1), initial=0)
+        g_ext, nz_p = gamma(n + m + 2, u_ext), np.max(np.count_nonzero(self.problem.p, axis=1), initial=0)
         row = np.r_[np.full(n, gamma(nz_p + 5, u) + g_ext), np.zeros(m), np.full(pinned.size, gamma(1, u))]
         a = 1.01 * ((g_ext + gamma(k, u_ext) + row[:, None]) * scale
                     + (g_ext + row[:, None] + u) * np.abs(rhs) + gamma(k + 1, u) * np.abs(c))
@@ -353,66 +360,48 @@ class Solver:
         floor of evaluating it, eps_machine * max_i (|A||z| + |v|)_i and its
         dual analogue. Without the floor, problems whose constraint rows span
         many decades never terminate, since even the exact optimizer rounded
-        to float64 evaluates above _EPS_ABS."""
+        to float64 evaluates above _EPS_ABS. A candidate whose residuals are
+        not finite fails, as the tolerances then are not either."""
         aeq_z, aeqt_y = _ext_matvec(self._aeq_ext, z), _ext_matvec(self._aeq_ext.T, y_eq)
-        _, _, box, lb_box, ub_box, abs_q, top_q = self._consts(problem)
+        box, abs_q = self._box, self._abs_q
         diag, abs_z, abs_beq, eps_m = self._p_diag, np.abs(z), np.abs(problem.beq), np.finfo(float).eps
-        p_z = _p_dot(self._p, diag, z, np.matmul)
+        p_z = _p_dot(problem.p, diag, z, np.matmul)
         r_p, r_d = _primal_dual(problem, z, mu, aeq_z, aeqt_y, p_z)
-        z_box, v_box = abs_z[box], np.abs(np.clip(z[box], lb_box, ub_box))
+        z_box, v_box = abs_z[box], np.abs(np.clip(z[box], self._lb_box, self._ub_box))
         floor_p = eps_m * max(_top(self._abs_aeq @ abs_z + abs_beq), _top(z_box + v_box))
         abs_p_z = _p_dot(self._abs_p, None if diag is None else np.abs(diag), abs_z, np.matmul)
         floor_d = eps_m * _top(abs_p_z + self._abs_aeq.T @ np.abs(y_eq) + np.abs(mu) + abs_q)
         e_p = _EPS_ABS + _EPS_REL * max(_top(np.abs(aeq_z)), _top(abs_beq), _top(z_box),
                                         _top(v_box)) + floor_p
-        e_d = _EPS_ABS + _EPS_REL * max(_top(np.abs(p_z)), _top(np.abs(aeqt_y + mu)), top_q) + floor_d
-        return r_p <= e_p and r_d <= e_d
+        e_d = _EPS_ABS + _EPS_REL * max(_top(np.abs(p_z)), _top(np.abs(aeqt_y + mu)), self._top_q) + floor_d
+        return r_p + r_d < np.inf and r_p <= e_p and r_d <= e_d
 
-    def _consts(self, problem):
-        """lb + _TOL, ub - _TOL, the bounded variables' indices, lb and ub there,
-        |q| and max |q|; kept while q, lb and ub are the same frozen arrays,
-        found by id: the kept arrays stay referenced, so their ids stay theirs."""
-        arrays = q, lb, ub = problem.q, problem.lb, problem.ub
-        if list(map(id, arrays)) != list(map(id, self._consts_of)):
-            box, abs_q = np.flatnonzero(np.isfinite(lb) | np.isfinite(ub)), np.abs(q)
-            self._consts_of = arrays if all(map(_frozen, arrays)) else (None, None, None)
-            self._const_values = (lb + _TOL, ub - _TOL, box, lb[box], ub[box], abs_q, _top(abs_q))
-        return self._const_values
-
-    def _solve_active(self, problem, lo_act, hi_act, enter=None):
-        """KKT solve with the given box rows pinned at their bounds, from the
-        working set's affine piece, which is built here unless remembered.
-        Returns z, the equality multipliers, the box multipliers mu and, with
-        an entering row ``enter`` = (i, sign), (dz, dmu): their change per
-        unit of an added cost term sign * z_i; otherwise None."""
-        n, m_eq = problem.n, problem.aeq.shape[0]
-        fixed = np.concatenate([-problem.q, problem.beq, problem.lb[lo_act], problem.ub[hi_act]])
-        rows, size = n + problem.param_rows, n + m_eq
-        params = fixed[rows].astype(np.longdouble)
-        fixed[rows] = 0.0
-        # Keyed by the bytes, so that a target equal only up to the sign of
-        # a zero builds its own piece, as a fresh solver would.
-        key = (lo_act.tolist(), hi_act.tolist(), fixed.tobytes())
+    def _solve_active(self, b, lo_act, hi_act, enter=None):
+        """KKT solve for the long-double param-row values ``b`` with the given
+        box rows pinned at their bounds, from the working set's affine piece,
+        which is built here unless remembered. Returns z, the equality
+        multipliers, the box multipliers mu and, with an entering row
+        ``enter`` = (i, sign), (dz, dmu): their change per unit of an added
+        cost term sign * z_i; otherwise None."""
+        pr, n, size = self.problem, self.problem.n, self._base.shape[0]
+        key = (lo_act.tolist(), hi_act.tolist())
         reused = key == self._key
-        pinned = self._pinned if reused else np.concatenate([lo_act, hi_act])
-        units = lambda: np.arange(fixed.size)[:, None] == rows  # noqa: E731  e_i, i in rows
         if not reused:
-            if self._base is None or self._base[0] != fixed[:size].tobytes():
-                self._base = (fixed[:size].tobytes(),
-                              self._refine(np.column_stack([fixed[:size], units()[:size]])))
-            values = np.column_stack([fixed[size:], np.zeros((pinned.size, rows.size))])
-            piece = np.ascontiguousarray(self._pin(pinned, self._base[1], values).T)
-            self._key, self._piece, self._pinned, self._cert = key, piece, pinned, None
+            pinned = np.concatenate([lo_act, hi_act])
+            values = np.column_stack([np.concatenate([pr.lb[lo_act], pr.ub[hi_act]]),
+                                      np.zeros((pinned.size, pr.param_rows.size))])
+            piece = np.ascontiguousarray(self._pin(pinned, self._base, values).T)
+            self._key, self._piece, self._pinned, self._values, self._cert = key, piece, pinned, values, None
         # np.dot(b, X') sums each row as np.dot(X, b) does, in fewer steps.
-        sol = (self._piece[0] + np.dot(params, self._piece[1:])).astype(float)
+        sol = (self._piece[0] + np.dot(b, self._piece[1:])).astype(float)
         # A piece's second use builds its certificate, unless rounding z
         # alone, u |Aeq| |z|, is already more than it could accept.
         if reused and enter is None and self._cert is None and (
                 _top(self._abs_aeq @ np.abs(sol[:n])) * 2.0**-53 <= _EPS_ABS):
-            self._cert = self._certificate(pinned, np.column_stack([fixed, units()]))
+            self._cert = self._certificate(self._pinned, np.vstack([self._base_rhs, self._values]))
         if enter is None:
             return sol[:n], sol[n:size], sol[size:], None
-        step = -enter[1] * self._pin(pinned, self._unit_columns(enter[:1]), 0.0)[:, 0].astype(float)
+        step = -enter[1] * self._pin(self._pinned, self._unit_columns(enter[:1]), 0.0)[:, 0].astype(float)
         return sol[:n], sol[n:size], sol[size:], (step[:n], step[size:])
 
     def _pin(self, pinned, base, values):
@@ -423,14 +412,14 @@ class Solver:
         twice in long double, and x = base - G mu."""
         g = self._unit_columns(pinned)
         s, rhs = g[pinned], base[pinned] - values
-        mu = np.zeros((self._p.shape[0], base.shape[1]), np.longdouble)
+        mu = np.zeros((self.problem.n, base.shape[1]), np.longdouble)
         for _ in range(3):
             resid = (rhs - np.dot(s, mu[pinned])).astype(float)
             mu[pinned] += np.linalg.solve(s.astype(float), resid)
         return np.vstack([base - np.dot(g, mu[pinned]), mu])
 
     def _pivots(self, rows):
-        """``_factor(rows)``, remembered per ordered row set while P and Aeq stay."""
+        """``_factor(rows)``, remembered per ordered row set."""
         if (key := rows.tobytes()) not in self._pivot_sets:
             self._pivot_sets[key] = self._factor(rows)
         return self._pivot_sets[key]
@@ -458,7 +447,7 @@ class Solver:
         refinement passes against the unregularized K, residuals accumulated
         from the long-double P and Aeq, remove the delta regularization.
         np.dot forms the same long-double sums as ``@``, three times faster."""
-        n, p, aeq, diag = self._p.shape[0], self._p_ext, self._aeq_ext, self._p_diag
+        n, p, aeq, diag = self.problem.n, self._p_ext, self._aeq_ext, self._p_diag
         sol = (self._kkt_inv @ target).astype(np.longdouble)
         rhs = target.astype(np.longdouble)
         for _ in range(3):
@@ -470,5 +459,5 @@ class Solver:
 
 def solve(problem: QpProblem, warm_z=None) -> QpSolution:
     """Single-shot convenience wrapper around Solver."""
-    return Solver().solve(problem, warm_z=warm_z)
+    return Solver(problem).solve(warm_z=warm_z)
 

@@ -49,8 +49,14 @@ def study_config():
 
 
 @pytest.fixture()
-def solver():
-    return qp.Solver()
+def study_assembler(clean_hankel, study_config):
+    return mpc.MpcAssembler(clean_hankel, study_config)
+
+
+@pytest.fixture()
+def solver(study_assembler):
+    """A Solver of ``study_assembler``'s problem."""
+    return qp.Solver(study_assembler.problem)
 
 
 @pytest.fixture(scope="session")

@@ -112,7 +112,7 @@ def test_criterion_3b_fixture_solve_residuals(reactor):
     x = prepared.x0.copy()
     u_applied = np.zeros((config.t_sim, 2))
     zeta = np.zeros((config.t_sim, 2))
-    abs_aeq = np.abs(asm.qp(u_applied[:eta], zeta[:eta]).aeq)
+    abs_aeq = np.abs(asm.problem.aeq)
     solution = None
     solved_at, residuals, floors, iterations, y_peak = [], [], [], [], 0.0
     for t in range(config.t_sim):

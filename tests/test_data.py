@@ -87,6 +87,21 @@ class TestCollectOffline:
         resim = lti.simulate(reactor, np.zeros(4), rec.inputs, rec.noises)
         assert np.array_equal(resim.outputs, rec.outputs)
 
+    def test_caller_arrays_stay_writeable_and_apart(self, reactor):
+        # simulate and Trajectory keep read-only copies of the arrays they
+        # are handed: the caller's stay writeable, and writing to them
+        # leaves the trajectory as it was.
+        u = np.ones((5, 2))
+        traj = lti.simulate(reactor, np.zeros(4), u)
+        y = traj.outputs.copy()
+        built = data.Trajectory(inputs=u, outputs=y)
+        for caller, kept in ((u, traj.inputs), (u, built.inputs), (y, built.outputs)):
+            assert caller.flags.writeable and not kept.flags.writeable
+            assert kept is not caller and not np.shares_memory(kept, caller)
+        u[0], y[0] = -7.0, -7.0
+        assert np.all(traj.inputs == 1.0) and np.all(built.inputs == 1.0)
+        assert np.array_equal(built.outputs, traj.outputs)
+
     def test_csv_round_trip(self, tmp_path, noisy_record):
         path = tmp_path / "traj.csv"
         noisy_record.save_csv(path)

@@ -6,9 +6,8 @@ from dosmpc import data, lti, mpc, qp
 from dosmpc.errors import DimensionError, SolverError
 
 
-def solve(hankel, config, init_u, init_zeta, solver=None):
-    return mpc.solve_mpc(mpc.MpcAssembler(hankel, config), init_u, init_zeta,
-                         solver=solver)
+def solve(hankel, config, init_u, init_zeta):
+    return mpc.solve_mpc(mpc.MpcAssembler(hankel, config), init_u, init_zeta)
 
 
 @st.composite
@@ -72,9 +71,10 @@ class TestConfig:
 class TestAssembly:
     def test_decision_vector_length(self, clean_hankel, study_config):
         asm = mpc.MpcAssembler(clean_hankel, study_config)
-        qp_problem, vmap = asm.qp(np.zeros((2, 2)), np.zeros((2, 2))), asm.vmap
+        b, vmap = asm.qp(np.zeros((2, 2)), np.zeros((2, 2))), asm.vmap
         assert vmap.n == 89 + 24 + 24 + 24 == 161
-        assert qp_problem.aeq.shape == (64, 161)
+        assert asm.problem.aeq.shape == (64, 161)
+        assert b.shape == asm.problem.param_rows.shape == (8,)
 
     def test_index_map_slices_are_contiguous(self, clean_hankel, study_config):
         asm = mpc.MpcAssembler(clean_hankel, study_config)
@@ -84,8 +84,8 @@ class TestAssembly:
 
     def test_origin_is_feasible_with_zero_windows(self, clean_hankel, study_config):
         asm = mpc.MpcAssembler(clean_hankel, study_config)
-        qp_problem = asm.qp(np.zeros((2, 2)), np.zeros((2, 2)))
-        primal, _, _ = qp.kkt_residuals(qp_problem, np.zeros(qp_problem.n))
+        assert not asm.qp(np.zeros((2, 2)), np.zeros((2, 2))).any()
+        primal, _, _ = qp.kkt_residuals(asm.problem, np.zeros(asm.problem.n))
         assert primal == 0.0
 
     def test_pe_certificate_required(self, clean_record, study_config):
@@ -107,7 +107,8 @@ class TestAssembly:
         # absorbing the output mismatch, is primal feasible to 1e-8
         init_u, init_zeta = seeded_init(reactor, 23)
         asm = mpc.MpcAssembler(clean_hankel, study_config)
-        qp_problem, vm = asm.qp(init_u, init_zeta), asm.vmap
+        beq, vm = asm.problem.beq.copy(), asm.vmap
+        beq[asm.problem.param_rows] = asm.qp(init_u, init_zeta)
         w = study_config.window
         u_target = np.zeros((w, 2))
         u_target[:2] = init_u
@@ -122,17 +123,17 @@ class TestAssembly:
         z[vm.h] = h.reshape(-1)
         z[vm.u] = u_target.reshape(-1)
         z[vm.y] = y_stack.reshape(-1)
-        primal, _, _ = qp.kkt_residuals(qp_problem, z)
+        primal, _, _ = qp.kkt_residuals(asm.problem.with_beq(beq), z)
         assert primal <= 1e-8
 
 
 class TestSolveMpc:
-    def test_zero_windows_cost_zero(self, clean_hankel, study_config, solver):
-        sol = solve(clean_hankel, study_config, np.zeros((2, 2)), np.zeros((2, 2)), solver)
+    def test_zero_windows_cost_zero(self, study_assembler, solver):
+        sol = mpc.solve_mpc(study_assembler, np.zeros((2, 2)), np.zeros((2, 2)), solver=solver)
         assert sol.cost <= 1e-8
         assert np.max(np.abs(sol.u_pred)) <= 1e-6
 
-    def test_doubling_weights_doubles_cost(self, reactor, clean_hankel, solver):
+    def test_doubling_weights_doubles_cost(self, reactor, clean_hankel):
         init_u, init_zeta = seeded_init(reactor, 5)
         base = mpc.MpcConfig(horizon=10, eta=2, lambda_g=0.1, lambda_h=100.0,
                              v_bar=1e-3, r1=1e-4, r2=3.0, u_max=10.0)
@@ -144,8 +145,8 @@ class TestSolveMpc:
         assert np.max(np.abs(sol_b.u_pred - sol_a.u_pred)) <= 1e-6
 
     def test_terminal_and_box_invariants(self, reactor, noisy_hankel, study_config):
-        solver = qp.Solver()
         asm = mpc.MpcAssembler(noisy_hankel, study_config)
+        solver = qp.Solver(asm.problem)
         for seed in range(10):
             init_u, init_zeta = seeded_init(reactor, 100 + seed)
             sol = mpc.solve_mpc(asm, init_u, init_zeta, solver=solver)
@@ -170,8 +171,8 @@ class TestSolveMpc:
 
     def test_feasibility_unconditional(self, reactor, noisy_hankel, study_config):
         # slack keeps the program feasible for arbitrary init windows
-        solver = qp.Solver()
         asm = mpc.MpcAssembler(noisy_hankel, study_config)
+        solver = qp.Solver(asm.problem)
         rng = np.random.default_rng(77)
         for _ in range(100):
             init_u = rng.uniform(-1, 1, (2, 2))
@@ -205,10 +206,16 @@ class TestSolveMpc:
     def test_determinism_across_fresh_solvers(self, reactor, noisy_hankel, study_config):
         init_u, init_zeta = seeded_init(reactor, 13)
         asm = mpc.MpcAssembler(noisy_hankel, study_config)
-        sol_a = mpc.solve_mpc(asm, init_u, init_zeta, solver=qp.Solver())
-        sol_b = mpc.solve_mpc(asm, init_u, init_zeta, solver=qp.Solver())
+        sol_a = mpc.solve_mpc(asm, init_u, init_zeta, solver=qp.Solver(asm.problem))
+        sol_b = mpc.solve_mpc(asm, init_u, init_zeta, solver=qp.Solver(asm.problem))
         assert np.array_equal(sol_a.u_pred, sol_b.u_pred)
         assert np.array_equal(sol_a.g, sol_b.g)
+
+    def test_another_assemblers_solver_is_refused(self, clean_hankel, study_config, study_assembler):
+        # The other assembler's problem is equal to this one's, but not it.
+        solver = qp.Solver(mpc.MpcAssembler(clean_hankel, study_config).problem)
+        with pytest.raises(ValueError, match="another problem"):
+            mpc.solve_mpc(study_assembler, np.zeros((2, 2)), np.zeros((2, 2)), solver=solver)
 
     def test_prediction_tracks_plant_on_clean_data(self, reactor, clean_hankel, study_config):
         # solve from a known state, replay predicted inputs on the true plant
@@ -238,7 +245,7 @@ class TestSolverErrors:
                                                   offset, value, message):
         # one predicted input, at an offset in [0, L-1], set to value
         asm = mpc.MpcAssembler(clean_hankel, study_config)
-        problem, vm = asm.qp(np.zeros((2, 2)), np.zeros((2, 2))), asm.vmap
+        problem, vm = asm.problem, asm.vmap
         z = np.zeros(vm.n)
         z[vm.u.start + (study_config.eta + offset) * vm.n_u] = value
         with pytest.raises(SolverError, match=message):

@@ -82,8 +82,8 @@ class TestSolve:
         p = g.T @ g + 1e-8 * np.eye(n)
         problem = qp.QpProblem(p=p, q=rng.standard_normal(n), aeq=np.zeros((0, n)),
                                beq=np.zeros(0), lb=-0.4 * np.ones(n), ub=0.4 * np.ones(n))
-        sol_a = qp.Solver().solve(problem, warm_z=rng.standard_normal(n))
-        sol_b = qp.Solver().solve(problem, warm_z=rng.standard_normal(n))
+        sol_a = qp.Solver(problem).solve(warm_z=rng.standard_normal(n))
+        sol_b = qp.Solver(problem).solve(warm_z=rng.standard_normal(n))
         assert np.max(np.abs(sol_a.z - sol_b.z)) <= 1e-6
 
     def test_objective_not_above_feasible_warm_start(self):
@@ -95,7 +95,7 @@ class TestSolve:
                                beq=np.zeros(0), lb=-np.ones(n), ub=np.ones(n))
         warm = rng.uniform(-1, 1, n)  # feasible point
         warm_objective = 0.5 * warm @ p @ warm + problem.q @ warm
-        sol = qp.Solver().solve(problem, warm_z=warm)
+        sol = qp.Solver(problem).solve(warm_z=warm)
         assert sol.objective <= warm_objective + 1e-9
 
     def test_max_iter_status(self, monkeypatch):
@@ -119,9 +119,9 @@ class TestSolve:
         np.testing.assert_allclose(sol.z, [0.4, 1.0], rtol=0, atol=1e-12)
         entering, solve_active = [], qp.Solver._solve_active
 
-        def recording_solve_active(self, problem, lo_act, hi_act, enter=None):
+        def recording_solve_active(self, b, lo_act, hi_act, enter=None):
             entering.append(enter)
-            return solve_active(self, problem, lo_act, hi_act, enter)
+            return solve_active(self, b, lo_act, hi_act, enter)
 
         monkeypatch.setattr(qp.Solver, "_solve_active", recording_solve_active)
         monkeypatch.setattr(qp, "_MAX_ITER", 1)
@@ -254,14 +254,15 @@ class TestAgainstEnumerationOracle:
 class TestRememberedFactorization:
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(n=st.integers(1, 5), m=st.integers(0, 2), seed=st.integers(0, 2**32 - 1),
-           steps=st.lists(st.tuples(st.sampled_from(["rhs", "new_p", "new_aeq", "mutate_p"]),
+           steps=st.lists(st.tuples(st.sampled_from(["rhs", "bounds", "new_p", "new_aeq"]),
                                     st.sampled_from([0.5, 2.0, np.inf]), st.booleans()),
                           min_size=1, max_size=8))
     def test_reused_solver_matches_fresh_solver(self, n, m, seed, steps):
-        # One Solver reused over a sequence of QPs gives bit for bit what a
-        # fresh one gives. ``rhs`` keeps the P and Aeq arrays and draws new
-        # beq and bounds, the closed-loop case; ``new_p`` and ``new_aeq``
-        # pass new arrays; ``mutate_p`` changes the P array in place.
+        # One Solver reused over a sequence of solves gives bit for bit what
+        # a fresh one gives. Every beq row is a param row: ``rhs`` draws new
+        # values b for them, the closed-loop case, and keeps the solver;
+        # ``bounds`` (box half-width ``half``), ``new_p`` and ``new_aeq`` pose
+        # a new problem, and so build a new solver.
         m = min(m, n)
         rng = np.random.default_rng(seed)
 
@@ -270,23 +271,25 @@ class TestRememberedFactorization:
             return g.T @ g + 0.1 * np.eye(n)
 
         p, aeq, q = new_p(), rng.standard_normal((m, n)), 3 * rng.standard_normal(n)
-        reused, warm = qp.Solver(), None
+        reused, warm, box = None, None, steps[0][1]
         for kind, half, use_warm in steps:
             if kind == "new_p":
                 p = new_p()
             elif kind == "new_aeq":
                 aeq = rng.standard_normal((m, n))
-            elif kind == "mutate_p":
-                p += rng.uniform(0.1, 1.0) * np.eye(n)
-            problem = qp.QpProblem(p=p, q=q, aeq=aeq, beq=aeq @ rng.uniform(-1.0, 1.0, n),
-                                   lb=-half * np.ones(n), ub=half * np.ones(n))
-            assert problem.p is p  # so ``mutate_p`` changes a P the solver has seen
-            warm_z = warm if use_warm else None
-            fresh = qp.Solver().solve(problem, warm_z=warm_z)
-            sol = reused.solve(problem, warm_z=warm_z)
+            elif kind == "bounds":
+                box = half
+            if reused is None or kind != "rhs":
+                problem = qp.QpProblem(p=p, q=q, aeq=aeq, beq=np.zeros(m), lb=-box * np.ones(n),
+                                       ub=box * np.ones(n), param_rows=np.arange(m))
+                reused = qp.Solver(problem)
+            b, warm_z = aeq @ rng.uniform(-1.0, 1.0, n), warm if use_warm else None
+            fresh = qp.Solver(problem).solve(b, warm_z=warm_z)
+            sol = reused.solve(b, warm_z=warm_z)
             assert np.array_equal(sol.z, fresh.z)
             assert (sol.status, sol.iterations) == (fresh.status, fresh.iterations)
-            primal, dual, _ = qp.kkt_residuals(problem, sol.z, sol.y_eq, sol.mu)
+            assert np.array_equal(sol.problem.beq, b)
+            primal, dual, _ = qp.kkt_residuals(sol.problem, sol.z, sol.y_eq, sol.mu)
             assert (sol.primal_residual, sol.dual_residual) == (primal, dual)
             warm = sol.z
 
@@ -296,16 +299,17 @@ class TestAffinePiece:
     @given(n=st.integers(1, 4), m=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
            scale=st.sampled_from([1.0, 1e3]),
            steps=st.lists(st.tuples(st.sampled_from(["params", "params", "bounds", "q", "new_p",
-                                                     "new_aeq", "mutate_p"]), st.booleans()),
+                                                     "new_aeq"]), st.booleans()),
                           min_size=1, max_size=6))
     def test_param_rows_keep_solutions(self, n, m, seed, scale, steps):
-        # One Solver reused over a sequence of QPs that declare param rows.
-        # ``params`` draws new values for the param rows of beq only, the
-        # closed-loop case; ``bounds`` narrows the box, so that a warm start
-        # keeps its working set at new bound values; ``q`` draws a new q;
-        # ``new_p`` and ``new_aeq`` pass new arrays; ``mutate_p`` changes P
-        # in place. Each solve must match a fresh Solver bit for bit, the
-        # enumeration oracle to 1e-7, and a fresh solve of the same QP with
+        # A sequence of QPs that declare param rows. ``params`` draws new
+        # values for the param rows of beq only, the closed-loop case, and
+        # solves them with the Solver of the step before; ``bounds`` narrows
+        # the box, so that a warm start keeps its working set at new bound
+        # values; ``q`` draws a new q; ``new_p`` and ``new_aeq`` new arrays:
+        # those four build a new Solver. Each solve must match a fresh
+        # Solver bit for bit, the enumeration oracle to 1e-7, and a fresh
+        # solve of the same QP with
         # no param rows declared to 256 float64 ulps of max|z|. With
         # ``scale`` 1e3 on Aeq's first column, beq is large while z stays of
         # order one, so the terms of x0 + X b cancel: there a long-double
@@ -327,7 +331,7 @@ class TestAffinePiece:
         # Finite bounds: the oracle pins every bound it labels.
         half = rng.choice([0.5, 2.0, 10.0])
         lb, ub = -half * rng.uniform(0.5, 1.0, n), half * rng.uniform(0.5, 1.0, n)
-        reused, warm = qp.Solver(), None
+        reused, warm = None, None
         for kind, use_warm in steps:
             if kind == "params":
                 beq = beq.copy()
@@ -341,13 +345,12 @@ class TestAffinePiece:
             elif kind == "new_aeq":
                 aeq = new_aeq()
                 beq = aeq @ rng.uniform(-1.0, 1.0, n)
-            elif kind == "mutate_p":
-                p += rng.uniform(0.1, 1.0) * np.eye(n)
             problem = qp.QpProblem(p=p, q=q, aeq=aeq, beq=beq, lb=lb, ub=ub, param_rows=rows)
-            assert problem.p is p  # so ``mutate_p`` changes a P the solver has seen
+            if reused is None or kind != "params":
+                reused = qp.Solver(problem)
             warm_z = warm if use_warm else None
-            sol = reused.solve(problem, warm_z=warm_z)
-            fresh = qp.Solver().solve(problem, warm_z=warm_z)
+            sol = reused.solve(beq[rows], warm_z=warm_z)
+            fresh = qp.Solver(problem).solve(warm_z=warm_z)
             assert np.array_equal(sol.z, fresh.z)
             assert (sol.status, sol.iterations) == (fresh.status, fresh.iterations)
             try:
@@ -369,12 +372,12 @@ class CertificateRecorder(qp.Solver):
 
     bounds = None
 
-    def solve(self, problem, warm_z=None):
+    def solve(self, b=None, warm_z=None):
         self.bounds = None
-        return super().solve(problem, warm_z=warm_z)
+        return super().solve(b, warm_z=warm_z)
 
-    def _bounds(self, problem, z, free_viol):
-        self.bounds = super()._bounds(problem, z, free_viol)
+    def _bounds(self, b, z, free_viol):
+        self.bounds = super()._bounds(b, z, free_viol)
         return self.bounds
 
 
@@ -383,7 +386,7 @@ class TestResidualCertificate:
     @given(n=st.integers(1, 4), m=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
            scale=st.sampled_from([1.0, 1e3]), singular=st.just(False),
            steps=st.lists(st.tuples(st.sampled_from(["params", "params", "bounds", "q", "new_p",
-                                                     "new_aeq", "mutate_p"]), st.booleans()),
+                                                     "new_aeq"]), st.booleans()),
                           min_size=1, max_size=6))
     @example(n=3, m=1, seed=0, scale=1.0, singular=True, steps=[("params", False)] * 4)
     def test_certified_solves_pass_the_full_check(self, n, m, seed, scale, singular, steps):
@@ -416,7 +419,7 @@ class TestResidualCertificate:
             p, q = np.diag([1.0, 0.0, 0.0]), np.array([0.0, -1e-3, 5e-4])
             aeq, beq = np.array([[0.0, 1.0, 1.0]]), np.array([0.3])
             lb, ub = np.array([-1.0, -np.inf, -np.inf]), np.array([1.0, np.inf, np.inf])
-        solver, warm, consulted = CertificateRecorder(), None, 0
+        solver, warm, consulted = None, None, 0
         for kind, use_warm in steps:
             if kind == "bounds":
                 lb, ub = rng.uniform(0.7, 1.0) * lb, rng.uniform(0.7, 1.0) * ub
@@ -427,19 +430,18 @@ class TestResidualCertificate:
             elif kind == "new_aeq":
                 aeq = new_aeq()
                 beq = aeq @ rng.uniform(-1.0, 1.0, n)
-            elif kind == "mutate_p":
-                p += rng.uniform(0.1, 1.0) * np.eye(n)
+            if solver is None or kind != "params":
+                solver = CertificateRecorder(qp.QpProblem(p=p, q=q, aeq=aeq, beq=beq, lb=lb, ub=ub,
+                                                          param_rows=rows))
             for _ in range(2):
-                beq = beq.copy()
-                beq[rows] = (aeq @ rng.uniform(-1.0, 1.0, n))[rows]
-                problem = qp.QpProblem(p=p, q=q, aeq=aeq, beq=beq, lb=lb, ub=ub, param_rows=rows)
-                sol = solver.solve(problem, warm_z=warm if use_warm else None)
+                sol = solver.solve((aeq @ rng.uniform(-1.0, 1.0, n))[rows],
+                                   warm_z=warm if use_warm else None)
                 consulted += solver.bounds is not None
                 assert sol.certified == (solver.bounds is not None and max(solver.bounds) <= 1e-8)
                 if sol.certified:
                     assert sol.status == "optimal"
-                    assert solver._full_check(problem, sol.z, sol.y_eq, sol.mu)
-                    primal, dual, _ = qp.kkt_residuals(problem, sol.z, sol.y_eq, sol.mu)
+                    assert solver._full_check(sol.problem, sol.z, sol.y_eq, sol.mu)
+                    primal, dual, _ = qp.kkt_residuals(sol.problem, sol.z, sol.y_eq, sol.mu)
                     assert solver.bounds[0] >= primal and solver.bounds[1] >= dual
                 if singular:
                     assert not sol.certified and sol.status != "optimal"
@@ -453,8 +455,8 @@ class TestResidualCertificate:
         # the certificate, and at least 95% must.
         solutions, solve = [], qp.Solver.solve
 
-        def recording_solve(self, problem, warm_z=None):
-            solutions.append(solve(self, problem, warm_z=warm_z))
+        def recording_solve(self, b=None, warm_z=None):
+            solutions.append(solve(self, b, warm_z=warm_z))
             return solutions[-1]
 
         monkeypatch.setattr(qp.Solver, "solve", recording_solve)
@@ -467,7 +469,8 @@ class TestResidualCertificate:
 def reference_full_check(problem, z, y_eq, mu):
     """The full check's verdict by its formula before the check was trimmed:
     all three residuals, the complementarity one discarded, and dense
-    products with P and |P|, all from the problem's arrays."""
+    products with P and |P|, all from the problem's arrays. Residuals that
+    are not finite fail."""
     aeq_ext = problem.aeq.astype(np.longdouble)
     aeq_z = np.dot(aeq_ext, z.astype(np.longdouble)).astype(float)
     aeqt_y = np.dot(aeq_ext.T, y_eq.astype(np.longdouble)).astype(float)
@@ -486,7 +489,7 @@ def reference_full_check(problem, z, y_eq, mu):
                             top(v_box)) + floor_p
     e_d = 1e-8 + 1e-8 * max(top(np.abs(p_z)), top(np.abs(aeqt_y + mu)),
                             top(np.abs(problem.q))) + floor_d
-    return r_p <= e_p and r_d <= e_d
+    return bool(np.isfinite([r_p, r_d]).all()) and r_p <= e_p and r_d <= e_d
 
 
 class TestFullCheck:
@@ -522,97 +525,63 @@ class TestFullCheck:
         problem = qp.QpProblem(p=p, q=q, aeq=aeq, beq=beq, lb=lb, ub=ub)
         if special is not None:
             z[rng.integers(n)] = special
-        solver = qp.Solver()
-        solver._adopt(problem)
+        solver = qp.Solver(problem)
+        solver._build()
         with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, inf * 0
             assert solver._full_check(problem, z, y_eq, mu) == reference_full_check(
                 problem, z, y_eq, mu)
 
+    def test_an_infinite_candidate_fails(self):
+        # At z = +inf both residuals are inf, and so are the tolerances
+        # _EPS_REL max|z| and _EPS_REL max|P z|: inf <= inf must not pass.
+        problem = qp.QpProblem(p=[[3.8]], q=[-6.1], aeq=np.zeros((0, 1)), beq=np.zeros(0),
+                               lb=[1.0], ub=[1.5])
+        solver, y_eq, mu = qp.Solver(problem), np.zeros(0), np.array([1.4])
+        solver._build()
+        for z in (np.inf, 1e300):
+            with np.errstate(invalid="ignore", over="ignore"):
+                assert not solver._full_check(problem, np.array([z]), y_eq, mu)
+                assert not reference_full_check(problem, np.array([z]), y_eq, mu)
+
 
 class TestKeptArrays:
-    """Which P and Aeq a Solver treats as the ones whose KKT inverse it holds."""
-
-    @staticmethod
-    def counting(monkeypatch):
-        # np.linalg.inv calls, and np.array_equal calls made by Solver._adopt
-        inverses, compares, adopting = [], [], [False]
-        inv, array_equal, adopt = np.linalg.inv, np.array_equal, qp.Solver._adopt
-
-        def counting_adopt(self, problem):
-            adopting[0] = True
-            try:
-                return adopt(self, problem)
-            finally:
-                adopting[0] = False
-
-        def counting_array_equal(*args, **kwargs):
-            if adopting[0]:
-                compares.append(args)
-            return array_equal(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "inv", lambda a: inverses.append(a.shape) or inv(a))
-        monkeypatch.setattr(np, "array_equal", counting_array_equal)
-        monkeypatch.setattr(qp.Solver, "_adopt", counting_adopt)
-        return inverses, compares
-
-    @staticmethod
-    def small_problem(p, aeq):
-        return qp.QpProblem(p=p, q=np.array([1.0, -2.0, 0.5]), aeq=aeq, beq=[0.5],
-                            lb=-np.ones(3), ub=np.ones(3))
+    """The arrays a problem keeps, and what a Solver builds once from them."""
 
     def test_a_run_inverts_once_and_then_matches_by_identity(self, monkeypatch):
-        # The default run's 162 solves share the assembler's frozen P and
-        # Aeq: one inverse, and one value comparison, the first solve's
-        # against nothing kept.
-        inverses, compares = self.counting(monkeypatch)
+        # The default run's 162 solves share one Solver, which solve_mpc
+        # matches to the assembler's problem by identity: one inverse.
+        inverses, inv = [], np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda a: inverses.append(a.shape) or inv(a))
         record = experiment.run_experiment(experiment.ExperimentConfig(
             attack=dos.params_for_ratio(0.8841)))
         assert np.count_nonzero(~np.isnan(record.qp_iterations)) == 162
-        assert len(inverses) == 1 and len(compares) == 1
+        assert len(inverses) == 1
 
-    def test_equal_values_in_new_writeable_arrays_keep_the_inverse(self, monkeypatch):
-        inverses, compares = self.counting(monkeypatch)
-        p, aeq = np.diag([2.0, 3.0, 4.0]), np.array([[1.0, 1.0, 1.0]])
-        for array in (p, aeq):
-            array.setflags(write=False)
-        solver = qp.Solver()
-        first = solver.solve(self.small_problem(p, aeq))
-        again = solver.solve(self.small_problem(p.copy(), aeq.copy()))
-        assert len(inverses) == 1 and len(compares) == 1 + 2
-        assert np.array_equal(first.z, again.z)
+    def test_problem_arrays_are_read_only_copies(self):
+        arrays = dict(p=np.diag([2.0, 3.0]), q=np.array([1.0, -2.0]), aeq=np.array([[1.0, 1.0]]),
+                      beq=np.array([0.5]), lb=-np.ones(2), ub=np.ones(2))
+        problem = qp.QpProblem(**arrays, param_rows=[0])
+        moved = problem.with_beq([0.25])
+        for name, array in dict(arrays, moved_beq=np.array([0.25])).items():
+            kept = moved.beq if name == "moved_beq" else getattr(problem, name)
+            assert not kept.flags.writeable and not np.shares_memory(kept, array)
+            with pytest.raises(ValueError):
+                kept[0] = 7.0
+        assert not problem.param_rows.flags.writeable
+        before = problem.p.copy()
+        arrays["p"][0, 0] = 9.0
+        assert np.array_equal(problem.p, before)
 
-    def test_change_through_a_writeable_base_is_noticed(self, monkeypatch):
-        # A read-only view of a writeable array is not frozen: it is kept
-        # as a copy and compared by value, so a change made through its
-        # base, under the same view object, builds a new inverse.
-        inverses, _ = self.counting(monkeypatch)
-        base, aeq = np.diag([2.0, 3.0, 4.0]), np.array([[1.0, 1.0, 1.0]])
-        view = base[:]
-        view.setflags(write=False)
-        solver, warm = qp.Solver(), np.array([1.0, -1.0, 0.5])
-        solver.solve(self.small_problem(view, aeq), warm_z=warm)
-        base[1, 2] = base[2, 1] = 0.5
-        problem = self.small_problem(view, aeq)
-        assert problem.p is view
-        sol = solver.solve(problem, warm_z=warm)
-        assert len(inverses) == 2
-        fresh = qp.Solver().solve(problem, warm_z=warm)
-        assert np.array_equal(sol.z, fresh.z) and (sol.status, sol.iterations) == (
-            fresh.status, fresh.iterations)
-
-    def test_bounds_changed_in_place_are_noticed(self):
-        # Writeable bounds changed in place between two solves of the same
-        # problem: the warm start must read the new upper bound, which the
-        # first optimizer no longer touches, as a fresh solver does.
-        problem = qp.QpProblem(p=np.eye(2), q=np.array([-1.5, 0.0]), aeq=np.zeros((0, 2)),
-                               beq=np.zeros(0), lb=-np.ones(2), ub=np.ones(2))
-        solver = qp.Solver()
-        first = solver.solve(problem)
-        assert first.z[0] == 1.0
-        problem.ub[0] = 2.0
-        sol, fresh = (s.solve(problem, warm_z=first.z) for s in (solver, qp.Solver()))
-        assert sol.z[0] == 1.5 and np.array_equal(sol.z, fresh.z)
-        assert (sol.status, sol.iterations) == (fresh.status, fresh.iterations) == ("optimal", 0)
+    def test_b_of_the_wrong_length_is_refused(self):
+        problem = qp.QpProblem(p=np.eye(2), q=np.zeros(2), aeq=np.eye(2), beq=np.zeros(2),
+                               lb=-np.ones(2), ub=np.ones(2), param_rows=[1])
+        solver = qp.Solver(problem)
+        for b in ([], [0.5, 0.5], np.zeros((2, 1))):
+            with pytest.raises(DimensionError, match="b must have length 1"):
+                solver.solve(b)
+        sol = solver.solve([0.5])
+        assert np.array_equal(sol.problem.beq, [0.0, 0.5]) and sol.problem.p is problem.p
+        assert np.array_equal(problem.beq, [0.0, 0.0]) and solver.solve().problem is problem
 
 
 class TestSchurComplement:
@@ -638,9 +607,9 @@ class TestSchurComplement:
             inverses.append(a.shape)
             return inv(a)
 
-        def recording_solve(self, problem, warm_z=None):
-            seen.add((id(self), problem.p.tobytes(), problem.aeq.tobytes()))
-            return solve(self, problem, warm_z=warm_z)
+        def recording_solve(self, b=None, warm_z=None):
+            seen.add((id(self), self.problem.p.tobytes(), self.problem.aeq.tobytes()))
+            return solve(self, b, warm_z=warm_z)
 
         monkeypatch.setattr(np.linalg, "inv", counting_inv)
         monkeypatch.setattr(qp.Solver, "solve", recording_solve)
@@ -676,23 +645,25 @@ class TestSchurComplement:
         assert sum(1 for _, rows in calls if rows) > len(set(calls)) > 1
         assert sorted(factored) == sorted(set(calls))
 
-        # A new P or Aeq, in a new array or changed in place, factorizes again.
+        # A solver factorizes a row set once, whatever b; a new P or Aeq
+        # comes with a new solver, which factorizes again.
         p, aeq = np.diag([2.0, 3.0, 4.0]), np.array([[1.0, 1.0, 1.0]])
-        solver, warm = qp.Solver(), np.array([1.0, -1.0, 0.5])
+        warm = np.array([1.0, -1.0, 0.5])
         factored.clear()
-        for step in ("first", "again", "new_p", "mutate_p", "new_aeq", "again"):
+        for step, b in (("first", 0.5), ("again", 0.5), ("params", 0.25), ("new_p", 0.5),
+                        ("new_aeq", 0.5), ("again", 0.5)):
             if step == "new_p":
                 p = p + np.diag([1.0, 0.0, 0.0])
-            elif step == "mutate_p":
-                p[1, 2] = p[2, 1] = 0.5
             elif step == "new_aeq":
                 aeq = np.array([[1.0, 2.0, 1.0]])
-            problem = qp.QpProblem(p=p, q=np.ones(3), aeq=aeq, beq=[0.5], lb=-np.ones(3),
-                                   ub=np.ones(3))
+            if step in ("first", "new_p", "new_aeq"):
+                problem = qp.QpProblem(p=p, q=np.ones(3), aeq=aeq, beq=[0.5], lb=-np.ones(3),
+                                       ub=np.ones(3), param_rows=[0])
+                solver = qp.Solver(problem)
             count = len(factored)
-            sol = solver.solve(problem, warm_z=warm)
-            assert len(factored) == count + (step != "again")
-            assert np.array_equal(sol.z, qp.Solver().solve(problem, warm_z=warm).z)
+            sol = solver.solve([b], warm_z=warm)
+            assert len(factored) == count + (step in ("first", "new_p", "new_aeq"))
+            assert np.array_equal(sol.z, qp.Solver(problem).solve([b], warm_z=warm).z)
 
     @settings(max_examples=50, deadline=None, derandomize=True, database=None)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -701,23 +672,24 @@ class TestSchurComplement:
         # m <= 8, box +-1. P = G'G has rank n/2, plus a ridge of 1e-8 (as in
         # the MPC cost) or 1e-3, each in half the draws. Each q is built
         # from a KKT point that pins bounds with multipliers of at least 0.5.
-        # The second QP is warm-started from the first answer, so the reused
-        # solver meets it holding the first QP's columns and piece.
+        # Every beq row is a param row. The second solve moves them to an
+        # interior point's and is warm-started from the first answer, so the
+        # reused solver meets it holding the first solve's columns and piece.
         rng = np.random.default_rng(seed)
         n, m = int(rng.integers(20, 41)), int(rng.integers(0, 9))
         pinned = int(rng.integers(5, min(26, n - m - 2) + 1))
         ridge = (1e-3, 1e-8)[int(rng.integers(2))]
         g = rng.standard_normal((n // 2, n))
         p, aeq = g.T @ g + ridge * np.eye(n), rng.standard_normal((m, n))
-        reused, warm = qp.Solver(), None
-        for _ in range(2):
-            idx, side = rng.choice(n, pinned, replace=False), rng.choice([-1.0, 1.0], pinned)
-            z, mu = rng.uniform(-0.9, 0.9, n), np.zeros(n)
-            z[idx], mu[idx] = side, side * rng.uniform(0.5, 3.0, pinned)
-            problem = qp.QpProblem(p=p, q=-(p @ z + aeq.T @ rng.standard_normal(m) + mu),
-                                   aeq=aeq, beq=aeq @ z, lb=-np.ones(n), ub=np.ones(n))
-            sol = reused.solve(problem, warm_z=warm)
-            fresh = qp.Solver().solve(problem, warm_z=warm)
+        idx, side = rng.choice(n, pinned, replace=False), rng.choice([-1.0, 1.0], pinned)
+        z, mu = rng.uniform(-0.9, 0.9, n), np.zeros(n)
+        z[idx], mu[idx] = side, side * rng.uniform(0.5, 3.0, pinned)
+        problem = qp.QpProblem(p=p, q=-(p @ z + aeq.T @ rng.standard_normal(m) + mu), aeq=aeq,
+                               beq=aeq @ z, lb=-np.ones(n), ub=np.ones(n), param_rows=np.arange(m))
+        reused, warm = qp.Solver(problem), None
+        for b in (problem.beq, aeq @ rng.uniform(-0.9, 0.9, n)):
+            sol = reused.solve(b, warm_z=warm)
+            fresh = qp.Solver(problem).solve(b, warm_z=warm)
             assert sol.status == "optimal"
             assert np.array_equal(sol.z, fresh.z)
             assert (sol.status, sol.iterations) == (fresh.status, fresh.iterations)
@@ -772,21 +744,21 @@ class DependenceRecorder(qp.Solver):
     ``_pivots``, and each entering row p from the pivot -sign * dz_p of its
     step."""
 
-    def __init__(self, log):
-        super().__init__()
+    def __init__(self, problem, log):
+        super().__init__(problem)
         self.log = log
 
     def _pivots(self, rows):
         pivots = super()._pivots(rows)
-        self._record(pivots, qr_span_distances(self._aeq, [], rows))
+        self._record(pivots, qr_span_distances(self.problem.aeq, [], rows))
         return pivots
 
-    def _solve_active(self, problem, lo_act, hi_act, enter=None):
-        z, y_eq, mu, step = super()._solve_active(problem, lo_act, hi_act, enter)
+    def _solve_active(self, b, lo_act, hi_act, enter=None):
+        z, y_eq, mu, step = super()._solve_active(b, lo_act, hi_act, enter)
         if enter is not None:
             p, sign = enter
             self._record([-sign * step[0][p]],
-                         qr_span_distances(self._aeq, np.concatenate([lo_act, hi_act]), [p]))
+                         qr_span_distances(self.problem.aeq, np.concatenate([lo_act, hi_act]), [p]))
         return z, y_eq, mu, step
 
     def _record(self, pivots, distances):
@@ -807,10 +779,10 @@ class TestDependenceDecisions:
         @given(scaled_box_qps())
         def draws(case):
             problem, beq_moved, warm = case
-            solver = DependenceRecorder(log)
-            solver.solve(problem)
-            warm = solver.solve(problem, warm_z=warm).z
-            solver.solve(problem.with_beq(beq_moved), warm_z=warm)
+            solver = DependenceRecorder(problem, log)
+            solver.solve()
+            warm = solver.solve(warm_z=warm).z
+            solver.solve(beq_moved[problem.param_rows], warm_z=warm)
 
         draws()
         pivot, dist, kept, qr_kept = (np.array(column) for column in zip(*log))
