@@ -219,21 +219,21 @@ class Solver:
         """The problem's inverse of its base KKT matrix, its long-double and
         absolute P and Aeq, the tolerances, the bounded variables' indices,
         |q| and the base piece."""
-        pr, delta = self.problem, 1e-9
-        p, aeq, n, m_eq = pr.p, pr.aeq, pr.n, pr.aeq.shape[0]
+        prob, delta = self.problem, 1e-9
+        p, aeq, n, m_eq = prob.p, prob.aeq, prob.n, prob.aeq.shape[0]
         self._p_ext, self._aeq_ext = p.astype(np.longdouble), aeq.astype(np.longdouble)
         diagonal = np.count_nonzero(p) == np.count_nonzero(np.diagonal(p))
         self._p_diag = np.diagonal(p).copy() if diagonal else None
-        self._abs_p, self._abs_aeq, self._abs_q = np.abs(p), np.abs(aeq), np.abs(pr.q)
+        self._abs_p, self._abs_aeq, self._abs_q = np.abs(p), np.abs(aeq), np.abs(prob.q)
         self._top_q = _top(self._abs_q)
         self._kkt_inv = np.linalg.inv(np.block([[p + delta * np.eye(n), aeq.T],
                                                 [aeq, -delta * np.eye(m_eq)]]))
         self._pivot_tol = _DEPENDENT * np.max(np.diagonal(self._kkt_inv)[:n])
-        self._lb_tol, self._ub_tol = pr.lb + _TOL, pr.ub - _TOL
-        self._box = box = np.flatnonzero(np.isfinite(pr.lb) | np.isfinite(pr.ub))
-        self._lb_box, self._ub_box = pr.lb[box], pr.ub[box]
+        self._lb_tol, self._ub_tol = prob.lb + _TOL, prob.ub - _TOL
+        self._box = box = np.flatnonzero(np.isfinite(prob.lb) | np.isfinite(prob.ub))
+        self._lb_box, self._ub_box = prob.lb[box], prob.ub[box]
         self._columns, self._pivot_sets, self._key, self._cert = {}, {}, None, None
-        rows, target = n + pr.param_rows, np.concatenate([-pr.q, pr.beq])
+        rows, target = n + prob.param_rows, np.concatenate([-prob.q, prob.beq])
         target[rows] = 0.0  # [-q; beq], param rows zeroed, beside e_i for each param row i
         self._base_rhs = np.column_stack([target, np.arange(target.size)[:, None] == rows])
         self._base = self._refine(self._base_rhs)
@@ -383,13 +383,13 @@ class Solver:
         multipliers, the box multipliers mu and, with an entering row
         ``enter`` = (i, sign), (dz, dmu): their change per unit of an added
         cost term sign * z_i; otherwise None."""
-        pr, n, size = self.problem, self.problem.n, self._base.shape[0]
+        prob, n, size = self.problem, self.problem.n, self._base.shape[0]
         key = (lo_act.tolist(), hi_act.tolist())
         reused = key == self._key
         if not reused:
             pinned = np.concatenate([lo_act, hi_act])
-            values = np.column_stack([np.concatenate([pr.lb[lo_act], pr.ub[hi_act]]),
-                                      np.zeros((pinned.size, pr.param_rows.size))])
+            values = np.column_stack([np.concatenate([prob.lb[lo_act], prob.ub[hi_act]]),
+                                      np.zeros((pinned.size, prob.param_rows.size))])
             piece = np.ascontiguousarray(self._pin(pinned, self._base, values).T)
             self._key, self._piece, self._pinned, self._values, self._cert = key, piece, pinned, values, None
         # np.dot(b, X') sums each row as np.dot(X, b) does, in fewer steps.

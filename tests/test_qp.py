@@ -560,17 +560,11 @@ class TestKeptArrays:
     def test_problem_arrays_are_read_only_copies(self):
         arrays = dict(p=np.diag([2.0, 3.0]), q=np.array([1.0, -2.0]), aeq=np.array([[1.0, 1.0]]),
                       beq=np.array([0.5]), lb=-np.ones(2), ub=np.ones(2))
-        problem = qp.QpProblem(**arrays, param_rows=[0])
-        moved = problem.with_beq([0.25])
-        for name, array in dict(arrays, moved_beq=np.array([0.25])).items():
-            kept = moved.beq if name == "moved_beq" else getattr(problem, name)
-            assert not kept.flags.writeable and not np.shares_memory(kept, array)
-            with pytest.raises(ValueError):
-                kept[0] = 7.0
+        problem, beq = qp.QpProblem(**arrays, param_rows=[0]), np.array([0.25])
+        for kept, given in [(getattr(problem, name), array) for name, array in arrays.items()] + [
+                (problem.with_beq(beq).beq, beq)]:
+            assert not kept.flags.writeable and not np.shares_memory(kept, given)
         assert not problem.param_rows.flags.writeable
-        before = problem.p.copy()
-        arrays["p"][0, 0] = 9.0
-        assert np.array_equal(problem.p, before)
 
     def test_b_of_the_wrong_length_is_refused(self):
         problem = qp.QpProblem(p=np.eye(2), q=np.zeros(2), aeq=np.eye(2), beq=np.zeros(2),
