@@ -11,6 +11,10 @@ at most once per ``period`` steps, and replays the cached predicted inputs in
 between, falling back to zero once the plan runs out (predict, hold, then
 zero). With ``period`` = n_x it is the periodic scheme, which trades
 resilience for an enlarged feasibility region.
+
+The model-based controller's loop is linear in its state, so it also gives
+the loop around a plant as one matrix per attack mode (``modes``);
+``experiment.run_experiment`` runs model-based experiments on those.
 """
 from __future__ import annotations
 
@@ -111,3 +115,26 @@ class ModelBasedController:
         if len(u) != self.model.n_u or len(zeta) != self.model.n_y:
             raise DimensionError("u and zeta must have the model's n_u and n_y entries")
         np.dot(self._map, np.concatenate((self._s, u, zeta)), out=self._s)
+
+    def modes(self, plant: SystemModel):
+        """The loop around ``plant`` as a switched linear system on
+        xi = [x; xbar; xhat]: (free, attacked, noise), where ``free`` and
+        ``attacked`` map xi to [u; y; xi+] on an attack-free and an attacked
+        step, and ``noise`` adds one step's [w; noise] to xi+. An attack-free
+        step resets xhat <- xbar before u = K xhat, as ``step`` does; xbar+
+        and xhat+ come from the same map as ``finish``."""
+        model, n, n_x = self.model, self.model.n_x, plant.n_x
+        if plant.n_u != model.n_u or plant.n_y != model.n_y:
+            raise DimensionError("the plant must have the model's n_u and n_y")
+        pick = np.eye(n_x + 2 * n)
+        x, xbar, xhat = pick[:n_x], pick[n_x:n_x + n], pick[n_x + n:]
+        matrices = []
+        for held in (xbar, xhat):
+            u = self.gains.k @ held
+            y = plant.c @ x + plant.d @ u
+            s_next = self._map @ np.vstack((xbar, held, u, y))
+            matrices.append(np.vstack((u, y, plant.a @ x + plant.b @ u, s_next)))
+        noise = np.zeros((n_x + 2 * n, n_x + model.n_y))
+        noise[:n_x, :n_x] = np.eye(n_x)
+        noise[n_x:, n_x:] = self._map[:, 2 * n + model.n_u:]
+        return matrices[0], matrices[1], noise

@@ -7,8 +7,11 @@ seeded; identical configurations produce byte-identical CSV outputs.
 
 The controller kinds are ``CONTROLLERS``: "data-driven" and
 "data-driven-periodic" are one ``DataDrivenController`` with solve period 1
-or n_x, "model-based" is the observer/predictor baseline. The closed loop
-drives every kind through the same ``step``/``finish`` protocol.
+or n_x, "model-based" is the observer/predictor baseline. ``run_closed_loop``
+drives any controller through the ``step``/``finish`` protocol, and
+``run_experiment`` runs the data-driven kinds that way. It runs the
+model-based kind, whose loop is linear, as the switched linear recursion of
+``ModelBasedController.modes``: one matrix-vector product per step.
 """
 from __future__ import annotations
 
@@ -368,6 +371,35 @@ def revalidate_record(directory, stem: str = "record") -> bool:
     return all(same(stored.get(k), fresh[k]) for k in fresh)
 
 
+def _channel(model: SystemModel, t_sim: int, v_bar: float, noise_seed: int,
+             schedule: Optional[dos.DosSchedule]):
+    """(w, noise, indicators) of a run: process and network noise i.i.d.
+    uniform on [-v_bar, v_bar] per coordinate, drawn from the noise seed
+    (process first), and the schedule's first t_sim attack indicators."""
+    rng = np.random.default_rng(noise_seed)
+    w = rng.uniform(-v_bar, v_bar, size=(t_sim, model.n_x))
+    noise = rng.uniform(-v_bar, v_bar, size=(t_sim, model.n_y))
+    indicators = (schedule.indicators.astype(bool)
+                  if schedule is not None else np.zeros(t_sim, dtype=bool))
+    if indicators.shape[0] < t_sim:
+        raise ConfigError("attack schedule shorter than the simulation horizon")
+    return w, noise, indicators[:t_sim]
+
+
+def _record(indicators, u, y, zeta, cost, iterations, status: str, t_sim: int,
+            controller_name: str, seeds: Optional[dict], blow_up: float,
+            wall: float) -> RunRecord:
+    """The record of a run's first len(u) steps, with its summary."""
+    steps = len(u)
+    record = RunRecord(t=np.arange(steps), attack=indicators[:steps].astype(int),
+                       u=u, y=y, zeta=zeta, y_norm=np.linalg.norm(y, axis=1),
+                       cost=cost, qp_iterations=iterations)
+    record.summary = _summarize(record, status, t_sim, controller_name, seeds or {},
+                                blow_up)
+    record.summary["wall_time_s"] = wall
+    return record
+
+
 def run_closed_loop(model: SystemModel, controller, t_sim: int,
                     x0, v_bar: float, noise_seed: int,
                     schedule: Optional[dos.DosSchedule] = None,
@@ -380,15 +412,9 @@ def run_closed_loop(model: SystemModel, controller, t_sim: int,
     the controller emits its input (``step``), the plant is measured, and the
     noisy measurement goes back to the controller's sensor side (``finish``).
     The record logs the measurement as delivered exactly at attack-free steps.
+    Any object with ``step`` and ``finish`` runs here, whatever its type.
     """
-    rng = np.random.default_rng(noise_seed)
-    w = rng.uniform(-v_bar, v_bar, size=(t_sim, model.n_x))
-    noise = rng.uniform(-v_bar, v_bar, size=(t_sim, model.n_y))
-    indicators = (schedule.indicators.astype(bool)
-                  if schedule is not None else np.zeros(t_sim, dtype=bool))
-    if indicators.shape[0] < t_sim:
-        raise ConfigError("attack schedule shorter than the simulation horizon")
-
+    w, noise, indicators = _channel(model, t_sim, v_bar, noise_seed, schedule)
     x = np.asarray(x0, dtype=float).reshape(model.n_x)
     # [y; x+ - w] = [[C, D], [A, B]] [x; u]
     plant, n_y = np.block([[model.c, model.d], [model.a, model.b]]), model.n_y
@@ -424,16 +450,51 @@ def run_closed_loop(model: SystemModel, controller, t_sim: int,
     wall = time.perf_counter() - t0
 
     sl = slice(0, steps)
-    record = RunRecord(
-        t=np.arange(steps), attack=indicators[sl].astype(int),
-        u=u_log[sl], y=y_log[sl], zeta=zeta_log[sl],
-        y_norm=np.linalg.norm(y_log[sl], axis=1),
-        cost=cost_log[sl], qp_iterations=iter_log[sl],
-    )
-    record.summary = _summarize(record, status, t_sim, controller_name, seeds or {},
-                                blow_up)
-    record.summary["wall_time_s"] = wall
-    return record
+    return _record(indicators, u_log[sl], y_log[sl], zeta_log[sl], cost_log[sl],
+                   iter_log[sl], status, t_sim, controller_name, seeds, blow_up, wall)
+
+
+def _run_lifted(model: SystemModel, controller: ModelBasedController, t_sim: int,
+                x0, v_bar: float, noise_seed: int,
+                schedule: Optional[dos.DosSchedule] = None,
+                blow_up: float = 1e6, controller_name: str = "model-based",
+                seeds: Optional[dict] = None) -> RunRecord:
+    """``run_closed_loop`` for the model-based controller, on the same draws,
+    as the switched linear recursion of ``controller.modes(model)`` on
+    xi = [x; xbar; xhat]: one matvec with the step's mode matrix plus the
+    step's noise row, computed up front. The controller's state is read as
+    the start of xbar and xhat, not advanced. The timed loop includes
+    building the modes and the noise rows."""
+    w, noise, indicators = _channel(model, t_sim, v_bar, noise_seed, schedule)
+    x = np.asarray(x0, dtype=float).reshape(model.n_x)
+    n_u, k = model.n_u, model.n_u + model.n_y
+    status = "ok"
+    steps = t_sim
+
+    t0 = time.perf_counter()
+    free, attacked, carry = controller.modes(model)
+    mode = (free, attacked)
+    # row t is [u; y; xi+] of step t, preset to the noise that step adds to xi+
+    log = np.zeros((t_sim, k + free.shape[1]))
+    np.matmul(np.hstack((w, noise)), carry.T, out=log[:, k:])
+    xi = np.concatenate((x, controller.xbar, controller.xhat))
+    for t, attack in enumerate(indicators.tolist()):
+        row = log[t]
+        row += np.dot(mode[attack], xi)
+        y = row[n_u:k]
+        xi = row[k:]
+        if math.sqrt(y.dot(y)) >= blow_up:
+            status = "diverged"
+            steps = t + 1
+            break
+    wall = time.perf_counter() - t0
+
+    u, y = log[:steps, :n_u].copy(), log[:steps, n_u:k].copy()
+    zeta = y + noise[:steps]
+    zeta[indicators[:steps]] = np.nan
+    nan = np.full(steps, np.nan)
+    return _record(indicators, u, y, zeta, nan, nan.copy(), status, t_sim,
+                   controller_name, seeds, blow_up, wall)
 
 
 def _build_controller(prepared: Prepared):
@@ -454,10 +515,10 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
         schedule = dos.generate_random(config.attack, config.t_sim, config.attack_seed)
     controller = _build_controller(prepared)
     seeds = {k: getattr(config, f"{k}_seed") for k in _SEEDS}
-    record = run_closed_loop(model, controller, config.t_sim, prepared.x0,
-                             config.v_bar, config.noise_seed, schedule=schedule,
-                             blow_up=config.blow_up,
-                             controller_name=config.controller, seeds=seeds)
+    loop = _run_lifted if config.controller == "model-based" else run_closed_loop
+    record = loop(model, controller, config.t_sim, prepared.x0, config.v_bar,
+                  config.noise_seed, schedule=schedule, blow_up=config.blow_up,
+                  controller_name=config.controller, seeds=seeds)
     if config.output_dir is not None:
         record.save(config.output_dir)
         if schedule is not None:

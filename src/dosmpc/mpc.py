@@ -24,7 +24,7 @@ import numpy as np
 
 from .data import HankelPair
 from .errors import ConfigError, DimensionError, SolverError, check_numbers
-from .qp import QpProblem, QpSolution, Solver
+from .qp import QpProblem, QpSolution, Solver, _p_dot
 
 __all__ = ["MpcConfig", "MpcSolution", "VariableMap", "MpcAssembler", "solve_mpc"]
 
@@ -157,6 +157,9 @@ class MpcAssembler:
             sy = slice(off_y + i * n_y, off_y + (i + 1) * n_y)
             weight[su, su] = r1
             weight[sy, sy] = r2
+        # Scalar R1 and R2 make W diagonal: then the cost takes W z elementwise.
+        diagonal = np.count_nonzero(weight) == np.count_nonzero(np.diagonal(weight))
+        self._weight_diag = np.diagonal(weight).copy() if diagonal else None
         p = 2.0 * weight + _RIDGE * np.eye(n)
 
         m = w * (n_u + n_y) + 2 * eta * (n_u + n_y)
@@ -203,8 +206,9 @@ class MpcAssembler:
         np.clip(u_pred, -cfg.u_max, cfg.u_max, out=u_pred)
         for array in (z, u_pred, y_pred):  # views taken before z's stay writeable
             array.setflags(write=False)
+        cost = float(_p_dot(self._weight, self._weight_diag, z, np.matmul) @ z)
         return MpcSolution(u_pred=u_pred, y_pred=y_pred, g=z[vm.g],
-                           h=z[vm.h].reshape(vm.window, vm.n_y), cost=float(z @ self._weight @ z),
+                           h=z[vm.h].reshape(vm.window, vm.n_y), cost=cost,
                            qp_solution=qp_solution)
 
 

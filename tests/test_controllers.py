@@ -253,6 +253,18 @@ class TestModelBasedController:
         with pytest.raises(ValueError):
             ctrl.finish(np.zeros(zeta_len), np.zeros(u_len))
 
+    def test_modes_reject_a_plant_of_other_dimensions(self, reactor):
+        # what finish would refuse on the first step, modes refuses up front
+        ctrl = controllers.ModelBasedController(reactor, lti.synthesize_gains(reactor))
+        wider_u = lti.SystemModel(reactor.a, np.hstack((reactor.b, reactor.b[:, :1])),
+                                  reactor.c, np.zeros((2, 3)), dt=reactor.dt)
+        wider_y = lti.SystemModel(reactor.a, reactor.b, np.vstack((reactor.c, reactor.c[:1])),
+                                  np.zeros((3, 2)), dt=reactor.dt)
+        for plant in (wider_u, wider_y):
+            with pytest.raises(DimensionError):
+                ctrl.modes(plant)
+        assert [m.shape for m in ctrl.modes(reactor)] == [(16, 12), (16, 12), (12, 6)]
+
     def test_bounded_under_fixture_attacks(self, reactor):
         gains = lti.synthesize_gains(reactor)
         ctrl = controllers.ModelBasedController(reactor, gains)

@@ -1,13 +1,17 @@
-"""Whole-loop oracle: ``run_closed_loop`` with the model-based controller
-against an independent long-double recurrence written from the unstacked
-observer/predictor equations, and the plant side of any record against
-``lti.simulate``."""
+"""Whole-loop oracles: both model-based loops (``run_closed_loop`` with the
+controller's step/finish, and the switched linear recursion that
+``run_experiment`` runs) against an independent long-double recurrence
+written from the unstacked observer/predictor equations; the plant side of
+any record against ``lti.simulate``; and the homogeneity of noise-free runs
+in the initial state."""
+from dataclasses import replace
+
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 from dosmpc import dos, lti
 from dosmpc.controllers import DataDrivenController, ModelBasedController
-from dosmpc.experiment import run_closed_loop
+from dosmpc.experiment import ExperimentConfig, _run_lifted, run_closed_loop, run_experiment
 
 REL_TOL = 1e-12
 LD = np.longdouble
@@ -80,14 +84,15 @@ class TestModelBasedLoop:
         gains = lti.synthesize_gains(model)
         schedule = schedule_for(ratio, t_sim, attack_seed)
         x0 = np.ones(model.n_x) / np.sqrt(model.n_x)
-        record = run_closed_loop(model, ModelBasedController(model, gains), t_sim, x0,
-                                 v_bar, noise_seed, schedule=schedule)
         indicators = np.zeros(t_sim, bool) if schedule is None else schedule.indicators
         u, y, diverged = oracle(model, gains, x0, indicators, v_bar, noise_seed)
-        assert (record.summary["status"] == "diverged") == diverged
-        assert len(record) == len(u)
-        assert rel_inf(record.u, u) <= REL_TOL
-        assert rel_inf(record.y, y) <= REL_TOL
+        for loop in (run_closed_loop, _run_lifted):
+            record = loop(model, ModelBasedController(model, gains), t_sim, x0,
+                          v_bar, noise_seed, schedule=schedule)
+            assert (record.summary["status"] == "diverged") == diverged, loop.__name__
+            assert len(record) == len(u), loop.__name__
+            assert rel_inf(record.u, u) <= REL_TOL, loop.__name__
+            assert rel_inf(record.y, y) <= REL_TOL, loop.__name__
 
 
 class TestPlantReplay:
@@ -105,3 +110,29 @@ class TestPlantReplay:
             w, _ = noise_draws(plant, 40, 1e-4, 2)
             replay = lti.simulate(plant, x0, record.u, w)
             assert rel_inf(record.y, replay.outputs) <= REL_TOL
+
+
+class TestHomogeneity:
+    # Without noise and with an input box that never binds, both loops are
+    # linear in x0, attacks included: the solve on its empty working set, the
+    # plan replay, the zero fallback, the observer and the predictor. Scaling
+    # x0 by a power of two scales every product and sum exactly, so u and y
+    # must scale bit for bit. No divergence guard, so both runs are as long.
+    @settings(max_examples=10, deadline=None, derandomize=True, database=None)
+    @given(controller=st.sampled_from(["data-driven", "model-based"]),
+           ratio=st.sampled_from([0.0, 0.5, 0.8841]), k=st.integers(-10, 3),
+           seeds=st.tuples(*[st.integers(1, 10_000)] * 3))
+    @example(controller="data-driven", ratio=0.8841, k=-10, seeds=(1, 2, 3))
+    @example(controller="model-based", ratio=0.8841, k=3, seeds=(1, 2, 3))
+    def test_records_scale_with_the_initial_state(self, controller, ratio, k, seeds):
+        attack = None if ratio == 0 else dos.params_for_ratio(ratio)
+        base = ExperimentConfig(v_bar=0.0, u_max=1e6, blow_up=np.inf, t_sim=60,
+                                attack=attack, controller=controller, x0=(0.5,) * 4,
+                                **dict(zip(("data_seed", "noise_seed", "attack_seed"), seeds)))
+        scale = 2.0 ** k
+        plain = run_experiment(base)
+        scaled = run_experiment(replace(base, x0=(0.5 * scale,) * 4))
+        assert (plain.summary["num_solves"] > 0) == (controller == "data-driven")
+        assert np.array_equal(scaled.attack, plain.attack)
+        assert np.array_equal(scaled.u, scale * plain.u)
+        assert np.array_equal(scaled.y, scale * plain.y)

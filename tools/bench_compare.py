@@ -31,8 +31,10 @@ with its own ``src`` and ``perfbench``, BLAS pinned to one thread:
   at T = 5000 and 20000 on attack-long's parameters (ratio 0.9142) and on
   the lattice sets (kappa_f, nu_f, kappa_d, nu_d) = (1, 4, 1, 2) and
   (3, 4, 3, 4), where a level returns to its minimum once a period;
-  ``validate_schedule`` on the (1, 4, 1, 2) worst case at T = 20000; and
-  ``RunRecord.save`` at T = 5000. ``--layers-only`` runs this step alone,
+  ``validate_schedule`` on the (1, 4, 1, 2) worst case at T = 20000;
+  attack-long's ``run_experiment`` (model-based, ratio 0.9142, T = 5000,
+  seed triple (1, 2, 3), no output directory); and ``RunRecord.save`` at
+  T = 5000. ``--layers-only`` runs this step alone,
   e.g. with one tree on both sides as an A/A check;
 - records identity: a fixed grid per side: ``run_experiment`` for every
   controller kind at v_bar 1e-4, 3e-4 and 1e-3 on three seed triples, one
@@ -231,8 +233,10 @@ def kernels(pkg, tmp):
     worst = dos.generate_worst_case(sets["lattice(1,4,1,2)"], 20000)
     found["validate_schedule_lattice(1,4,1,2)_T20000"] = partial(
         dos.validate_schedule, worst.indicators, worst.params)
-    record = exp.run_experiment(replace(base, controller="model-based", t_sim=5000,
-                                        attack=dos.params_for_ratio(0.9142)))
+    attack_long = replace(base, controller="model-based", t_sim=5000,
+                          attack=dos.params_for_ratio(0.9142))
+    found["attack_long_run"] = partial(exp.run_experiment, attack_long)
+    record = exp.run_experiment(attack_long)
     found["record_save_T5000"] = partial(record.save, Path(tmp))
     return found
 
